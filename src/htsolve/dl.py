@@ -73,12 +73,6 @@ class DiffGraph:
             self._dist[v] = 0
             self._out[v] = set()
 
-    def _active_weight(self, y, x):
-        entries = self._edges.get((y, x))
-        if not entries:
-            return None
-        return min(k for k, _ in entries)
-
     def _active_edge(self, y, x):
         entries = self._edges.get((y, x))
         best = min(entries, key=lambda e: e[0])

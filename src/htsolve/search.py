@@ -5,15 +5,16 @@ atom with a fresh proposition (__t1, __t2, ... in first-occurrence order).
 Because constraint-atom truth is a function of the shared valuation rather
 than something rules derive, solve() pairs the abstraction with an even
 loop per proposition (__tK / __fK) so Boolean stable models range over all
-sign assignments.  A difference-logic graph plus bounded backtracking then
-certifies each sign assignment, and consistent valuations are enumerated
-exhaustively so the result set matches the exhaustive oracle.
+sign assignments.  For each Boolean model, theory_certify() is the single
+place that decides its valuations: a difference-logic graph refutes
+inconsistent &diff signs outright, and one backtracking pass over the
+bounded grid then returns every valuation under which each atom has its
+sign, so the result set matches the exhaustive oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .core import (
     AssignmentAtom,
@@ -31,6 +32,7 @@ from .semantics import (
     AnswerSet,
     Valuation,
     _answer_sort_key,
+    _bounds_ok,
     _elem_true,
     enumerate_equilibrium,
 )
@@ -42,12 +44,6 @@ class Abstraction:
 
     rules: tuple
     mapping: tuple  # of (proposition Atom, constraint atom) in introduction order
-
-    def proposition_for(self) -> dict:
-        return {theory: prop for prop, theory in self.mapping}
-
-    def theory_for(self) -> dict:
-        return dict(self.mapping)
 
 
 def abstract(g: GroundProgram) -> Abstraction:
@@ -157,20 +153,17 @@ def stable_models_bool(b: GroundProgram) -> list:
     return models
 
 
-def theory_certify(signs: dict, bounds):
-    """Find one total valuation within bounds matching every atom's sign.
+def theory_certify(signs: dict, bounds) -> list:
+    """Every total valuation within bounds under which each atom has its sign.
 
-    Difference constraints go through a DiffGraph (negated ones via
-    negate_diff); remaining atoms are checked by backtracking over the
-    bounded grid, seeded with the shifted graph solution when possible.
-    Returns the valuation, or None when no valuation exists within bounds.
+    The &diff atoms, negated ones via negate_diff, are first asserted into a
+    DiffGraph; a negative cycle means no valuation exists.  Variable-free
+    atoms are checked once.  One backtracking pass over the bounded grid
+    then checks each remaining atom as soon as the last of its variables
+    is bound.  Valuations come in grid order: variables sorted by text,
+    values ascending.
     """
-    lo, hi = bounds
-    if lo > hi:
-        raise ValueError(f"empty bounds {lo}..{hi}")
-    variables = sorted(
-        {v for atom in signs for v in variable_names(atom)}, key=str
-    )
+    lo, hi = _bounds_ok(bounds)
     graph = DiffGraph()
     cid = 0
     for atom, sign in sorted(signs.items(), key=lambda kv: str(kv[0])):
@@ -181,50 +174,34 @@ def theory_certify(signs: dict, bounds):
             x, y, k = negate_diff(x, y, k)
         cid += 1
         if isinstance(graph.assert_diff(x, y, k, cid), Conflict):
-            return None
+            return []
 
-    def consistent(vd: dict) -> bool:
-        return all(_elem_true((), vd, atom) == sign for atom, sign in signs.items())
+    variables = sorted({v for atom in signs for v in variable_names(atom)}, key=str)
+    position = {v: i for i, v in enumerate(variables)}
+    checks: list = [[] for _ in variables]  # atoms whose last variable is i
+    for atom, sign in signs.items():
+        names = [position[v] for v in variable_names(atom)]
+        if names:
+            checks[max(names)].append((atom, sign))
+        elif _elem_true((), {}, atom) != sign:
+            return []
 
-    if not variables:
-        return Valuation() if consistent({}) else None
-
-    seed = graph.solution().as_dict()
-    values = {v: seed.get(v, 0) for v in variables}
-    shift = lo - min(values.values())
-    if max(values.values()) + shift <= hi:
-        shifted = {v: x + shift for v, x in values.items()}
-        if consistent(shifted):
-            return Valuation.of(shifted)
-
+    found: list = []
     vd: dict = {}
 
-    def feasible_so_far(latest) -> bool:
-        for atom, sign in signs.items():
-            needed = set(variable_names(atom))
-            if latest in needed and needed <= vd.keys():
-                if _elem_true((), vd, atom) != sign:
-                    return False
-        return True
-
-    def grid(i: int):
+    def grid(i: int) -> None:
         if i == len(variables):
-            return dict(vd)
+            found.append(Valuation.of(vd))
+            return
         v = variables[i]
         for value in range(lo, hi + 1):
             vd[v] = value
-            if feasible_so_far(v):
-                found = grid(i + 1)
-                if found is not None:
-                    return found
-            del vd[v]
-        return None
+            if all(_elem_true((), vd, atom) == sign for atom, sign in checks[i]):
+                grid(i + 1)
+        del vd[v]
 
-    for atom, sign in signs.items():
-        if not set(variable_names(atom)) and _elem_true((), {}, atom) != sign:
-            return None
-    found = grid(0)
-    return Valuation.of(found) if found is not None else None
+    grid(0)
+    return found
 
 
 def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle") -> list:
@@ -235,9 +212,7 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle") -> list:
         return enumerate_equilibrium(g, mode, bounds)
     if mode != "casp":
         raise ValueError("engine 'search' supports casp mode only")
-    lo, hi = bounds
-    if lo > hi:
-        raise ValueError(f"empty bounds {lo}..{hi}")
+    _bounds_ok(bounds)  # also when no Boolean model reaches theory_certify
     ab = abstract(g)
     boolean = GroundProgram(
         tuple(sorted(set(ab.rules) | set(choice_rules(ab)), key=str)), g.universe
@@ -246,14 +221,10 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle") -> list:
     prop_names = {prop for prop, _ in ab.mapping} | {
         Atom(f"__f{n}") for n in range(1, len(ab.mapping) + 1)
     }
-    answers = set()
+    answers = []
     for model in stable_models_bool(boolean):
         signs = {theory: (prop in model) for prop, theory in ab.mapping}
-        if theory_certify(signs, (lo, hi)) is None:
-            continue
         visible = frozenset(a for a in model if a not in prop_names)
-        for combo in product(range(lo, hi + 1), repeat=len(variables)):
-            vd = dict(zip(variables, combo))
-            if all(_elem_true((), vd, t) == s for t, s in signs.items()):
-                answers.add(AnswerSet(visible, Valuation.of(vd)))
+        for val in theory_certify(signs, bounds):
+            answers.append(AnswerSet(visible, val))
     return sorted(answers, key=lambda a: _answer_sort_key(a, variables))

@@ -1,7 +1,7 @@
 """Search-engine tests: abstraction, Boolean stability, certification, solve."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -28,7 +28,7 @@ from htsolve import (
     stable_models_bool,
     theory_certify,
 )
-from htsolve.core import atoms_of
+from htsolve.core import atoms_of, variable_names
 from htsolve.grounder import GroundProgram
 from htsolve.randprog import random_boolean_program, random_hybrid_program
 from htsolve.search import choice_rules
@@ -70,8 +70,6 @@ def test_abstract_reuses_propositions_for_repeated_atoms():
         "b :- not __t1, __t2.",
         "__t2 :- a.",
     ]
-    assert ab.proposition_for() == {d: Atom("__t1"), s: Atom("__t2")}
-    assert ab.theory_for() == {Atom("__t1"): d, Atom("__t2"): s}
 
 
 def test_abstract_is_identity_on_boolean_programs():
@@ -159,18 +157,22 @@ def test_stable_models_match_reduct_oracle():
 # theory certification -------------------------------------------------------------
 
 
+def vals(*rows) -> list:
+    """Valuations over (x, y) from value pairs, or over x alone from ints."""
+    return [
+        Valuation.of({x: r[0], y: r[1]} if isinstance(r, tuple) else {x: r})
+        for r in rows
+    ]
+
+
 def test_certify_positive_difference():
     d = DiffConstraintAtom(x, y, 0)
-    val = theory_certify({d: True}, (0, 1))
-    assert val is not None
-    vd = val.as_dict()
-    assert vd[x] - vd[y] <= 0
+    assert theory_certify({d: True}, (0, 1)) == vals((0, 0), (0, 1), (1, 1))
 
 
 def test_certify_negated_difference():
     d = DiffConstraintAtom(x, y, 0)
-    val = theory_certify({d: False}, (0, 1))
-    assert val.as_dict() == {x: 1, y: 0}
+    assert theory_certify({d: False}, (0, 1)) == vals((1, 0))
 
 
 def test_certify_conflicting_differences():
@@ -178,14 +180,14 @@ def test_certify_conflicting_differences():
         DiffConstraintAtom(x, y, -1): True,
         DiffConstraintAtom(y, x, -1): True,
     }
-    assert theory_certify(signs, (0, 9)) is None
+    assert theory_certify(signs, (0, 9)) == []
 
 
 def test_certify_sum_signs():
     s = LinearConstraintAtom(((1, x),), "<=", 2)
-    assert theory_certify({s: True}, (0, 5)).as_dict()[x] <= 2
-    assert theory_certify({s: False}, (0, 5)).as_dict()[x] > 2
-    assert theory_certify({s: False}, (0, 2)) is None
+    assert theory_certify({s: True}, (0, 5)) == vals(0, 1, 2)
+    assert theory_certify({s: False}, (0, 5)) == vals(3, 4, 5)
+    assert theory_certify({s: False}, (0, 2)) == []
 
 
 def test_certify_mixed_diff_and_sum():
@@ -193,23 +195,76 @@ def test_certify_mixed_diff_and_sum():
         DiffConstraintAtom(x, y, 0): True,
         LinearConstraintAtom(((1, x), (1, y)), "=", 3): True,
     }
-    val = theory_certify(signs, (0, 3))
-    vd = val.as_dict()
-    assert vd[x] <= vd[y] and vd[x] + vd[y] == 3
-    for atom, sign in signs.items():
-        assert _elem_true((), vd, atom) == sign
+    assert theory_certify(signs, (0, 3)) == vals((0, 3), (1, 2))
 
 
 def test_certify_variable_free_atoms():
     ground_true = LinearConstraintAtom(((2, IntConst(3)),), "<=", 7)
-    assert theory_certify({ground_true: True}, (0, 1)) == Valuation()
-    assert theory_certify({ground_true: False}, (0, 1)) is None
-    assert theory_certify({}, (0, 1)) == Valuation()
+    assert theory_certify({ground_true: True}, (0, 1)) == [Valuation()]
+    assert theory_certify({ground_true: False}, (0, 1)) == []
+    assert theory_certify({}, (0, 1)) == [Valuation()]
+    s = LinearConstraintAtom(((1, x),), "<=", 0)
+    assert theory_certify({ground_true: True, s: True}, (0, 1)) == vals(0)
+    assert theory_certify({ground_true: False, s: True}, (0, 1)) == []
 
 
 def test_certify_rejects_empty_bounds():
     with pytest.raises(ValueError, match="empty bounds"):
         theory_certify({}, (2, 1))
+
+
+def _brute_certify(signs: dict, bounds) -> list:
+    """Reference: filter the whole domain^vars grid, in product order."""
+    lo, hi = bounds
+    variables = sorted({v for atom in signs for v in variable_names(atom)}, key=str)
+    out = []
+    for combo in product(range(lo, hi + 1), repeat=len(variables)):
+        vd = dict(zip(variables, combo))
+        if all(_elem_true((), vd, atom) == sign for atom, sign in signs.items()):
+            out.append(Valuation.of(vd))
+    return out
+
+
+def _has_diff_cycle(signs: dict) -> bool:
+    """Do the sign-adjusted &diff edges y -> x close a directed cycle?"""
+    out: dict = {}
+    for atom, sign in signs.items():
+        if isinstance(atom, DiffConstraintAtom):
+            x_, y_ = atom.lhs_var, atom.rhs_var
+            if not sign:
+                x_, y_ = y_, x_
+            out.setdefault(y_, set()).add(x_)
+
+    def reaches(src, dst, seen) -> bool:
+        for nxt in out.get(src, ()):
+            if nxt == dst or (nxt not in seen and reaches(nxt, dst, seen | {nxt})):
+                return True
+        return False
+
+    return any(reaches(v, v, {v}) for v in out)
+
+
+def test_certify_matches_brute_force_grid():
+    rng = random.Random(2024)
+    kinds = ("variable-free", "negated diff", "diff cycle", "empty", "some")
+    seen = dict.fromkeys(kinds, 0)
+    for _ in range(400):
+        pool = set()
+        for _ in range(2):
+            pool |= set(atoms_of(random_hybrid_program(rng, n_atoms=2))[1])
+        signs = {atom: rng.random() < 0.5 for atom in sorted(pool, key=str)}
+        lo = rng.randint(-2, 1)
+        bounds = (lo, lo + rng.randint(0, 3))
+        want = _brute_certify(signs, bounds)
+        assert theory_certify(signs, bounds) == want, f"differs on {signs} {bounds}"
+        seen["variable-free"] += any(not list(variable_names(t)) for t in signs)
+        seen["negated diff"] += any(
+            isinstance(t, DiffConstraintAtom) and not s for t, s in signs.items()
+        )
+        seen["diff cycle"] += _has_diff_cycle(signs)
+        seen["empty"] += not want
+        seen["some"] += bool(want)
+    assert min(seen.values()) >= 20, seen
 
 
 # solve ------------------------------------------------------------------------
@@ -221,6 +276,8 @@ def test_solve_engine_validation():
         solve(g, "casp", (0, 0), engine="guess")
     with pytest.raises(ValueError, match="casp mode only"):
         solve(g, "founded", (0, 0), engine="search")
+    with pytest.raises(ValueError, match="empty bounds"):
+        solve(gprog(":- not a."), "casp", (2, 1), engine="search")
 
 
 def test_solve_boolean_program_both_engines():
