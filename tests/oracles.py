@@ -1,14 +1,23 @@
 """Reference implementations used only by tests.
 
-These deliberately avoid the package's optimized paths: equilibrium
-enumeration walks every interpretation through the definitional
-satisfaction functions, and difference-logic satisfiability is decided by
-windowed interval narrowing instead of incremental potentials.
+These deliberately avoid the package's optimized paths: grounding
+substitutes every tuple of universe terms into every rule and then prunes
+to a fixpoint, equilibrium enumeration walks every interpretation through
+the definitional satisfaction functions, and difference-logic
+satisfiability is decided by windowed interval narrowing instead of
+incremental potentials.
 """
 
 from itertools import chain, combinations, product
 
-from htsolve.core import atoms_of
+from htsolve.core import Atom, Rule, atoms_of, rule_variables
+from htsolve.grounder import (
+    GroundingOptions,
+    GroundProgram,
+    _subst_rule,
+    check_safety,
+    herbrand_universe,
+)
 from htsolve.semantics import (
     AnswerSet,
     Interpretation,
@@ -43,6 +52,52 @@ def sub_valuations(val: Valuation):
     entries = list(val.as_dict().items())
     for keep in subsets(entries):
         yield Valuation.of(dict(keep))
+
+
+def instances(r: Rule, universe) -> list:
+    """All cross-product instantiations of r; len == len(universe) ** #variables."""
+    variables = sorted(rule_variables(r), key=lambda v: v.name)
+    if not variables:
+        return [r]
+    out = []
+    for values in product(universe, repeat=len(variables)):
+        env = dict(zip(variables, values))
+        out.append(_subst_rule(r, env))
+    return out
+
+
+def _simplify(rules: list) -> list:
+    """Drop rules with an underivable positive body atom, to fixpoint."""
+    kept = list(rules)
+    while True:
+        heads = {r.head for r in kept if isinstance(r.head, Atom)}
+        surviving = [
+            r
+            for r in kept
+            if all(
+                lit.atom in heads
+                for lit in r.body
+                if lit.positive and isinstance(lit.atom, Atom)
+            )
+        ]
+        if len(surviving) == len(kept):
+            return surviving
+        kept = surviving
+
+
+def naive_ground(p, opts: GroundingOptions = GroundingOptions(), simplify: bool = True) -> GroundProgram:
+    """Instantiate every rule over the universe; rejects unsafe programs."""
+    diags = check_safety(p)
+    if diags:
+        raise ValueError("unsafe program: " + "; ".join(str(d) for d in diags))
+    universe = herbrand_universe(p, opts)
+    ground_rules: list = []
+    for r in p.rules:
+        ground_rules.extend(instances(r, universe))
+    if simplify:
+        ground_rules = _simplify(ground_rules)
+    unique = sorted(set(ground_rules), key=str)
+    return GroundProgram(tuple(unique), universe)
 
 
 def naive_equilibrium(g, mode: str, bounds) -> list:

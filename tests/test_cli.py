@@ -173,6 +173,46 @@ def test_ground_empty_program(lp, capsys):
     assert capsys.readouterr().out == ""
 
 
+
+# A positive loop that nothing derives is kept by the grounder (greatest
+# fixpoint), and in casp mode every integer variable of the ground program
+# takes a value, so x and y range over the domain in the first program.
+UNSUPPORTED_LOOP = """\
+q(X) :- p(X).
+p(X) :- q(X), not s(X).
+a :- &diff{x-y} <= 0, q(X).
+"""
+
+
+@pytest.mark.parametrize("engine", ["oracle", "search"])
+def test_unsupported_loop_keeps_integer_variables(lp, capsys, engine):
+    path = lp(UNSUPPORTED_LOOP)
+    code = run(["solve", path, "--domain", "0..1", "--engine", engine])
+    assert code == EXIT_SAT
+    assert capsys.readouterr().out == "".join(
+        f"Answer: {i}\n\nval x={x} y={y}\n"
+        for i, (x, y) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)], 1)
+    ) + "SATISFIABLE\n"
+    assert run(["ground", path, "--text"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "a :- &diff{x-y} <= 0, q(x).\n"
+        "a :- &diff{x-y} <= 0, q(y).\n"
+        "p(x) :- q(x), not s(x).\n"
+        "p(y) :- q(y), not s(y).\n"
+        "q(x) :- p(x).\n"
+        "q(y) :- p(y).\n"
+    )
+
+
+@pytest.mark.parametrize("engine", ["oracle", "search"])
+def test_underivable_body_drops_integer_variables(lp, capsys, engine):
+    path = lp("a :- &diff{x-y} <= 0, q(X).")
+    assert run(["ground", path]) == EXIT_OK
+    assert capsys.readouterr().out == "rules: 0\nuniverse: 2\n"
+    code = run(["solve", path, "--domain", "0..1", "--engine", engine])
+    assert code == EXIT_SAT
+    assert capsys.readouterr().out == "Answer: 1\n\nSATISFIABLE\n"
+
 # check-config --------------------------------------------------------------------
 
 

@@ -1,4 +1,8 @@
-"""Grounder tests: universe construction, safety, instantiation, simplification."""
+"""Grounder tests: universe construction, safety, instantiation, simplification.
+
+The cross-product reference ``naive_ground`` (tests/oracles.py) is tested
+here too, and the join-based ``ground`` is compared against it.
+"""
 
 import random
 
@@ -19,7 +23,9 @@ from htsolve import (
     parse_program,
     pretty_print,
 )
-from htsolve.grounder import check_safety, herbrand_universe, instances
+from htsolve.core import rule_variables
+from htsolve.grounder import check_safety, herbrand_universe
+from oracles import instances, naive_ground
 
 
 def prog(src: str) -> Program:
@@ -138,7 +144,7 @@ def test_ground_rejects_unsafe_program():
 
 
 def test_ground_empty_universe_yields_no_instances():
-    gp = ground(prog("q(X) :- p(X)."), simplify=False)
+    gp = naive_ground(prog("q(X) :- p(X)."), simplify=False)
     assert gp.rules == () and gp.universe == ()
 
 
@@ -155,7 +161,7 @@ def test_simplification_drops_underivable_rules_to_fixpoint():
     src = "a. p :- q. q :- r."
     kept = ground(prog(src))
     assert [str(r) for r in kept.rules] == ["a."]
-    raw = ground(prog(src), simplify=False)
+    raw = naive_ground(prog(src), simplify=False)
     assert len(raw.rules) == 3
 
 
@@ -165,14 +171,12 @@ def test_simplification_keeps_negated_and_theory_bodies():
 
 
 def test_ground_output_is_deduplicated():
-    gp = ground(prog("p(a). p(a). q(X) :- p(X)."), simplify=False)
+    gp = naive_ground(prog("p(a). p(a). q(X) :- p(X)."), simplify=False)
     assert [str(r) for r in gp.rules] == ["p(a).", "q(a) :- p(a)."]
 
 
 def test_ground_program_contains_no_variables():
-    gp = ground(prog("p(a). p(b). s(X,Y) :- p(X), p(Y), not q(X)."), simplify=False)
-    from htsolve.core import rule_variables
-
+    gp = naive_ground(prog("p(a). p(b). s(X,Y) :- p(X), p(Y), not q(X)."), simplify=False)
     assert all(not rule_variables(r) for r in gp.rules)
 
 
@@ -206,8 +210,8 @@ def test_simplification_preserves_equilibrium_models():
         p = prog(src)
         if check_safety(p):
             continue
-        simplified = ground(p, simplify=True)
-        raw = ground(p, simplify=False)
+        simplified = ground(p)
+        raw = naive_ground(p, simplify=False)
         for mode in ("casp", "founded"):
             assert enumerate_equilibrium(simplified, mode, (0, 0)) == enumerate_equilibrium(
                 raw, mode, (0, 0)
@@ -218,3 +222,110 @@ def test_ground_program_defaults():
     gp = GroundProgram()
     assert gp.rules == () and gp.universe == ()
     assert GroundProgram(rules=[Rule(Atom("a"))]).rules == (Rule(Atom("a")),)
+
+
+# join-based ground == cross-product reference ----------------------------------
+
+_POOL = [
+    # facts, including a ground function term and integers
+    "p(a).", "p(b).", "q(b).", "e(a,b).", "e(b,a).", "e(b,c).", "p(f(a)).",
+    "w(f(b)).", "m(0).", "r.",
+    # mutual and self positive loops, some through a `not`
+    "q(X) :- p(X).",
+    "p(X) :- q(X), not s(X).",
+    "p(X) :- p(X).",
+    "g :- h.",
+    "h :- g, not r.",
+    "k(X,Y) :- k(Y,X), e(X,Y).",
+    "t(X,Y) :- e(X,Y).",
+    "t(X,Z) :- t(X,Y), e(Y,Z).",
+    "t(X,Z) :- e(X,Y), t(Y,Z).",
+    "s(X) :- p(X), not q(X).",
+    "r :- q(X).",
+    "r :- r, m(X).",
+    "u(X,Y) :- p(X), q(Y), not e(X,Y).",
+    "j(X,Z) :- e(X,Y), e(Y,Z).",
+    "c(Y) :- w(Y), v(Y).",
+    # function-term heads and bodies
+    "w(f(X)) :- p(X).",
+    "v(Y) :- w(Y).",
+    "v(X) :- w(f(X)).",
+    "p(X) :- v(X), m(Y).",
+    # rule variables inside theory atoms and &in heads
+    "a :- &diff{x-y} <= 0, q(X).",
+    "b :- &sum{1*X; 1*y} >= 1, p(X).",
+    "&sum{1*z(X)} <= 1 :- m(X).",
+    "&diff{X-y} <= 1 :- t(X,Y).",
+    "&in{0..1} =: z(X) :- q(X).",
+    # integrity constraints
+    ":- s(X), q(X).",
+    ":- p(X), not r.",
+    ":- t(X,X).",
+]
+
+
+def _least_fixpoint_drops(g) -> bool:
+    """Does g keep an instance whose positive body is not derivable bottom-up?"""
+    derived: set = set()
+    while True:
+        new = {
+            r.head
+            for r in g.rules
+            if isinstance(r.head, Atom)
+            and all(lit.atom in derived for lit in r.body if lit.positive and isinstance(lit.atom, Atom))
+        }
+        if new == derived:
+            break
+        derived = new
+    return any(
+        lit.positive and isinstance(lit.atom, Atom) and lit.atom not in derived
+        for r in g.rules
+        for lit in r.body
+    )
+
+
+def test_ground_matches_naive_reference():
+    rng = random.Random(20261018)
+    programs = beyond_least_fixpoint = 0
+    while programs < 1000:
+        src = "\n".join(rng.choice(_POOL) for _ in range(rng.randint(2, 7)))
+        p = prog(src)
+        if check_safety(p) or not any(rule_variables(r) for r in p.rules):
+            continue
+        opts = rng.choice([GroundingOptions(), GroundingOptions(int_range=(0, 1))])
+        joined, naive = ground(p, opts), naive_ground(p, opts)
+        assert joined.rules == naive.rules, f"program:\n{src}"
+        assert joined.universe == naive.universe
+        programs += 1
+        beyond_least_fixpoint += _least_fixpoint_drops(joined)
+    assert beyond_least_fixpoint >= 50, beyond_least_fixpoint
+
+
+# scale ------------------------------------------------------------------------
+
+
+def _closure_on_chain(n: int, recursive_rule: str) -> Program:
+    edges = "".join(f"edge(n{i},n{i + 1}). " for i in range(n - 1))
+    return prog(edges + "path(X,Y) :- edge(X,Y). " + recursive_rule)
+
+
+def _closure_rule_count(n: int) -> int:
+    """Edge facts, base rules and recursive rules kept on an n-node chain."""
+    return 2 * (n - 1) + (n - 1) * (n - 2) // 2
+
+
+def test_left_recursive_closure_on_200_chain():
+    gp = ground(_closure_on_chain(200, "path(X,Z) :- path(X,Y), edge(Y,Z)."))
+    assert len(gp.rules) == _closure_rule_count(200) == 20099
+
+
+def test_right_recursive_closure_on_40_chain():
+    gp = ground(_closure_on_chain(40, "path(X,Z) :- edge(X,Y), path(Y,Z)."))
+    assert len(gp.rules) == _closure_rule_count(40) == 819
+
+
+def test_long_predicate_chain_grounds_without_recursion_error():
+    src = "p0. " + " ".join(f"p{i + 1} :- p{i}." for i in range(2000))
+    gp = ground(prog(src))
+    assert len(gp.rules) == 2001
+    assert str(gp.rules[0]) == "p0."
