@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import configkit
@@ -27,28 +26,6 @@ EXIT_USAGE = 64
 EXIT_INPUT = 65
 
 _DOMAIN_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """One parsed invocation."""
-
-    command: str
-    program_path: str = ""
-    model_path: str = ""
-    instance_path: str = ""
-    output_path: str = ""
-    semantics: str = "casp"
-    engine: str = "oracle"
-    bounds: tuple = None
-    models: int = 0
-    text: bool = False
-
-    def __post_init__(self) -> None:
-        if self.bounds is not None and self.bounds[0] > self.bounds[1]:
-            raise ValueError(f"empty domain {self.bounds[0]}..{self.bounds[1]}")
-        if self.models < 0:
-            raise ValueError("--models must be nonnegative")
 
 
 class _UsageError(Exception):
@@ -150,57 +127,30 @@ def run(argv) -> int:
         return _fail_usage(str(exc))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        cfg = _config_from(ns)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    if cfg.command == "solve":
-        return _cmd_solve(cfg)
-    if cfg.command == "ground":
-        return _cmd_ground(cfg)
-    if cfg.command == "check-config":
-        return _cmd_check(cfg)
-    return _cmd_translate(cfg)
+    handlers = {
+        "solve": _cmd_solve,
+        "ground": _cmd_ground,
+        "check-config": _cmd_check,
+        "translate-config": _cmd_translate,
+    }
+    return handlers[ns.command](ns)
 
 
-def _config_from(ns: argparse.Namespace) -> CliConfig:
-    if ns.command == "solve":
-        return CliConfig(
-            command="solve",
-            program_path=ns.file,
-            semantics=ns.semantics,
-            engine=ns.engine,
-            bounds=ns.domain,
-            models=ns.models,
-        )
-    if ns.command == "ground":
-        return CliConfig(command="ground", program_path=ns.file, text=ns.text)
-    if ns.command == "check-config":
-        return CliConfig(
-            command="check-config", model_path=ns.model, instance_path=ns.instance
-        )
-    return CliConfig(
-        command="translate-config",
-        model_path=ns.model,
-        instance_path=ns.instance or "",
-        semantics=ns.semantics,
-        output_path=ns.output,
-    )
-
-
-def _cmd_solve(cfg: CliConfig) -> int:
-    if cfg.engine == "search" and cfg.semantics == "founded":
+def _cmd_solve(ns: argparse.Namespace) -> int:
+    if ns.models < 0:
+        return _fail_usage("--models must be nonnegative")
+    if ns.engine == "search" and ns.semantics == "founded":
         return _fail_usage("--engine search supports --semantics casp only")
-    program = _parse_file(cfg.program_path)
+    program = _parse_file(ns.file)
     if program is None:
         return EXIT_INPUT
     try:
         g = ground(program)
     except ValueError as exc:
-        print(f"htsolve: {cfg.program_path}: {exc}", file=sys.stderr)
+        print(f"htsolve: {ns.file}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     variables = atoms_of(g)[2]
-    bounds = cfg.bounds
+    bounds = ns.domain
     if bounds is None:
         if variables:
             return _fail_usage(
@@ -208,8 +158,8 @@ def _cmd_solve(cfg: CliConfig) -> int:
                 + ", ".join(str(v) for v in variables)
             )
         bounds = (0, 0)
-    answers = solve(g, cfg.semantics, bounds, cfg.engine)
-    shown = answers if cfg.models == 0 else answers[: cfg.models]
+    answers = solve(g, ns.semantics, bounds, ns.engine)
+    shown = answers if ns.models == 0 else answers[: ns.models]
     for i, ans in enumerate(shown, start=1):
         print(f"Answer: {i}")
         print(" ".join(sorted(str(a) for a in ans.atoms)))
@@ -223,16 +173,16 @@ def _cmd_solve(cfg: CliConfig) -> int:
     return EXIT_UNSAT
 
 
-def _cmd_ground(cfg: CliConfig) -> int:
-    program = _parse_file(cfg.program_path)
+def _cmd_ground(ns: argparse.Namespace) -> int:
+    program = _parse_file(ns.file)
     if program is None:
         return EXIT_INPUT
     try:
         g = ground(program)
     except ValueError as exc:
-        print(f"htsolve: {cfg.program_path}: {exc}", file=sys.stderr)
+        print(f"htsolve: {ns.file}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if cfg.text:
+    if ns.text:
         text = str(g)
         if text:
             print(text)
@@ -242,11 +192,11 @@ def _cmd_ground(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_check(cfg: CliConfig) -> int:
-    model = _load_config_file(cfg.model_path, configkit.load_model)
+def _cmd_check(ns: argparse.Namespace) -> int:
+    model = _load_config_file(ns.model, configkit.load_model)
     if model is None:
         return EXIT_INPUT
-    instance = _load_config_file(cfg.instance_path, configkit.load_instance)
+    instance = _load_config_file(ns.instance, configkit.load_instance)
     if instance is None:
         return EXIT_INPUT
     violations = configkit.check_instance(model, instance)
@@ -258,25 +208,25 @@ def _cmd_check(cfg: CliConfig) -> int:
     return EXIT_VIOLATIONS
 
 
-def _cmd_translate(cfg: CliConfig) -> int:
-    model = _load_config_file(cfg.model_path, configkit.load_model)
+def _cmd_translate(ns: argparse.Namespace) -> int:
+    model = _load_config_file(ns.model, configkit.load_model)
     if model is None:
         return EXIT_INPUT
-    if cfg.instance_path:
-        partial = _load_config_file(cfg.instance_path, configkit.load_instance)
+    if ns.instance:
+        partial = _load_config_file(ns.instance, configkit.load_instance)
         if partial is None:
             return EXIT_INPUT
     else:
         partial = configkit.EMPTY_INSTANCE
     try:
-        program = configkit.translate(model, partial, cfg.semantics)
+        program = configkit.translate(model, partial, ns.semantics)
     except ValueError as exc:
         print(f"htsolve: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        Path(cfg.output_path).write_text(pretty_print(program) + "\n", encoding="utf-8")
+        Path(ns.output).write_text(pretty_print(program) + "\n", encoding="utf-8")
     except OSError as exc:
-        print(f"htsolve: cannot write {cfg.output_path}: {exc}", file=sys.stderr)
+        print(f"htsolve: cannot write {ns.output}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK
 

@@ -2,14 +2,15 @@
 
 The ground program is abstracted by replacing every distinct constraint
 atom with a fresh proposition (__t1, __t2, ... in first-occurrence order).
-Because constraint-atom truth is a function of the shared valuation rather
-than something rules derive, solve() pairs the abstraction with an even
-loop per proposition (__tK / __fK) so Boolean stable models range over all
-sign assignments.  For each Boolean model, theory_certify() is the single
-place that decides its valuations: a difference-logic graph refutes
-inconsistent &diff signs outright, and one backtracking pass over the
-bounded grid then returns every valuation under which each atom has its
-sign, so the result set matches the exhaustive oracle.
+Constraint-atom truth is a function of the shared valuation, not something
+rules derive, so solve() hands the propositions to the Boolean search as
+free atoms: each is decided true or false like any atom but needs no
+supporting rule, and a rule with one as head still forbids "body true,
+head false".  For each Boolean model, theory_certify() is the single place
+that decides its valuations: a difference-logic graph refutes inconsistent
+&diff signs outright, and one backtracking pass over the bounded grid then
+returns every valuation under which each atom has its sign, so the result
+set matches the exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -70,19 +71,15 @@ def abstract(g: GroundProgram) -> Abstraction:
     return Abstraction(tuple(rules), tuple(order))
 
 
-def choice_rules(ab: Abstraction) -> tuple:
-    """One even loop per proposition so its sign is freely choosable."""
-    rules = []
-    for n, (prop, _) in enumerate(ab.mapping, start=1):
-        counter = Atom(f"__f{n}")
-        rules.append(Rule(prop, (Literal(False, counter),)))
-        rules.append(Rule(counter, (Literal(False, prop),)))
-    return tuple(rules)
+def stable_models_bool(b: GroundProgram, free=frozenset()) -> list:
+    """All reduct-stable atom sets of a Boolean program, sorted.
 
-
-def stable_models_bool(b: GroundProgram) -> list:
-    """All reduct-stable atom sets of a Boolean program, sorted."""
-    atoms = sorted(atoms_of(b)[0], key=str)
+    Atoms in free are choices: a model may hold or omit each of them with
+    no rule supporting it, as if the reduct had it as a fact whenever it
+    is true.  A rule with a free head still forbids a true body with that
+    head false.  Models range over the atoms of b together with free.
+    """
+    atoms = sorted(set(atoms_of(b)[0]) | set(free), key=str)
     index = {a: n for n, a in enumerate(atoms)}
     compiled = []
     for r in b.rules:
@@ -100,6 +97,7 @@ def stable_models_bool(b: GroundProgram) -> list:
         return []  # an empty-bodied constraint admits nothing
 
     n = len(atoms)
+    free_ids = frozenset(index[a] for a in free)
     assign: list = [None] * n
     models: list = []
 
@@ -118,13 +116,13 @@ def stable_models_bool(b: GroundProgram) -> list:
 
     def stable(true_set: frozenset) -> bool:
         # Supportedness is a cheap necessary condition before the fixpoint.
-        for a in true_set:
+        for a in true_set - free_ids:
             if not any(
                 head == a and pos <= true_set and not (neg & true_set)
                 for head, pos, neg in compiled
             ):
                 return False
-        derived: set = set()
+        derived = set(true_set & free_ids)
         changed = True
         while changed:
             changed = False
@@ -214,17 +212,12 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle") -> list:
         raise ValueError("engine 'search' supports casp mode only")
     _bounds_ok(bounds)  # also when no Boolean model reaches theory_certify
     ab = abstract(g)
-    boolean = GroundProgram(
-        tuple(sorted(set(ab.rules) | set(choice_rules(ab)), key=str)), g.universe
-    )
     _, _, variables = atoms_of(g)
-    prop_names = {prop for prop, _ in ab.mapping} | {
-        Atom(f"__f{n}") for n in range(1, len(ab.mapping) + 1)
-    }
+    props = frozenset(prop for prop, _ in ab.mapping)
     answers = []
-    for model in stable_models_bool(boolean):
+    for model in stable_models_bool(GroundProgram(ab.rules, g.universe), props):
         signs = {theory: (prop in model) for prop, theory in ab.mapping}
-        visible = frozenset(a for a in model if a not in prop_names)
+        visible = model - props
         for val in theory_certify(signs, bounds):
             answers.append(AnswerSet(visible, val))
     return sorted(answers, key=lambda a: _answer_sort_key(a, variables))

@@ -357,7 +357,7 @@ def _proper_submask_model(tmask: int, folded) -> bool:
         sub = (sub - 1) & tmask
 
 
-def _any_smaller_model(compiled, atoms_sorted, bit, tmask: int, vd: dict, mode: str) -> bool:
+def _any_smaller_model(compiled, bit, tmask: int, vd: dict, mode: str) -> bool:
     if mode == "casp":
         folded = _fold_here(compiled, tmask, vd, vd, bit)
         return tmask != 0 and _proper_submask_model(tmask, folded)
@@ -429,7 +429,7 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
     folded = _fold_classical(compiled, vd, bit)
     if not _classical_ok(tmask, folded):
         return False
-    return not _any_smaller_model(compiled, atom_pool, bit, tmask, vd, mode)
+    return not _any_smaller_model(compiled, bit, tmask, vd, mode)
 
 
 def _answer_sort_key(ans: AnswerSet, variables) -> tuple:
@@ -458,7 +458,7 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
         for mask in range(1 << n):
             if not _classical_ok(mask, folded):
                 continue
-            if _any_smaller_model(compiled, atom_pool, bit, mask, vd, mode):
+            if _any_smaller_model(compiled, bit, mask, vd, mode):
                 continue
             chosen = frozenset(a for a in atom_pool if mask & bit[a])
             results.append(AnswerSet(chosen, Valuation.of(vd)))

@@ -31,7 +31,6 @@ from htsolve import (
 from htsolve.core import atoms_of, variable_names
 from htsolve.grounder import GroundProgram
 from htsolve.randprog import random_boolean_program, random_hybrid_program
-from htsolve.search import choice_rules
 from htsolve.semantics import _elem_true
 
 x, y = SymConst("x"), SymConst("y")
@@ -82,16 +81,6 @@ def test_abstract_is_identity_on_boolean_programs():
 def test_abstract_rejects_assignment_atoms():
     with pytest.raises(ValueError, match="no Boolean abstraction"):
         abstract(gprog("&in{1..2} =: x."))
-
-
-def test_choice_rules_shape():
-    ab = abstract(gprog("a :- &diff{x-y} <= 5. b :- &sum{1*x} <= 2."))
-    assert [str(r) for r in choice_rules(ab)] == [
-        "__t1 :- not __f1.",
-        "__f1 :- not __t1.",
-        "__t2 :- not __f2.",
-        "__f2 :- not __t2.",
-    ]
 
 
 # Boolean stable models ----------------------------------------------------------
@@ -152,6 +141,39 @@ def test_stable_models_match_reduct_oracle():
     for _ in range(150):
         g = random_boolean_program(rng, n_atoms=3, max_rules=5)
         assert stable_models_bool(g) == _reduct_stable_sets(g), f"differs on:\n{g}"
+
+
+def _even_loop_stable_sets(g: GroundProgram, free) -> list:
+    """Free atoms as one even loop each (a :- not c. c :- not a.), c dropped."""
+    loops = []
+    counters = set()
+    for n, atom in enumerate(sorted(free, key=str)):
+        counter = Atom(f"free_counter{n}")
+        counters.add(counter)
+        loops += [Rule(atom, (Literal(False, counter),)),
+                  Rule(counter, (Literal(False, atom),))]
+    models = _reduct_stable_sets(GroundProgram(g.rules + tuple(loops), g.universe))
+    out = [m - counters for m in models]
+    out.sort(key=lambda m: tuple(sorted(str(at) for at in m)))
+    return out
+
+
+def test_stable_models_free_atoms_match_even_loop_encoding():
+    rng = random.Random(43)
+    seen = {"free head": 0, "free body-only": 0, "free unused": 0, "models": 0}
+    for _ in range(200):
+        g = random_boolean_program(rng, n_atoms=3, max_rules=5)
+        heads = {r.head for r in g.rules if not isinstance(r.head, Falsity)}
+        pool = (a, b, Atom("c"), Atom("extra"))
+        free = frozenset(at for at in pool if rng.random() < 0.4)
+        want = _even_loop_stable_sets(g, free)
+        assert stable_models_bool(g, free) == want, f"differs on {free}:\n{g}"
+        body_atoms = set(atoms_of(g)[0]) - heads
+        seen["free head"] += bool(free & heads)
+        seen["free body-only"] += bool(free & body_atoms)
+        seen["free unused"] += bool(free - set(atoms_of(g)[0]))
+        seen["models"] += len(want) > 1
+    assert min(seen.values()) >= 20, seen
 
 
 # theory certification -------------------------------------------------------------
