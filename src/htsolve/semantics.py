@@ -12,6 +12,11 @@ Two solve modes differ in what "smaller" means:
 * founded: valuations may be partial, and sub-valuations (dropping defined
   pairs) take part in minimization alongside atom subsets.
 
+The reference enumerator walks every valuation within bounds and, per
+valuation, every guess of which negated atoms are true: a guess yields at
+most one candidate, the least model of the reduct, and founded mode adds a
+Horn check per proper sub-valuation.
+
 Constraint atoms referring to an undefined variable are false.  An &in
 assignment whose bounds reference an undefined variable is true: it imposes
 nothing.  Integer constants in variable positions denote themselves.
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
 from .core import (
     AspVar,
@@ -250,14 +255,16 @@ def _compile(g: GroundProgram) -> list:
     return rules
 
 
-def _fold_classical(compiled, vd: dict, bit: dict) -> list:
+def _fold_classical(compiled, vd: dict, bit: dict) -> tuple:
     """Reduce rules under a fixed total-world valuation.
 
     Result rows are (pos_mask, neg_mask, head_code) where head_code is an
     atom bit, _FAIL for an unsatisfiable head, and rows for rules that are
-    already satisfied are omitted.
+    already satisfied are omitted.  Returns the rows and the union of their
+    neg_masks.
     """
     folded = []
+    negated = 0
     for (htag, hobj), body in compiled:
         pos_mask = 0
         neg_mask = 0
@@ -285,15 +292,8 @@ def _fold_classical(compiled, vd: dict, bit: dict) -> list:
         if hc == _TRUE:
             continue
         folded.append((pos_mask, neg_mask, hc))
-    return folded
-
-
-def _classical_ok(mask: int, folded) -> bool:
-    for pos_mask, neg_mask, hc in folded:
-        if (mask & pos_mask) == pos_mask and (mask & neg_mask) == 0:
-            if hc == _FAIL or not (mask & hc):
-                return False
-    return True
+        negated |= neg_mask
+    return folded, negated
 
 
 def _fold_here(compiled, tmask: int, vd_there: dict, vd_here: dict, bit: dict) -> list:
@@ -336,49 +336,39 @@ def _fold_here(compiled, tmask: int, vd_there: dict, vd_here: dict, bit: dict) -
     return folded
 
 
-def _here_model(mask: int, folded) -> bool:
-    for pos_mask, hc in folded:
-        if (mask & pos_mask) == pos_mask:
-            if hc == _FAIL or not (mask & hc):
-                return False
-    return True
+def _least_model(rows):
+    """Least model of Horn rows (pos_mask, head_code); None once a _FAIL row fires."""
+    model = 0
+    changed = True
+    while changed:
+        changed = False
+        for pos_mask, hc in rows:
+            if (model & pos_mask) == pos_mask:
+                if hc == _FAIL:
+                    return None
+                if not (model & hc):
+                    model |= hc
+                    changed = True
+    return model
 
 
-def _proper_submask_model(tmask: int, folded) -> bool:
-    """Does any strict subset of tmask satisfy the folded here-rules?"""
-    if any(pm == 0 and hc == _FAIL for pm, hc in folded):
-        return False
-    sub = (tmask - 1) & tmask
-    while True:
-        if _here_model(sub, folded):
-            return True
-        if sub == 0:
-            return False
-        sub = (sub - 1) & tmask
+def _stable_mask(folded, negated: int, guess: int):
+    """The stable atom set T with T & negated == guess, or None: the least
+    model of the reduct under guess, firing no constraint, matching guess."""
+    model = _least_model([(pm, hc) for pm, nm, hc in folded if not (nm & guess)])
+    if model is None or (model & negated) != guess:
+        return None
+    return model
 
 
-def _any_smaller_model(compiled, bit, tmask: int, vd: dict, mode: str) -> bool:
-    if mode == "casp":
-        folded = _fold_here(compiled, tmask, vd, vd, bit)
-        return tmask != 0 and _proper_submask_model(tmask, folded)
-    pairs = sorted(vd.items(), key=lambda kv: str(kv[0]))
-    for keep in product((False, True), repeat=len(pairs)):
-        vd_here = {k: v for (k, v), kept in zip(pairs, keep) if kept}
-        full_val = len(vd_here) == len(pairs)
-        folded = _fold_here(compiled, tmask, vd, vd_here, bit)
-        if any(pm == 0 and hc == _FAIL for pm, hc in folded):
-            continue
-        if full_val:
-            if tmask != 0 and _proper_submask_model(tmask, folded):
+def _smaller_sub_valuation(compiled, bit, tmask: int, vd: dict) -> bool:
+    """Does a proper sub-valuation of vd have a here world?  Its rows are
+    Horn, so one exists iff their least model fires no _FAIL row."""
+    pairs = list(vd.items())
+    for size in range(len(pairs)):
+        for kept in combinations(pairs, size):
+            if _least_model(_fold_here(compiled, tmask, vd, dict(kept), bit)) is not None:
                 return True
-        else:
-            sub = tmask
-            while True:
-                if _here_model(sub, folded):
-                    return True
-                if sub == 0:
-                    break
-                sub = (sub - 1) & tmask
     return False
 
 
@@ -399,7 +389,7 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
     """Is m a stable point: a total model with no smaller here-world model?"""
     _mode_ok(mode)
     lo, hi = _bounds_ok(bounds)
-    _, _, variables = atoms_of(g)
+    atoms, _, variables = atoms_of(g)
     vd = m.val.as_dict()
     if mode == "casp":
         missing = [v for v in variables if v not in vd]
@@ -409,7 +399,8 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
                 + ", ".join(str(v) for v in missing)
             )
     else:
-        extra = [k for k in vd if k not in set(variables)]
+        known = set(variables)
+        extra = [k for k in vd if k not in known]
         if extra:
             raise ValueError(
                 "valuation mentions variables not in the program: "
@@ -421,15 +412,15 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
                 "valuation outside bounds: " + ", ".join(str(k) for k in off)
             )
     compiled = _compile(g)
-    atom_pool = sorted(set(atoms_of(g)[0]) | set(m.atoms), key=str)
+    atom_pool = sorted(set(atoms) | set(m.atoms), key=str)
     bit = {a: 1 << n for n, a in enumerate(atom_pool)}
     tmask = 0
     for a in m.atoms:
         tmask |= bit[a]
-    folded = _fold_classical(compiled, vd, bit)
-    if not _classical_ok(tmask, folded):
+    folded, negated = _fold_classical(compiled, vd, bit)
+    if _stable_mask(folded, negated, tmask & negated) != tmask:
         return False
-    return not _any_smaller_model(compiled, bit, tmask, vd, mode)
+    return mode == "casp" or not _smaller_sub_valuation(compiled, bit, tmask, vd)
 
 
 def _answer_sort_key(ans: AnswerSet, variables) -> tuple:
@@ -441,27 +432,35 @@ def _answer_sort_key(ans: AnswerSet, variables) -> tuple:
 
 
 def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
-    """All answer sets over the program's atoms and variables, sorted."""
+    """All answer sets over the program's atoms and variables, sorted.
+
+    Per valuation, the rules fold to Boolean rows and each guess over the
+    negated atoms gives one least model, kept when stable (_stable_mask);
+    founded mode also rejects it when a sub-valuation has a here world.
+    """
     _mode_ok(mode)
     lo, hi = _bounds_ok(bounds)
     atoms, _, variables = atoms_of(g)
     compiled = _compile(g)
     atom_pool = sorted(atoms, key=str)
     bit = {a: 1 << n for n, a in enumerate(atom_pool)}
-    n = len(atom_pool)
     values = list(range(lo, hi + 1))
     options = [values if mode == "casp" else [None] + values for _ in variables]
     results = []
     for combo in product(*options):
         vd = {v: x for v, x in zip(variables, combo) if x is not None}
-        folded = _fold_classical(compiled, vd, bit)
-        for mask in range(1 << n):
-            if not _classical_ok(mask, folded):
-                continue
-            if _any_smaller_model(compiled, bit, mask, vd, mode):
-                continue
-            chosen = frozenset(a for a in atom_pool if mask & bit[a])
-            results.append(AnswerSet(chosen, Valuation.of(vd)))
+        folded, negated = _fold_classical(compiled, vd, bit)
+        guess = negated
+        while True:
+            mask = _stable_mask(folded, negated, guess)
+            if mask is not None and (
+                mode == "casp" or not _smaller_sub_valuation(compiled, bit, mask, vd)
+            ):
+                chosen = frozenset(a for a in atom_pool if mask & bit[a])
+                results.append(AnswerSet(chosen, Valuation.of(vd)))
+            if guess == 0:
+                break
+            guess = (guess - 1) & negated
     results.sort(key=lambda a: _answer_sort_key(a, variables))
     return results
 

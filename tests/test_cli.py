@@ -151,6 +151,15 @@ def test_solve_negative_models_cap(lp, capsys):
     assert "usage error: --models must be nonnegative" in capsys.readouterr().err
 
 
+def test_solve_ten_thousand_facts_on_default_engine(lp, capsys):
+    facts = [f"item(i{k})" for k in range(10000)]
+    code = run(["solve", lp(". ".join(facts) + ".")])
+    assert code == EXIT_SAT
+    assert capsys.readouterr().out == (
+        "Answer: 1\n" + " ".join(sorted(facts)) + "\nSATISFIABLE\n"
+    )
+
+
 # ground --------------------------------------------------------------------------
 
 

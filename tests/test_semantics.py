@@ -10,8 +10,10 @@ from htsolve import (
     Atom,
     AssignmentAtom,
     DiffConstraintAtom,
+    IntConst,
     Interpretation,
     LinearConstraintAtom,
+    Literal,
     Program,
     Rule,
     SymConst,
@@ -27,6 +29,7 @@ from htsolve import (
     sat_rule,
     total,
 )
+from htsolve.core import atoms_of
 from htsolve.grounder import GroundProgram
 from htsolve.randprog import (
     random_boolean_program,
@@ -303,6 +306,16 @@ def test_foreign_atoms_are_never_stable():
     assert not is_equilibrium(AnswerSet(frozenset({c})), g, "casp", (0, 0))
 
 
+def test_left_recursive_closure_on_40_chain_founded():
+    n = 40
+    edges = [f"edge(n{i},n{i + 1})" for i in range(n - 1)]
+    paths = [f"path(n{i},n{j})" for i in range(n) for j in range(i + 1, n)]
+    g = gprog(". ".join(edges) + ". path(X,Y) :- edge(X,Y). path(X,Z) :- path(X,Y), edge(Y,Z).")
+    (ans,) = enumerate_equilibrium(g, "founded", (0, 0))
+    assert sorted(str(at) for at in ans.atoms) == sorted(edges + paths)
+    assert len(ans.atoms) == 819
+
+
 # reduct-based checks -------------------------------------------------------------
 
 
@@ -342,33 +355,120 @@ def test_reduct_fixpoint_matches_stability():
 
 # differential: naive definition vs compiled enumeration ---------------------------
 
+# Loop shapes that give the enumeration several negated atoms to guess over.
+LOOPS = tuple(
+    gprog(src).rules
+    for src in (
+        "a :- not b. b :- not a.",
+        "a :- not a.",
+        "a :- not b. b :- not c. c :- not a.",
+        "a :- not b. b :- not a. c :- a, not d. d :- not c.",
+        "a :- b. b :- a. a :- not c. c :- not e.",
+    )
+)
+
+
+def _candidates(want, atoms, variables, mode, bounds, rng):
+    """Each answer, each answer with one atom toggled or one value dropped,
+    and four random (atoms, valuation) pairs within bounds."""
+    out = list(want)
+    for ans in want:
+        out.extend(AnswerSet(ans.atoms ^ {atom}, ans.val) for atom in atoms)
+        if mode == "founded":
+            pairs = ans.val.entries
+            out.extend(AnswerSet(ans.atoms, Valuation(pairs[:i] + pairs[i + 1:]))
+                       for i in range(len(pairs)))
+    for _ in range(4):
+        vals = {v: rng.randint(*bounds) for v in variables
+                if mode == "casp" or rng.random() < 0.7}
+        chosen = frozenset(a for a in atoms if rng.random() < 0.5)
+        out.append(AnswerSet(chosen, Valuation.of(vals)))
+    return out
+
+
+def _check_against_naive(g, mode, bounds, rng) -> list:
+    """enumerate_equilibrium equals the definitional oracle, in order, and
+    is_equilibrium agrees with membership in it; returns the answers."""
+    want = naive_equilibrium(g, mode, bounds)
+    assert enumerate_equilibrium(g, mode, bounds) == want, f"{mode} {bounds} differs on:\n{g}"
+    atoms, _, variables = atoms_of(g)
+    for cand in _candidates(want, atoms, variables, mode, bounds, rng):
+        assert is_equilibrium(cand, g, mode, bounds) == (cand in want), (
+            f"{mode} {bounds} is_equilibrium({cand}) wrong on:\n{g}"
+        )
+    return want
+
 
 def test_boolean_enumeration_matches_naive_oracle():
     rng = random.Random(7001)
-    for _ in range(80):
-        g = random_boolean_program(rng, n_atoms=3, max_rules=4)
+    programs = [random_boolean_program(rng, n_atoms=3, max_rules=4) for _ in range(80)]
+    programs += [random_boolean_program(rng, n_atoms=5, max_rules=7) for _ in range(300)]
+    programs += [
+        GroundProgram(loop + random_boolean_program(rng, n_atoms=5, max_rules=4).rules, ())
+        for loop in LOOPS
+        for _ in range(60)
+    ]
+    check_rng = random.Random(7101)
+    several = wide = 0
+    for g in programs:
         for mode in ("casp", "founded"):
-            assert enumerate_equilibrium(g, mode, (0, 0)) == naive_equilibrium(
-                g, mode, (0, 0)
-            ), f"{mode} differs on:\n{g}"
+            several += len(_check_against_naive(g, mode, (0, 0), check_rng)) > 1
+        wide += len({lit.atom for r in g.rules for lit in r.body if not lit.positive}) >= 3
+    assert several >= 100 and wide >= 200, (several, wide)
+
+
+def _with_loop(rng, g) -> GroundProgram:
+    return GroundProgram(rng.choice(LOOPS) + g.rules, ())
+
+
+def _with_loop_and_assignments(rng, g) -> GroundProgram:
+    """g plus a loop shape and two &in rules guarded by loop atoms: y takes
+    a constant range, x a range whose bounds mention y."""
+    lo, hi = rng.choice(((y, IntConst(1)), (IntConst(-1), y), (y, y)))
+    assign_y = Rule(AssignmentAtom(IntConst(-1), IntConst(0), y), (Literal(rng.random() < 0.7, a),))
+    assign_x = Rule(AssignmentAtom(lo, hi, x), (Literal(rng.random() < 0.7, rng.choice((a, b))),))
+    return _with_loop(rng, GroundProgram((assign_y, assign_x) + g.rules, ()))
 
 
 def test_hybrid_casp_enumeration_matches_naive_oracle():
     rng = random.Random(7002)
-    for _ in range(40):
-        g = random_hybrid_program(rng, n_atoms=3, n_vars=2, max_rules=4)
-        assert enumerate_equilibrium(g, "casp", (0, 2)) == naive_equilibrium(
-            g, "casp", (0, 2)
-        ), f"casp differs on:\n{g}"
+    cases = [
+        (random_hybrid_program(rng, n_atoms=3, n_vars=2, max_rules=4), (0, 2))
+        for _ in range(40)
+    ]
+    for _ in range(200):
+        g = random_hybrid_program(rng, n_atoms=5, n_vars=2, max_rules=6,
+                                  assignments=rng.random() < 0.5)
+        cases.append((_with_loop(rng, g) if rng.random() < 0.5 else g,
+                      rng.choice(((-1, 1), (-2, 0)))))
+    check_rng = random.Random(7102)
+    several = negative = 0
+    for g, bounds in cases:
+        answers = _check_against_naive(g, "casp", bounds, check_rng)
+        several += len(answers) > 1
+        negative += any(v < 0 for ans in answers for _, v in ans.val.entries)
+    assert several >= 50 and negative >= 40, (several, negative)
 
 
 def test_hybrid_founded_enumeration_matches_naive_oracle():
     rng = random.Random(7003)
-    for _ in range(30):
-        g = random_hybrid_program(rng, n_atoms=2, n_vars=2, max_rules=3, assignments=True)
-        assert enumerate_equilibrium(g, "founded", (0, 2)) == naive_equilibrium(
-            g, "founded", (0, 2)
-        ), f"founded differs on:\n{g}"
+    cases = [
+        (random_hybrid_program(rng, n_atoms=2, n_vars=2, max_rules=3, assignments=True), (0, 2))
+        for _ in range(30)
+    ]
+    for _ in range(300):
+        g = random_hybrid_program(rng, n_atoms=4, n_vars=2, max_rules=5, assignments=True)
+        cases.append((_with_loop_and_assignments(rng, g) if rng.random() < 0.7 else g,
+                      rng.choice(((-1, 1), (-2, 0), (0, 1)))))
+    check_rng = random.Random(7103)
+    several = partial = mixed = 0
+    for g, bounds in cases:
+        answers = _check_against_naive(g, "founded", bounds, check_rng)
+        n_vars = len(atoms_of(g)[2])
+        several += len(answers) > 1
+        partial += any(len(ans.val) < n_vars for ans in answers)
+        mixed += any(0 < len(ans.val) < n_vars for ans in answers)
+    assert several >= 40 and partial >= 80 and mixed >= 25, (several, partial, mixed)
 
 
 def test_modes_agree_on_boolean_programs():
