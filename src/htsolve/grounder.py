@@ -147,19 +147,14 @@ def _positive_atoms(r: Rule) -> list:
     return [lit.atom for lit in r.body if lit.positive and isinstance(lit.atom, Atom)]
 
 
-def _components(rules: list) -> list:
-    """Predicate-key sets of the positive dependency graph, dependencies first.
+def strongly_connected(succ: dict) -> list:
+    """Node sets of the strongly connected components, dependencies first.
 
-    Tarjan's algorithm on an explicit stack, so a long chain of predicates
+    succ maps each node to an iterable of its successors, all of them keys
+    of succ.  Tarjan's algorithm on an explicit stack, so a long chain
     cannot reach the recursion limit; it emits a component after every
     component reachable from it.
     """
-    succ: dict = {}
-    for r in rules:
-        succ.setdefault(_key(r.head), {})
-    for r in rules:
-        edges = succ[_key(r.head)]
-        edges.update((k, None) for k in map(_key, _positive_atoms(r)) if k in succ)
     index: dict = {}
     low: dict = {}
     stack: list = []
@@ -198,6 +193,17 @@ def _components(rules: list) -> list:
                             break
                     out.append(component)
     return out
+
+
+def _components(rules: list) -> list:
+    """Predicate-key sets of the positive dependency graph, dependencies first."""
+    succ: dict = {}
+    for r in rules:
+        succ.setdefault(_key(r.head), {})
+    for r in rules:
+        edges = succ[_key(r.head)]
+        edges.update((k, None) for k in map(_key, _positive_atoms(r)) if k in succ)
+    return strongly_connected(succ)
 
 
 class _KeptAtoms:

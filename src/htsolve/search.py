@@ -6,11 +6,27 @@ Constraint-atom truth is a function of the shared valuation, not something
 rules derive, so solve() hands the propositions to the Boolean search as
 free atoms: each is decided true or false like any atom but needs no
 supporting rule, and a rule with one as head still forbids "body true,
-head false".  For each Boolean model, theory_certify() is the single place
-that decides its valuations: a difference-logic graph refutes inconsistent
-&diff signs outright, and one backtracking pass over the bounded grid then
-returns every valuation under which each atom has its sign, so the result
-set matches the exhaustive oracle.
+head false".
+
+stable_models_bool() searches with an explicit trail and decision stack
+and runs Smodels' expand (Simons, Niemela, Soininen 2002) to a fixpoint
+after every assignment.  Both of its passes are linear in the program,
+working from occurrence lists and per-rule counters.  Atleast forces the
+head of a true body, makes false the last open literal of a rule whose
+head cannot hold, and sets false every non-free atom whose rules all have
+a false body.  Atmost derives, by a Horn least fixpoint, the atoms on
+positive cycles that the rules could still support, and sets the others
+false; atoms off such cycles need no such check, as for them support
+already implies stability (Fages 1994).  The search branches, false then
+true, only on atoms expand leaves open, in text order, and backtracks
+chronologically; a leaf without a conflict is a stable model, and facts,
+Horn and stratified programs need no decision at all.
+
+For each Boolean model, theory_certify() is the single place that decides
+its valuations: a difference-logic graph refutes inconsistent &diff signs
+outright, and one backtracking pass over the bounded grid then returns
+every valuation under which each atom has its sign, so the result set
+matches the exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +44,7 @@ from .core import (
     variable_names,
 )
 from .dl import Conflict, DiffGraph, negate_diff
-from .grounder import GroundProgram
+from .grounder import GroundProgram, strongly_connected
 from .semantics import (
     AnswerSet,
     Valuation,
@@ -79,76 +95,277 @@ def stable_models_bool(b: GroundProgram, free=frozenset()) -> list:
     is true.  A rule with a free head still forbids a true body with that
     head false.  Models range over the atoms of b together with free.
     """
-    atoms = sorted(set(atoms_of(b)[0]) | set(free), key=str)
-    index = {a: n for n, a in enumerate(atoms)}
-    compiled = []
+    ids: dict = {}  # atom -> id in order of first occurrence
+    rules = []
     for r in b.rules:
-        head = None if isinstance(r.head, Falsity) else index[r.head]
-        pos = frozenset(index[lit.atom] for lit in r.body if lit.positive)
-        neg = frozenset(index[lit.atom] for lit in r.body if not lit.positive)
-        compiled.append((head, pos, neg))
-    touching: list = [[] for _ in atoms]
-    for ci, (head, pos, neg) in enumerate(compiled):
-        involved = set(pos) | set(neg) | ({head} if head is not None else set())
-        for a in involved:
-            touching[a].append(ci)
+        head = -1 if isinstance(r.head, Falsity) else ids.setdefault(r.head, len(ids))
+        pos = {ids.setdefault(lit.atom, len(ids)) for lit in r.body if lit.positive}
+        neg = {ids.setdefault(lit.atom, len(ids)) for lit in r.body if not lit.positive}
+        rules.append((head, pos, neg))
+    for a in free:
+        ids.setdefault(a, len(ids))
+    first_seen = list(ids)
+    text = [str(a) for a in first_seen]
+    order = sorted(range(len(first_seen)), key=text.__getitem__)
+    rank = [0] * len(order)  # first-occurrence id -> position in text order
+    for k, i in enumerate(order):
+        rank[i] = k
+    core = _Core(
+        len(order),
+        [
+            (-1 if h < 0 else rank[h], [rank[i] for i in pos], [rank[i] for i in neg])
+            for h, pos, neg in rules
+        ],
+        [rank[ids[a]] for a in free],
+    )
+    atoms = [first_seen[i] for i in order]
+    names = [text[i] for i in order]
+    found = core.models()
+    found.sort(key=lambda m: tuple(names[i] for i in m))
+    return [frozenset(atoms[i] for i in m) for m in found]
 
-    if any(head is None and not pos and not neg for head, pos, neg in compiled):
-        return []  # an empty-bodied constraint admits nothing
 
-    n = len(atoms)
-    free_ids = frozenset(index[a] for a in free)
-    assign: list = [None] * n
-    models: list = []
+class _Core:
+    """Propagating search over atoms 0..n-1 of compiled Boolean rules.
 
-    def violated_now(changed: int) -> bool:
-        # A rule is hopeless once its body is fully true yet its head is
-        # already false (or it has no head).  Undecided atoms block nothing.
-        for ci in touching[changed]:
-            head, pos, neg = compiled[ci]
-            if head is not None and assign[head] is not False:
+    A rule is (head, positive body, negative body), head -1 for a
+    constraint.  Values live in val (None while open) and, in assignment
+    order, on the trail; the entries before qhead have been propagated,
+    and only those are counted in the per-rule counters:
+
+    - need[r]: body literals of r not yet true;
+    - false_lits[r]: body literals of r that are false;
+    - support[a]: rules with head a and no false body literal.
+    """
+
+    def __init__(self, n: int, rules: list, free: list) -> None:
+        self.n = n
+        self.head = [h for h, _, _ in rules]
+        self.pos = [p for _, p, _ in rules]
+        self.neg = [q for _, _, q in rules]
+        self.need = [len(p) + len(q) for _, p, q in rules]
+        self.false_lits = [0] * len(rules)
+        self.support = [0] * n
+        self.pos_occ: list = [[] for _ in range(n)]
+        self.neg_occ: list = [[] for _ in range(n)]
+        self.head_occ: list = [[] for _ in range(n)]
+        succ: dict = {}  # positive dependency graph of the heads with a positive body
+        for r, (h, p, q) in enumerate(rules):
+            if h >= 0:
+                self.support[h] += 1
+                self.head_occ[h].append(r)
+                if p:
+                    succ.setdefault(h, set()).update(p)
+            for a in p:
+                self.pos_occ[a].append(r)
+            for a in q:
+                self.neg_occ[a].append(r)
+        self.free = [False] * n
+        for a in free:
+            self.free[a] = True
+        self.val: list = [None] * n
+        self.trail: list = []
+        self.qhead = 0
+
+        # Unfounded-set check: only atoms on a positive cycle need it; for
+        # the rest, support (a rule whose body is not false) is enough.
+        for h, body in succ.items():
+            succ[h] = [a for a in body if a in succ]
+        self.cyclic = [
+            a
+            for component in strongly_connected(succ)
+            for a in component
+            if len(component) > 1 or a in succ[a]
+        ]
+        in_loop = bytearray(n)
+        for a in self.cyclic:
+            in_loop[a] = 1
+        self.loop_seeds = [a for a in self.cyclic if self.free[a]]
+        self.loop_rules = [r for r, h in enumerate(self.head) if h >= 0 and in_loop[h]]
+        self.loop_need = []  # per loop rule: body atoms on a positive cycle
+        self.loop_occ: list = [[] for _ in range(n)]
+        for j, r in enumerate(self.loop_rules):
+            inner = [a for a in self.pos[r] if in_loop[a]]
+            self.loop_need.append(len(inner))
+            for a in inner:
+                self.loop_occ[a].append(j)
+
+    def _set(self, a: int, value: bool) -> None:
+        self.val[a] = value
+        self.trail.append(a)
+
+    def _falsify_last(self, r: int) -> bool:
+        """r has one literal left and its head cannot hold: make it false."""
+        val = self.val
+        last = None
+        for a in self.pos[r]:
+            if val[a] is False:
+                return True
+            if val[a] is None:
+                last = (a, False)
+        for a in self.neg[r]:
+            if val[a]:
+                return True
+            if val[a] is None:
+                last = (a, True)
+        if last is None:
+            return False  # the body is true already
+        self._set(*last)
+        return True
+
+    def _start(self) -> bool:
+        """Propagate what holds before any assignment: facts, rule-less atoms."""
+        for a in range(self.n):
+            if not self.support[a] and not self.free[a]:
+                self._set(a, False)
+        for r, h in enumerate(self.head):
+            if not self.need[r]:
+                if h < 0 or self.val[h] is False:
+                    return False
+                if self.val[h] is None:
+                    self._set(h, True)
+            elif self.need[r] == 1 and h < 0 and not self._falsify_last(r):
+                return False
+        return True
+
+    def _propagate(self) -> bool:
+        """Atleast: forward and backward rule propagation over the trail."""
+        val, trail, head = self.val, self.trail, self.head
+        need, false_lits, support, free = self.need, self.false_lits, self.support, self.free
+        while self.qhead < len(trail):
+            a = trail[self.qhead]
+            self.qhead += 1
+            if val[a]:
+                made_true, made_false = self.pos_occ[a], self.neg_occ[a]
+            else:
+                made_true, made_false = self.neg_occ[a], self.pos_occ[a]
+            for r in made_true:
+                need[r] -= 1
+            for r in made_false:
+                false_lits[r] += 1
+                if false_lits[r] == 1 and head[r] >= 0:
+                    support[head[r]] -= 1
+            for r in made_true:
+                if false_lits[r] or need[r] > 1:
+                    continue
+                h = head[r]
+                if need[r] == 0:
+                    if h < 0 or val[h] is False:
+                        return False
+                    if val[h] is None:
+                        self._set(h, True)
+                elif (h < 0 or val[h] is False) and not self._falsify_last(r):
+                    return False
+            for r in made_false:
+                h = head[r]
+                if false_lits[r] == 1 and h >= 0 and not support[h] and not free[h]:
+                    if val[h]:
+                        return False
+                    if val[h] is None:
+                        self._set(h, False)
+            if val[a] is False:
+                for r in self.head_occ[a]:
+                    if need[r] == 1 and not false_lits[r] and not self._falsify_last(r):
+                        return False
+        return True
+
+    def _atmost(self) -> bool:
+        """Set false every cyclic atom the open rules cannot derive.
+
+        A Horn least fixpoint over the rules with a cyclic head and no false
+        body literal, seeded by the free cyclic atoms that are not false;
+        body atoms off the cycles count as given.
+        """
+        val, head, false_lits = self.val, self.head, self.false_lits
+        rules, occ = self.loop_rules, self.loop_occ
+        need = self.loop_need[:]
+        reached = bytearray(self.n)
+        stack = [a for a in self.loop_seeds if val[a] is not False]
+        stack += [head[r] for j, r in enumerate(rules) if not need[j] and not false_lits[r]]
+        while stack:
+            a = stack.pop()
+            if reached[a]:
                 continue
-            if all(assign[a] is True for a in pos) and all(
-                assign[a] is False for a in neg
-            ):
+            reached[a] = 1
+            for j in occ[a]:
+                if not false_lits[rules[j]]:
+                    need[j] -= 1
+                    if not need[j]:
+                        stack.append(head[rules[j]])
+        for a in self.cyclic:
+            if not reached[a]:
+                if val[a]:
+                    return False
+                if val[a] is None:
+                    self._set(a, False)
+        return True
+
+    def _expand(self) -> bool:
+        """Run atleast and atmost to a common fixpoint; False on a conflict."""
+        while self._propagate():
+            if not self.cyclic:
+                return True
+            mark = len(self.trail)
+            if not self._atmost():
+                return False
+            if len(self.trail) == mark:
                 return True
         return False
 
-    def stable(true_set: frozenset) -> bool:
-        # Supportedness is a cheap necessary condition before the fixpoint.
-        for a in true_set - free_ids:
-            if not any(
-                head == a and pos <= true_set and not (neg & true_set)
-                for head, pos, neg in compiled
-            ):
-                return False
-        derived = set(true_set & free_ids)
-        changed = True
-        while changed:
-            changed = False
-            for head, pos, neg in compiled:
-                if head is None or neg & true_set:
-                    continue
-                if head not in derived and pos <= derived:
-                    derived.add(head)
-                    changed = True
-        return derived == true_set
+    def _undo(self, mark: int) -> None:
+        val, trail, head = self.val, self.trail, self.head
+        need, false_lits, support = self.need, self.false_lits, self.support
+        while len(trail) > mark:
+            a = trail.pop()
+            if len(trail) < self.qhead:
+                if val[a]:
+                    made_true, made_false = self.pos_occ[a], self.neg_occ[a]
+                else:
+                    made_true, made_false = self.neg_occ[a], self.pos_occ[a]
+                for r in made_true:
+                    need[r] += 1
+                for r in made_false:
+                    false_lits[r] -= 1
+                    if not false_lits[r] and head[r] >= 0:
+                        support[head[r]] += 1
+            val[a] = None
+        self.qhead = mark
 
-    def walk(i: int) -> None:
-        if i == n:
-            true_set = frozenset(a for a in range(n) if assign[a])
-            if stable(true_set):
-                models.append(frozenset(atoms[a] for a in true_set))
-            return
-        for value in (False, True):
-            assign[i] = value
-            if not violated_now(i):
-                walk(i + 1)
-        assign[i] = None
+    def models(self) -> list:
+        """Every stable model, each as the ascending tuple of its true atoms.
 
-    walk(0)
-    models.sort(key=lambda m: tuple(sorted(str(a) for a in m)))
-    return models
+        Chronological backtracking over the open atoms in index order, each
+        tried false, then true; expand runs to a fixpoint after each
+        assignment, so a leaf without a conflict is a stable model.
+        """
+        found: list = []
+        if not (self._start() and self._expand()):
+            return found
+        val, trail, n = self.val, self.trail, self.n
+        stack: list = []  # (trail length before the decision, atom, flipped)
+        nxt = 0
+        ok = True
+        while True:
+            if ok:
+                while nxt < n and val[nxt] is not None:
+                    nxt += 1
+                if nxt == n:
+                    found.append(tuple(a for a in range(n) if val[a]))
+                    ok = False
+                else:
+                    stack.append((len(trail), nxt, False))
+                    self._set(nxt, False)
+                    ok = self._expand()
+                continue
+            while stack and stack[-1][2]:
+                stack.pop()
+            if not stack:
+                return found
+            mark, nxt, _ = stack.pop()
+            self._undo(mark)
+            stack.append((mark, nxt, True))
+            self._set(nxt, True)
+            ok = self._expand()
 
 
 def theory_certify(signs: dict, bounds) -> list:

@@ -160,6 +160,26 @@ def test_solve_ten_thousand_facts_on_default_engine(lp, capsys):
     )
 
 
+def test_solve_ten_thousand_facts_on_search_engine(lp, capsys):
+    facts = [f"item(i{k})" for k in range(10000)]
+    code = run(["solve", lp(". ".join(facts) + "."), "--engine", "search"])
+    assert code == EXIT_SAT
+    assert capsys.readouterr().out == (
+        "Answer: 1\n" + " ".join(sorted(facts)) + "\nSATISFIABLE\n"
+    )
+
+
+def test_solve_long_negation_chain_on_search_engine(lp, capsys):
+    # p1 has no rule, so p0 and every even pI from p2 on are true.
+    rules = ["p0 :- not p1."] + [f"p{k + 1} :- not p{k}." for k in range(1, 1500)]
+    code = run(["solve", lp("\n".join(rules)), "--engine", "search"])
+    assert code == EXIT_SAT
+    atoms = ["p0"] + [f"p{k}" for k in range(2, 1501, 2)]
+    assert capsys.readouterr().out == (
+        "Answer: 1\n" + " ".join(sorted(atoms)) + "\nSATISFIABLE\n"
+    )
+
+
 # ground --------------------------------------------------------------------------
 
 

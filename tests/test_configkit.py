@@ -387,6 +387,16 @@ def test_check_constraint_rules_need_unique_model():
     ]
 
 
+def test_check_constraint_rules_on_six_hundred_wheels():
+    src = BIKE_MODEL.replace("2,2", "600,600") + ":- inst(X,wheel), val(X,diam,16)."
+    diams = [16 if n in (7, 300) else 26 for n in range(1, 601)]
+    out = check_instance(model_of(src), bike_instance(*diams))
+    assert [str(v) for v in out] == [
+        "constraint: violated: :- inst(w300,wheel), val(w300,diam,16).",
+        "constraint: violated: :- inst(w7,wheel), val(w7,diam,16).",
+    ]
+
+
 def test_relaxed_violations_allow_partial_instances():
     m = model_of(BIKE_MODEL)
     assert relaxed_violations(m, bike_instance(16)) == []  # one wheel, missing one

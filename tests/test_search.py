@@ -176,6 +176,55 @@ def test_stable_models_free_atoms_match_even_loop_encoding():
     assert min(seen.values()) >= 20, seen
 
 
+def _dependency_loops(g: GroundProgram) -> tuple:
+    """(has a positive loop, has a loop through negation) in g's atom graph."""
+    positive: dict = {}
+    every: dict = {}
+    negated = []
+    for r in g.rules:
+        if isinstance(r.head, Falsity):
+            continue
+        for lit in r.body:
+            every.setdefault(r.head, set()).add(lit.atom)
+            if lit.positive:
+                positive.setdefault(r.head, set()).add(lit.atom)
+            else:
+                negated.append((r.head, lit.atom))
+
+    def reaches(edges, src, dst) -> bool:
+        seen, todo = set(), [src]
+        while todo:
+            at = todo.pop()
+            if at == dst:
+                return True
+            if at not in seen:
+                seen.add(at)
+                todo.extend(edges.get(at, ()))
+        return False
+
+    return (
+        any(reaches(positive, p, h) for h, body in positive.items() for p in body),
+        any(reaches(every, q, h) for h, q in negated),
+    )
+
+
+def test_stable_models_wider_programs_match_oracles():
+    rng = random.Random(47)
+    seen = {"positive loop": 0, "loop through negation": 0, "models": 0, "free": 0}
+    for _ in range(150):
+        g = random_boolean_program(rng, n_atoms=rng.randint(5, 6), max_rules=10, max_body=3)
+        pool = sorted(atoms_of(g)[0], key=str) + [Atom("extra")]
+        free = frozenset(at for at in pool if rng.random() < 0.15)
+        want = _even_loop_stable_sets(g, free)
+        assert stable_models_bool(g, free) == want, f"differs on {free}:\n{g}"
+        positive, negative = _dependency_loops(g)
+        seen["positive loop"] += positive
+        seen["loop through negation"] += negative
+        seen["models"] += len(want) > 1
+        seen["free"] += bool(free)
+    assert min(seen.values()) >= 20, seen
+
+
 # theory certification -------------------------------------------------------------
 
 
