@@ -119,10 +119,29 @@ def _load_config_file(path: str, loader):
     return loaded
 
 
+def _attach_negative_domain(argv: list) -> list:
+    """Spell `--domain -2..0` as `--domain=-2..0`.
+
+    argparse takes an argument that starts with '-' and is no plain negative
+    number for an option, so the separate spelling of a negative range would
+    fail with "expected one argument".  Abbreviations such as --dom count.
+    """
+    out: list = []
+    for k, arg in enumerate(argv):
+        if arg == "--":
+            return out + argv[k:]
+        prev = out[-1] if out else ""
+        if len(prev) > 2 and "--domain".startswith(prev) and re.match(r"-\d", arg):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv) -> int:
     """Execute one invocation and return its exit code."""
     try:
-        ns = _build().parse_args(list(argv))
+        ns = _build().parse_args(_attach_negative_domain(list(argv)))
     except _UsageError as exc:
         return _fail_usage(str(exc))
     except SystemExit as exc:  # --help
@@ -158,19 +177,19 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
                 + ", ".join(str(v) for v in variables)
             )
         bounds = (0, 0)
-    answers = solve(g, ns.semantics, bounds, ns.engine)
-    shown = answers if ns.models == 0 else answers[: ns.models]
-    for i, ans in enumerate(shown, start=1):
-        print(f"Answer: {i}")
-        print(" ".join(sorted(str(a) for a in ans.atoms)))
+    answers = solve(g, ns.semantics, bounds, ns.engine, ns.models)
+    lines = []
+    atoms = atoms_line = None
+    for i, ans in enumerate(answers, start=1):
+        if ans.atoms is not atoms:  # consecutive answers often share one atom set
+            atoms, atoms_line = ans.atoms, " ".join(sorted(str(a) for a in ans.atoms))
+        lines.append(f"Answer: {i}\n{atoms_line}\n")
         rendered = str(ans.val)
         if rendered:
-            print(f"val {rendered}")
-    if answers:
-        print("SATISFIABLE")
-        return EXIT_SAT
-    print("UNSATISFIABLE")
-    return EXIT_UNSAT
+            lines.append(f"val {rendered}\n")
+    lines.append("SATISFIABLE\n" if answers else "UNSATISFIABLE\n")
+    sys.stdout.write("".join(lines))
+    return EXIT_SAT if answers else EXIT_UNSAT
 
 
 def _cmd_ground(ns: argparse.Namespace) -> int:

@@ -257,16 +257,33 @@ def _match(pattern, term, env: dict, universe: set) -> bool:
     return pattern == term
 
 
-def _join(atoms: list, env: dict, kept: _KeptAtoms, universe: set):
-    """Yield every extension of env under which each pattern in atoms is a kept atom."""
+def _join(atoms: list, kept: _KeptAtoms, universe: set):
+    """Yield every binding under which each pattern in atoms is a kept atom.
+
+    Depth first over atoms in order, one candidate iterator per matched
+    pattern on an explicit stack, so bindings come in nested-loop order.
+    """
     if not atoms:
-        yield env
+        yield {}
         return
-    pattern, rest = atoms[0], atoms[1:]
-    for a in kept.matching(pattern, env):
-        extended = dict(env)
-        if all(_match(p, t, extended, universe) for p, t in zip(pattern.args, a.args)):
-            yield from _join(rest, extended, kept, universe)
+    envs = [{}]  # envs[i]: the binding atoms[i] is matched under
+    stack = [iter(kept.matching(atoms[0], {}))]
+    while stack:
+        depth = len(stack) - 1
+        pattern, env = atoms[depth], envs[depth]
+        for a in stack[-1]:
+            extended = dict(env)
+            if all(_match(p, t, extended, universe) for p, t in zip(pattern.args, a.args)):
+                break
+        else:
+            stack.pop()
+            envs.pop()
+            continue
+        if depth + 1 == len(atoms):
+            yield extended
+        else:
+            envs.append(extended)
+            stack.append(iter(kept.matching(atoms[depth + 1], extended)))
 
 
 def _instantiate(r: Rule, joined: list, kept: _KeptAtoms, universe: tuple, allowed: set):
@@ -274,7 +291,7 @@ def _instantiate(r: Rule, joined: list, kept: _KeptAtoms, universe: tuple, allow
     variables = rule_variables(r)
     bound = {t for a in joined for t in walk_terms(a) if isinstance(t, AspVar)}
     free = sorted(variables - bound, key=lambda v: v.name)
-    for env in _join(joined, {}, kept, allowed):
+    for env in _join(joined, kept, allowed):
         if not variables:
             yield r
             continue

@@ -24,13 +24,19 @@ Horn and stratified programs need no decision at all.
 
 For each Boolean model, theory_certify() is the single place that decides
 its valuations: a difference-logic graph refutes inconsistent &diff signs
-outright, and one backtracking pass over the bounded grid then returns
-every valuation under which each atom has its sign, so the result set
-matches the exhaustive oracle.
+outright, each atom becomes one linear row over the variables, and one
+backtracking pass over the bounded grid, pruned by the interval each row's
+unbound terms can still add (bounds propagation as in clingcon, Ostrowski
+and Schaub 2012), returns every valuation under which each atom has its
+sign, so the result set matches the exhaustive oracle.  solve() takes the
+Boolean models grouped by visible atoms, in the order answers are printed,
+and can stop after the first N answers.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 from dataclasses import dataclass
 
 from .core import (
@@ -38,6 +44,7 @@ from .core import (
     Atom,
     DiffConstraintAtom,
     Falsity,
+    IntConst,
     Literal,
     Rule,
     atoms_of,
@@ -46,11 +53,10 @@ from .core import (
 from .dl import Conflict, DiffGraph, negate_diff
 from .grounder import GroundProgram, strongly_connected
 from .semantics import (
+    _CMP,
     AnswerSet,
     Valuation,
-    _answer_sort_key,
     _bounds_ok,
-    _elem_true,
     enumerate_equilibrium,
 )
 
@@ -368,15 +374,104 @@ class _Core:
             ok = self._expand()
 
 
+# comparator of a false atom; over the integers, < and > become <= and >=
+_NEGATED = {"<=": ">", "=": "!=", "!=": "=", "<": ">=", ">": "<=", ">=": "<"}
+_STRICT = {"<": ("<=", -1), ">": (">=", 1)}
+# The valuations of one program pair the same variables, in the same order,
+# so their entries compare by value in grid order.
+_ENTRIES = operator.attrgetter("entries")
+
+
+def _row(atom, sign: bool, position: dict) -> tuple:
+    """atom under its sign as (terms, cmp, rhs), meaning sum c * x[p] cmp rhs.
+
+    terms are the (position, coefficient) pairs with a nonzero merged
+    coefficient, in position order; integer constants are folded into rhs,
+    and cmp is one of <=, >=, = and !=.
+    """
+    if isinstance(atom, DiffConstraintAtom):
+        elems, cmp, rhs = ((1, atom.lhs_var), (-1, atom.rhs_var)), "<=", atom.bound
+    else:
+        elems, cmp, rhs = atom.terms, atom.cmp, atom.rhs
+    coef: dict = {}
+    for k, t in elems:
+        if isinstance(t, IntConst):
+            rhs -= k * t.value
+        else:
+            coef[position[t]] = coef.get(position[t], 0) + k
+    if not sign:
+        cmp = _NEGATED[cmp]
+    if cmp in _STRICT:
+        cmp, shift = _STRICT[cmp]
+        rhs += shift
+    return sorted((p, k) for p, k in coef.items() if k), cmp, rhs
+
+
+def _schedule(rows: list, n: int, lo: int, hi: int) -> tuple:
+    """Per grid position 0..n-1, what binding its variable x checks and sums.
+
+    rows are _row results with at least one term.  A row keeps the running
+    sum of its bound terms in sums[slot], slot 0 holding 0.  The result is
+    (windows, forbid, carry, slots), the first three one list per position:
+
+    - windows (src, c, lb, ub): lb <= sums[src] + c*x <= ub, the row's
+      bounds less what its unbound terms can still add (c*lo or c*hi each);
+    - forbid (src, c, t): sums[src] + c*x != t, at the last term of a !=;
+    - carry (src, dst, c): sums[dst] = sums[src] + c*x.
+
+    A window that cannot cut is left out, and a row is carried only up to
+    its last check, so a row that always holds costs nothing.
+    """
+    windows: list = [[] for _ in range(n)]
+    forbid: list = [[] for _ in range(n)]
+    carry: list = [[] for _ in range(n)]
+    slots = 1
+    for terms, cmp, rhs in rows:
+        low = rhs if cmp in (">=", "=") else None
+        high = rhs if cmp in ("<=", "=") else None
+        spans = [(min(c * lo, c * hi), max(c * lo, c * hi)) for _, c in terms]
+        rest_min, rest_max = sum(s for s, _ in spans), sum(s for _, s in spans)
+        pre_min = pre_max = 0
+        checks = []  # per term: its window, or None
+        for smin, smax in spans:
+            pre_min, pre_max = pre_min + smin, pre_max + smax
+            rest_min, rest_max = rest_min - smin, rest_max - smax
+            lb = pre_min if low is None else low - rest_max
+            ub = pre_max if high is None else high - rest_min
+            cuts = cmp != "!=" and (lb > pre_min or ub < pre_max)
+            checks.append((lb, ub) if cuts else None)
+        if cmp == "!=":
+            if not pre_min <= rhs <= pre_max:
+                continue  # the sum never equals rhs
+            used = len(terms)
+        else:
+            used = max((k + 1 for k, w in enumerate(checks) if w), default=0)
+        src = 0
+        for k in range(used):
+            p, c = terms[k]
+            if checks[k]:
+                windows[p].append((src, c, *checks[k]))
+            if k + 1 < used:
+                carry[p].append((src, slots, c))
+                src, slots = slots, slots + 1
+            elif cmp == "!=":
+                forbid[p].append((src, c, rhs))
+    return windows, forbid, carry, slots
+
+
 def theory_certify(signs: dict, bounds) -> list:
     """Every total valuation within bounds under which each atom has its sign.
 
     The &diff atoms, negated ones via negate_diff, are first asserted into a
-    DiffGraph; a negative cycle means no valuation exists.  Variable-free
-    atoms are checked once.  One backtracking pass over the bounded grid
-    then checks each remaining atom as soon as the last of its variables
-    is bound.  Valuations come in grid order: variables sorted by text,
-    values ascending.
+    DiffGraph; a negative cycle means no valuation exists.  Each atom is then
+    compiled into one linear row over the variables' grid positions, and a
+    row without variables is checked once.  One backtracking pass binds the
+    variables in grid order, variables sorted by text, values ascending.  A
+    row keeps a running sum of its bound terms, and the interval its unbound
+    terms can still add (c * lo or c * hi each) bounds that sum at every
+    position of the row; variable i then takes only the values that keep
+    each of its rows satisfiable, so a subtree with no valuation is never
+    entered, and a row is exact at its last position.
     """
     lo, hi = _bounds_ok(bounds)
     graph = DiffGraph()
@@ -393,48 +488,90 @@ def theory_certify(signs: dict, bounds) -> list:
 
     variables = sorted({v for atom in signs for v in variable_names(atom)}, key=str)
     position = {v: i for i, v in enumerate(variables)}
-    checks: list = [[] for _ in variables]  # atoms whose last variable is i
+    rows = []
     for atom, sign in signs.items():
-        names = [position[v] for v in variable_names(atom)]
-        if names:
-            checks[max(names)].append((atom, sign))
-        elif _elem_true((), {}, atom) != sign:
+        terms, cmp, rhs = _row(atom, sign, position)
+        if terms:
+            rows.append((terms, cmp, rhs))
+        elif not _CMP[cmp](0, rhs):
             return []
+    if not variables:
+        return [Valuation()]
+    windows, forbid, carry, slots = _schedule(rows, len(variables), lo, hi)
+    sums = [0] * slots
+
+    def allowed(i: int):
+        """Values of variable i that keep each of its rows satisfiable."""
+        vlo, vhi = lo, hi
+        for src, c, lb, ub in windows[i]:
+            low, high = lb - sums[src], ub - sums[src]
+            if c < 0:
+                low, high = high, low
+            vlo, vhi = max(vlo, -(-low // c)), min(vhi, high // c)
+        values = range(vlo, vhi + 1)
+        if forbid[i]:
+            banned = {(t - sums[src]) // c for src, c, t in forbid[i] if not (t - sums[src]) % c}
+            values = [v for v in values if v not in banned]
+        return values
 
     found: list = []
-    vd: dict = {}
+    last = len(variables) - 1
+    values = [lo] * last  # of the variables before the last
+    pending: list = []  # per bound variable before the last: its values left
+    while True:
+        if len(pending) < last:
+            pending.append(iter(allowed(len(pending))))
+        else:
+            prefix, x = tuple(zip(variables, values)), variables[last]
+            found.extend(Valuation.from_sorted(prefix + ((x, v),)) for v in allowed(last))
+        v = None
+        while pending and v is None:
+            v = next(pending[-1], None)
+            if v is None:
+                pending.pop()
+        if v is None:
+            return found
+        i = len(pending) - 1
+        values[i] = v
+        for src, dst, c in carry[i]:
+            sums[dst] = sums[src] + c * v
 
-    def grid(i: int) -> None:
-        if i == len(variables):
-            found.append(Valuation.of(vd))
-            return
-        v = variables[i]
-        for value in range(lo, hi + 1):
-            vd[v] = value
-            if all(_elem_true((), vd, atom) == sign for atom, sign in checks[i]):
-                grid(i + 1)
-        del vd[v]
 
-    grid(0)
-    return found
+def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: int = 0) -> list:
+    """Answer sets of g, via the exhaustive oracle or the search engine.
 
-
-def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle") -> list:
-    """Answer sets of g, via the exhaustive oracle or the search engine."""
+    Answers are sorted by their atoms' text, then by value in grid order;
+    with models > 0 only the first models answers are returned, and the
+    search engine certifies no Boolean model past them.  It groups the
+    Boolean models by visible atoms and takes the groups in text order;
+    models of one group differ in constraint signs, so their valuation
+    lists are disjoint and a merge orders them.
+    """
     if engine not in ("oracle", "search"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "oracle":
-        return enumerate_equilibrium(g, mode, bounds)
+        answers = enumerate_equilibrium(g, mode, bounds)
+        return answers[:models] if models else answers
     if mode != "casp":
         raise ValueError("engine 'search' supports casp mode only")
     _bounds_ok(bounds)  # also when no Boolean model reaches theory_certify
     ab = abstract(g)
-    _, _, variables = atoms_of(g)
+    atoms = atoms_of(g)[0]  # sorted by text
+    text = [str(a) for a in atoms]
     props = frozenset(prop for prop, _ in ab.mapping)
-    answers = []
+    groups: dict = {}
     for model in stable_models_bool(GroundProgram(ab.rules, g.universe), props):
-        signs = {theory: (prop in model) for prop, theory in ab.mapping}
-        visible = model - props
-        for val in theory_certify(signs, bounds):
-            answers.append(AnswerSet(visible, val))
-    return sorted(answers, key=lambda a: _answer_sort_key(a, variables))
+        key = tuple(t for a, t in zip(atoms, text) if a in model)
+        groups.setdefault(key, []).append(model)
+    answers: list = []
+    for key in sorted(groups):
+        lists = [
+            theory_certify({theory: prop in model for prop, theory in ab.mapping}, bounds)
+            for model in groups[key]
+        ]
+        visible = groups[key][0] - props
+        merged = lists[0] if len(lists) == 1 else heapq.merge(*lists, key=_ENTRIES)
+        answers.extend(AnswerSet(visible, val) for val in merged)
+        if models and len(answers) >= models:
+            return answers[:models]
+    return answers

@@ -76,6 +76,24 @@ class Valuation:
             return cls(tuple(mapping.items()))
         return cls(tuple(mapping))
 
+    @classmethod
+    def from_sorted(cls, pairs: tuple) -> "Valuation":
+        """Valuation of pairs already sorted by name text, names distinct.
+
+        Nothing is checked, and the lookup table is built on first use.
+        """
+        val = object.__new__(cls)
+        object.__setattr__(val, "entries", pairs)
+        return val
+
+    def __getattr__(self, name):
+        # Reached only for what an instance lacks: a from_sorted _map.
+        if name != "_map":
+            raise AttributeError(name)
+        table = dict(self.entries)
+        object.__setattr__(self, "_map", table)
+        return table
+
     def get(self, name):
         return self._map.get(name)
 

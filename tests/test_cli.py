@@ -1,5 +1,7 @@
 """Command-line frontend tests: output goldens and exit codes."""
 
+import random
+
 import pytest
 
 from htsolve import pretty_print, run
@@ -13,6 +15,7 @@ from htsolve.cli import (
 )
 from htsolve.configkit import EMPTY_INSTANCE, load_model, translate
 from htsolve.parser import parse_program
+from htsolve.randprog import random_hybrid_program
 
 BIKE_MODEL = """\
 ptype(bike). root(bike).
@@ -178,6 +181,75 @@ def test_solve_long_negation_chain_on_search_engine(lp, capsys):
     assert capsys.readouterr().out == (
         "Answer: 1\n" + " ".join(sorted(atoms)) + "\nSATISFIABLE\n"
     )
+
+
+NEGATIVE_DOMAIN = "a :- &sum{1*x} < 0. b :- &diff{x-y} <= -1."
+
+
+@pytest.mark.parametrize("engine", ["oracle", "search"])
+def test_solve_negative_domain_either_spelling(lp, capsys, engine):
+    path = lp(NEGATIVE_DOMAIN)
+    cases = (
+        ("--domain", "-1..0"), ("--domain", "-3..-1"), ("--domain", "-2..1"),
+        ("--dom", "-1..1"), ("--domain", "-5..-7"), ("--domain", "-2"),
+        ("--domain", "-2..x"),
+    )
+    for option, value in cases:
+        spaced = run(["solve", path, option, value, "--engine", engine]), capsys.readouterr()
+        joined = run(["solve", path, f"{option}={value}", "--engine", engine]), capsys.readouterr()
+        assert spaced == joined, (option, value)
+    assert run(["solve", path, "--domain", "-1..0", "--engine", engine]) == EXIT_SAT
+    assert capsys.readouterr().out == (
+        "Answer: 1\n\nval x=0 y=-1\n"
+        "Answer: 2\n\nval x=0 y=0\n"
+        "Answer: 3\na\nval x=-1 y=-1\n"
+        "Answer: 4\na b\nval x=-1 y=0\n"
+        "SATISFIABLE\n"
+    )
+    assert run(["solve", path, "--domain", "-5..-7"]) == EXIT_USAGE
+    assert "empty domain '-5..-7'" in capsys.readouterr().err
+
+
+def _answer_blocks(out: str) -> tuple:
+    """(one string per "Answer:" block, the final line) of solve output."""
+    lines = out.splitlines(keepends=True)
+    blocks: list = []
+    for line in lines[:-1]:
+        if line.startswith("Answer: "):
+            blocks.append("")
+        blocks[-1] += line
+    return blocks, lines[-1]
+
+
+@pytest.mark.parametrize("engine", ["oracle", "search"])
+def test_solve_models_prints_the_first_answers(lp, capsys, engine):
+    rng = random.Random(808)
+    seen = {"several answers": 0, "one answer": 0, "unsatisfiable": 0}
+    for n in range(40):
+        g = random_hybrid_program(rng, n_atoms=4, n_vars=2, max_rules=6)
+        args = ["solve", lp(f"{g}\n", f"p{n}.lp"), "--engine", engine, "--domain=-1..1"]
+        code = run(args)
+        blocks, final = _answer_blocks(capsys.readouterr().out)
+        for limit in range(1, len(blocks) + 2):
+            assert run(args + ["--models", str(limit)]) == code
+            assert capsys.readouterr().out == "".join(blocks[:limit]) + final, (g, limit)
+        seen["several answers"] += len(blocks) > 2
+        seen["one answer"] += len(blocks) == 1
+        seen["unsatisfiable"] += not blocks
+    assert min(seen.values()) >= 3, seen
+
+
+def test_solve_rule_with_three_thousand_body_atoms(lp, capsys):
+    facts = [f"p{k}(a)" for k in range(3000)]
+    rule = "q(X) :- " + ", ".join(f"p{k}(X)" for k in range(3000)) + "."
+    path = lp(rule + "\n" + ". ".join(facts) + ".\n")
+    assert run(["ground", path]) == EXIT_OK
+    assert capsys.readouterr().out == "rules: 3001\nuniverse: 1\n"
+    for engine in ("oracle", "search"):
+        assert run(["solve", path, "--engine", engine]) == EXIT_SAT
+        assert capsys.readouterr().out == (
+            "Answer: 1\n" + " ".join(sorted(facts + ["q(a)"])) + "\nSATISFIABLE\n"
+        )
 
 
 # ground --------------------------------------------------------------------------

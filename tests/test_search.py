@@ -28,7 +28,7 @@ from htsolve import (
     stable_models_bool,
     theory_certify,
 )
-from htsolve.core import atoms_of, variable_names
+from htsolve.core import COMPARATORS, atoms_of, variable_names, walk_terms
 from htsolve.grounder import GroundProgram
 from htsolve.randprog import random_boolean_program, random_hybrid_program
 from htsolve.semantics import _elem_true
@@ -336,6 +336,59 @@ def test_certify_matches_brute_force_grid():
         seen["empty"] += not want
         seen["some"] += bool(want)
     assert min(seen.values()) >= 20, seen
+
+
+def _wide_atom(rng: random.Random, names: list):
+    """A &sum or &diff over names with coefficients -3..3, constants and repeats."""
+
+    def term():
+        if rng.random() < 0.15:
+            return IntConst(rng.randint(-2, 3))
+        return rng.choice(names)
+
+    if rng.random() < 0.3:
+        return DiffConstraintAtom(term(), term(), rng.randint(-4, 4))
+    terms = [(rng.choice((-3, -2, -1, 1, 2, 3)), term()) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.2:
+        v, k = rng.choice(names), rng.randint(1, 2)
+        terms += [(k, v), (-k, v)]  # as in &sum{1*x;-1*x}
+    return LinearConstraintAtom(tuple(terms), rng.choice(COMPARATORS), rng.randint(-6, 6))
+
+
+def _cancels(atom) -> bool:
+    """Does some variable of a &sum have coefficients that add up to 0?"""
+    if not isinstance(atom, LinearConstraintAtom):
+        return False
+    total: dict = {}
+    for k, t in atom.terms:
+        if not isinstance(t, IntConst):
+            total[t] = total.get(t, 0) + k
+    return 0 in total.values()
+
+
+def test_certify_compiled_rows_match_brute_force_wide():
+    rng = random.Random(707)
+    names = [x, y, SymConst("z")]
+    seen = {f"{cmp} {sign}": 0 for cmp in COMPARATORS for sign in (True, False)}
+    seen.update({"bounds -3..3": 0, "negative lower bound": 0, "negative coefficient": 0,
+                 "cancelling variable": 0, "integer constant": 0, "empty": 0, "some": 0})
+    for _ in range(500):
+        signs = {_wide_atom(rng, names): rng.random() < 0.5 for _ in range(rng.randint(1, 4))}
+        lo = rng.randint(-3, 0)
+        bounds = (lo, rng.randint(max(lo, 0), 3)) if rng.random() < 0.8 else (-3, 3)
+        want = _brute_certify(signs, bounds)
+        assert theory_certify(signs, bounds) == want, f"differs on {signs} {bounds}"
+        for atom, sign in signs.items():
+            if isinstance(atom, LinearConstraintAtom):
+                seen[f"{atom.cmp} {sign}"] += 1
+                seen["negative coefficient"] += any(k < 0 for k, _ in atom.terms)
+            seen["cancelling variable"] += _cancels(atom)
+            seen["integer constant"] += any(isinstance(t, IntConst) for t in walk_terms(atom))
+        seen["bounds -3..3"] += bounds == (-3, 3)
+        seen["negative lower bound"] += lo < 0
+        seen["empty"] += not want
+        seen["some"] += bool(want)
+    assert min(seen.values()) >= 30, seen
 
 
 # solve ------------------------------------------------------------------------
