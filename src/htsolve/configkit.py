@@ -251,27 +251,22 @@ def _find_cycle(edges: dict):
     adjacency: dict = {}
     for parent, child in sorted(edges):
         adjacency.setdefault(parent, []).append(child)
-    visiting: list = []
     done: set = set()
-
-    def visit(t: str):
-        if t in visiting:
-            return visiting[visiting.index(t):] + [t]
-        if t in done:
-            return None
-        visiting.append(t)
-        for child in adjacency.get(t, ()):
-            found = visit(child)
-            if found:
-                return found
-        visiting.pop()
-        done.add(t)
-        return None
-
-    for t in sorted(adjacency):
-        found = visit(t)
-        if found:
-            return found
+    for root in sorted(adjacency):
+        if root in done:
+            continue
+        # depth-first, with an explicit stack: the path from root, each
+        # type with an iterator over its children still to visit
+        path = {root: iter(adjacency[root])}
+        while path:
+            child = next(path[next(reversed(path))], None)
+            if child is None:
+                done.add(path.popitem()[0])
+            elif child in path:
+                cycle = list(path)
+                return cycle[cycle.index(child):] + [child]
+            elif child not in done:
+                path[child] = iter(adjacency.get(child, ()))
     return None
 
 

@@ -1,4 +1,4 @@
-"""Recursive-descent parser and lexer for the rule language.
+"""Recursive-descent parser for the rule language over a single regex scanner.
 
 Grammar (terminals in quotes, % starts a comment running to end of line):
 
@@ -17,19 +17,20 @@ Grammar (terminals in quotes, % starts a comment running to end of line):
     CMP      := "<=" | "=" | "!=" | "<" | ">" | ">="
 
 SYM matches [a-z][A-Za-z0-9_]*, VAR matches [A-Z][A-Za-z0-9_]*, INT is an
-optionally negated decimal.  Function terms take only simple arguments;
-nesting them is rejected.  parse_program never raises on bad input: it
-returns the program or a list of positioned diagnostics.
+optionally negated ASCII [0-9]+; any other word (a run of word characters
+not starting with an ASCII digit) is an invalid name.  Function terms take
+only simple arguments; nesting them is rejected.  parse_program never
+raises on bad input: it returns the program or a list of positioned
+diagnostics.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import (
     FALSITY,
-    SYM_PATTERN,
-    VAR_PATTERN,
     AspVar,
     AssignmentAtom,
     Atom,
@@ -64,114 +65,67 @@ class _Token:
     column: int
 
 
-_PUNCT = {
-    ".": "dot",
-    ",": "comma",
-    ";": "semi",
-    "{": "lbrace",
-    "}": "rbrace",
-    "(": "lparen",
-    ")": "rparen",
-    "*": "star",
-    "-": "minus",
-}
+# One alternative per token kind, tried in order; the group name is the
+# kind, and the unnamed alternatives (blanks, comments) are skipped.  A
+# theory word is "&" and the letters after it.
+_SCANNER = re.compile(
+    r"""
+    [ \t\r]+ | %[^\n]*
+  | (?P<newline>\n)
+  | (?P<int>[0-9]+)
+  | (?P<not>not(?!\w))
+  | (?P<sym>[a-z][A-Za-z0-9_]*(?!\w))
+  | (?P<var>[A-Z][A-Za-z0-9_]*(?!\w))
+  | (?P<name>[^\W0-9]\w*)
+  | (?P<sum>&sum(?![^\W\d_]))
+  | (?P<diff>&diff(?![^\W\d_]))
+  | (?P<in>&in(?![^\W\d_]))
+  | (?P<theory>&[^\W\d_]*)
+  | (?P<dots>\.\.) | (?P<dot>\.)
+  | (?P<if>:-) | (?P<assign>=:) | (?P<cmp>[<>!]=|[<>=])
+  | (?P<comma>,) | (?P<semi>;) | (?P<lbrace>\{) | (?P<rbrace>\})
+  | (?P<lparen>\() | (?P<rparen>\)) | (?P<star>\*) | (?P<minus>-)
+  | (?P<bad>.)
+    """,
+    re.X,
+)
 
-_THEORY = {"&sum": "sum", "&diff": "diff", "&in": "in"}
+_LEX_ERRORS = {
+    "name": "invalid name '{}'",
+    "theory": "unknown constraint atom '{}'",
+    "bad": "unexpected character {!r}",
+}
 
 
 def _lex(src: str):
     tokens: list = []
     diags: list = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-
-    def push(kind: str, text: str) -> None:
-        tokens.append(_Token(kind, text, line, col))
-
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
+    line, line_start = 1, 0  # line_start: offset just past the last newline
+    for m in _SCANNER.finditer(src):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            push("int", src[i:j])
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            if word == "not":
-                push("not", word)
-            elif SYM_PATTERN.match(word):
-                push("sym", word)
-            elif VAR_PATTERN.match(word):
-                push("var", word)
-            else:
-                diags.append(Diagnostic(line, col, f"invalid name '{word}'"))
-            col += j - i
-            i = j
-            continue
-        if c == "&":
-            j = i + 1
-            while j < n and src[j].isalpha():
-                j += 1
-            word = src[i:j]
-            if word in _THEORY:
-                push(_THEORY[word], word)
-            else:
-                diags.append(Diagnostic(line, col, f"unknown constraint atom '{word}'"))
-            col += j - i
-            i = j
-            continue
-        two = src[i : i + 2]
-        if two == "..":
-            push("dots", two)
-        elif two == ":-":
-            push("if", two)
-        elif two == "=:":
-            push("assign", two)
-        elif two in ("<=", ">=", "!="):
-            push("cmp", two)
-        elif c in "<>":
-            push("cmp", c)
-            i += 1
-            col += 1
-            continue
-        elif c == "=":
-            push("cmp", c)
-            i += 1
-            col += 1
-            continue
-        elif c in _PUNCT:
-            push(_PUNCT[c], c)
-            i += 1
-            col += 1
-            continue
+        col = m.start() - line_start + 1
+        if kind in _LEX_ERRORS:
+            diags.append(Diagnostic(line, col, _LEX_ERRORS[kind].format(m.group())))
         else:
-            diags.append(Diagnostic(line, col, f"unexpected character {c!r}"))
-            i += 1
-            col += 1
-            continue
-        i += 2
-        col += 2
-    tokens.append(_Token("eof", "", line, col))
+            tokens.append(_Token(kind, m.group(), line, col))
+    tokens.append(_Token("eof", "", line, len(src) - line_start + 1))
     return tokens, diags
+
+
+# The coefficient spellings of a linear element as token kinds, each with
+# the sign it puts on its one INT.
+_COEFFICIENTS = (
+    (("int", "star"), 1),
+    (("minus", "int", "star"), -1),
+    (("lparen", "int", "rparen", "star"), 1),
+    (("lparen", "minus", "int", "rparen", "star"), -1),
+)
 
 
 class _ParseError(Exception):
@@ -197,10 +151,14 @@ class _Parser:
     def fail(self, tok: _Token, message: str):
         raise _ParseError(Diagnostic(tok.line, tok.column, message))
 
+    def fail_expected(self, tok: _Token, what: str):
+        found = "end of input" if tok.kind == "eof" else repr(tok.text)
+        self.fail(tok, f"expected {what}, found {found}")
+
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            self.fail(tok, f"expected {what}, found {tok.text!r}" if tok.kind != "eof" else f"expected {what}, found end of input")
+            self.fail_expected(tok, what)
         return self.next()
 
     # terms ---------------------------------------------------------------
@@ -223,14 +181,18 @@ class _Parser:
                 return SymConst(tok.text)
             if depth > 0:
                 self.fail(tok, f"nested function term '{tok.text}(...)' is not supported")
+            return FuncTerm(tok.text, self.arguments(depth + 1))
+        self.fail_expected(tok, "a term")
+
+    def arguments(self, depth: int) -> tuple:
+        """'(' term (',' term)* ')', the terms at the given nesting depth."""
+        self.expect("lparen", "'('")
+        args = [self.term(depth)]
+        while self.peek().kind == "comma":
             self.next()
-            args = [self.term(depth + 1)]
-            while self.peek().kind == "comma":
-                self.next()
-                args.append(self.term(depth + 1))
-            self.expect("rparen", "')'")
-            return FuncTerm(tok.text, tuple(args))
-        self.fail(tok, f"expected a term, found {tok.text!r}" if tok.kind != "eof" else "expected a term, found end of input")
+            args.append(self.term(depth))
+        self.expect("rparen", "')'")
+        return tuple(args)
 
     # constraint atoms ----------------------------------------------------
 
@@ -247,52 +209,12 @@ class _Parser:
         return LinearConstraintAtom(tuple(terms), cmp_tok.text, rhs)
 
     def lin_elem(self):
-        # Coefficient forms: INT "*", "-" INT "*", "(" "-" INT ")" "*".
-        start = self.pos
-        coeff = None
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            if self.peek().kind == "star":
-                self.next()
-                coeff = int(tok.text)
-            else:
-                self.pos = start
-        elif tok.kind == "minus":
-            self.next()
-            num = self.peek()
-            if num.kind == "int":
-                self.next()
-                if self.peek().kind == "star":
-                    self.next()
-                    coeff = -int(num.text)
-                else:
-                    self.pos = start
-            else:
-                self.pos = start
-        elif tok.kind == "lparen":
-            self.next()
-            neg = False
-            if self.peek().kind == "minus":
-                self.next()
-                neg = True
-            num = self.peek()
-            if num.kind == "int":
-                self.next()
-                if self.peek().kind == "rparen":
-                    self.next()
-                    if self.peek().kind == "star":
-                        self.next()
-                        coeff = -int(num.text) if neg else int(num.text)
-                    else:
-                        self.pos = start
-                else:
-                    self.pos = start
-            else:
-                self.pos = start
-        if coeff is None:
-            return (1, self.term())
-        return (coeff, self.term())
+        for kinds, sign in _COEFFICIENTS:
+            window = self.tokens[self.pos : self.pos + len(kinds)]
+            if tuple(tok.kind for tok in window) == kinds:
+                self.pos += len(kinds)
+                return (sign * int(window[kinds.index("int")].text), self.term())
+        return (1, self.term())
 
     def signed_int(self) -> int:
         tok = self.peek()
@@ -337,13 +259,7 @@ class _Parser:
         name = self.expect("sym", "a predicate name")
         if self.peek().kind != "lparen":
             return Atom(name.text)
-        self.next()
-        args = [self.term()]
-        while self.peek().kind == "comma":
-            self.next()
-            args.append(self.term())
-        self.expect("rparen", "')'")
-        return Atom(name.text, tuple(args))
+        return Atom(name.text, self.arguments(0))
 
     def literal(self):
         positive = True
@@ -361,7 +277,7 @@ class _Parser:
             return Literal(positive, self.diff_atom())
         if tok.kind == "in":
             self.fail(tok, "assignment atom in rule body")
-        self.fail(tok, f"expected a literal, found {tok.text!r}" if tok.kind != "eof" else "expected a literal, found end of input")
+        self.fail_expected(tok, "a literal")
 
     def head(self):
         tok = self.peek()
@@ -373,7 +289,7 @@ class _Parser:
             return self.diff_atom()
         if tok.kind == "in":
             return self.in_assignment()
-        self.fail(tok, f"expected a rule head, found {tok.text!r}" if tok.kind != "eof" else "expected a rule head, found end of input")
+        self.fail_expected(tok, "a rule head")
 
     def body(self):
         lits = [self.literal()]
@@ -383,19 +299,13 @@ class _Parser:
         return tuple(lits)
 
     def rule(self):
+        head = FALSITY if self.peek().kind == "if" else self.head()
+        body = ()
         if self.peek().kind == "if":
             self.next()
             body = self.body()
-            self.expect("dot", "'.'")
-            return Rule(FALSITY, body)
-        head = self.head()
-        if self.peek().kind == "if":
-            self.next()
-            body = self.body()
-            self.expect("dot", "'.'")
-            return Rule(head, body)
         self.expect("dot", "'.'")
-        return Rule(head, ())
+        return Rule(head, body)
 
     def skip_past_dot(self) -> None:
         while True:

@@ -101,33 +101,25 @@ def stable_models_bool(b: GroundProgram, free=frozenset()) -> list:
     is true.  A rule with a free head still forbids a true body with that
     head false.  Models range over the atoms of b together with free.
     """
-    ids: dict = {}  # atom -> id in order of first occurrence
-    rules = []
+    seen: dict = {}  # every atom once, in order of first occurrence
     for r in b.rules:
-        head = -1 if isinstance(r.head, Falsity) else ids.setdefault(r.head, len(ids))
-        pos = {ids.setdefault(lit.atom, len(ids)) for lit in r.body if lit.positive}
-        neg = {ids.setdefault(lit.atom, len(ids)) for lit in r.body if not lit.positive}
-        rules.append((head, pos, neg))
-    for a in free:
-        ids.setdefault(a, len(ids))
-    first_seen = list(ids)
-    text = [str(a) for a in first_seen]
-    order = sorted(range(len(first_seen)), key=text.__getitem__)
-    rank = [0] * len(order)  # first-occurrence id -> position in text order
-    for k, i in enumerate(order):
-        rank[i] = k
-    core = _Core(
-        len(order),
-        [
-            (-1 if h < 0 else rank[h], [rank[i] for i in pos], [rank[i] for i in neg])
-            for h, pos, neg in rules
-        ],
-        [rank[ids[a]] for a in free],
-    )
-    atoms = [first_seen[i] for i in order]
-    names = [text[i] for i in order]
-    found = core.models()
-    found.sort(key=lambda m: tuple(names[i] for i in m))
+        if not isinstance(r.head, Falsity):
+            seen[r.head] = None
+        for lit in r.body:
+            seen[lit.atom] = None
+    seen.update(dict.fromkeys(free))
+    atoms = sorted(seen, key=str)  # atom ids are positions in text order
+    ids = {a: i for i, a in enumerate(atoms)}
+    rules = [
+        (
+            -1 if isinstance(r.head, Falsity) else ids[r.head],
+            list({ids[lit.atom] for lit in r.body if lit.positive}),
+            list({ids[lit.atom] for lit in r.body if not lit.positive}),
+        )
+        for r in b.rules
+    ]
+    found = _Core(len(atoms), rules, [ids[a] for a in free]).models()
+    found.sort()  # ascending id tuples sort as the tuples of their texts
     return [frozenset(atoms[i] for i in m) for m in found]
 
 

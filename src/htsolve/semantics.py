@@ -460,8 +460,7 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
     lo, hi = _bounds_ok(bounds)
     atoms, _, variables = atoms_of(g)
     compiled = _compile(g)
-    atom_pool = sorted(atoms, key=str)
-    bit = {a: 1 << n for n, a in enumerate(atom_pool)}
+    bit = {a: 1 << n for n, a in enumerate(atoms)}
     values = list(range(lo, hi + 1))
     options = [values if mode == "casp" else [None] + values for _ in variables]
     results = []
@@ -474,7 +473,7 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
             if mask is not None and (
                 mode == "casp" or not _smaller_sub_valuation(compiled, bit, mask, vd)
             ):
-                chosen = frozenset(a for a in atom_pool if mask & bit[a])
+                chosen = frozenset(a for a in atoms if mask & bit[a])
                 results.append(AnswerSet(chosen, Valuation.of(vd)))
             if guess == 0:
                 break

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from htsolve import pretty_print, run
+from htsolve import Program, pretty_print, run
 from htsolve.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -130,6 +130,13 @@ def test_solve_parse_error_reports_position(lp, capsys):
     assert capsys.readouterr().err == (
         f"{path}:1:10: double negation is not supported\n"
     )
+
+
+@pytest.mark.parametrize("command", ["solve", "ground"])
+def test_non_ascii_digit_is_a_positioned_input_error(command, lp, capsys):
+    path = lp("a(\u00b2).")  # superscript two is not an integer
+    assert run([command, path]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"{path}:1:3: invalid name '\u00b2'\n"
 
 
 def test_solve_unsafe_program(lp, capsys):
@@ -367,6 +374,35 @@ def test_check_config_bad_instance_file(lp, capsys):
     code = run(["check-config", "--model", model, "--instance", inst])
     assert code == EXIT_INPUT
     assert capsys.readouterr().err == f"{inst}: rule 0: unknown instance fact 'foo/1'\n"
+
+
+def test_check_config_cycle_message(lp, capsys):
+    model = lp(
+        "ptype(a). ptype(b). ptype(c). root(a).\n"
+        "subpart(a,b,0,1). subpart(b,c,0,1). subpart(c,a,0,1).\n",
+        "model.lp",
+    )
+    code = run(["check-config", "--model", model, "--instance", lp("inst(x,a).", "inst.lp")])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"{model}: cyclic partonomy: a -> b -> c -> a\n"
+
+
+def test_config_commands_on_a_deep_partonomy(lp, tmp_path, capsys):
+    # a 1,500-type subpart chain: deeper than Python's recursion limit
+    n = 1500
+    model = lp(
+        "root(t0).\n"
+        + "".join(f"ptype(t{i}).\n" for i in range(n))
+        + "".join(f"subpart(t{i - 1},t{i},0,1).\n" for i in range(1, n)),
+        "model.lp",
+    )
+    inst = lp("inst(r,t0).", "inst.lp")
+    assert run(["check-config", "--model", model, "--instance", inst]) == EXIT_OK
+    assert capsys.readouterr().out == "OK\n"
+    out = tmp_path / "compiled.lp"
+    code = run(["translate-config", "--model", model, "--semantics", "casp", "-o", str(out)])
+    assert code == EXIT_OK
+    assert isinstance(parse_program(out.read_text(encoding="utf-8")), Program)
 
 
 # translate-config ----------------------------------------------------------------

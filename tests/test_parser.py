@@ -1,6 +1,6 @@
 """Parser tests: golden ASTs, byte-identical round trips, positioned errors."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from htsolve import (
@@ -181,6 +181,24 @@ def test_lexer_unknown_constraint_atom():
     assert (d.line, d.column, d.message) == (1, 1, "unknown constraint atom '&foo'")
 
 
+def test_lexer_non_ascii_digits_and_numerals_are_names():
+    (d,) = diags("a(\u00b2).")  # superscript two
+    assert (d.line, d.column, d.message) == (1, 3, "invalid name '\u00b2'")
+    (d,) = diags("p(\u0663).")  # Arabic-Indic three
+    assert (d.line, d.column, d.message) == (1, 3, "invalid name '\u0663'")
+    (d,) = diags("p(1\u0663).")
+    assert (d.line, d.column, d.message) == (1, 4, "invalid name '\u0663'")
+    (d,) = diags("p(\u00bd).")  # vulgar fraction one half
+    assert (d.line, d.column, d.message) == (1, 3, "invalid name '\u00bd'")
+
+
+def test_eof_after_trailing_comment_is_past_the_last_character():
+    (d,) = diags("a :- b % note")
+    assert (d.line, d.column, d.message) == (1, 14, "expected '.', found end of input")
+    (d,) = diags("a :- b % note\n")
+    assert (d.line, d.column) == (2, 1)
+
+
 def test_lexer_unexpected_character_with_line_tracking():
     (d,) = diags("p(a).\nq :- $x.")
     assert (d.line, d.column) == (2, 6)
@@ -228,6 +246,21 @@ def test_parse_term_lexer_error_passthrough():
     d = parse_term("_bad")
     assert isinstance(d, ParseDiagnostic)
     assert d.message == "invalid name '_bad'"
+
+
+# parsing never raises ------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+@example("a(\u00b2).")
+def test_parse_program_and_parse_term_never_raise(src):
+    out = parse_program(src)
+    assert isinstance(out, Program) or (
+        isinstance(out, list) and out and all(isinstance(d, ParseDiagnostic) for d in out)
+    )
+    term = parse_term(src)
+    assert isinstance(term, (IntConst, SymConst, AspVar, FuncTerm, ParseDiagnostic))
 
 
 # randomized round-trip property ---------------------------------------------
