@@ -1,24 +1,33 @@
 #!/usr/bin/env python3
-"""Stress the search engine against the enumeration oracle on random programs.
+"""Stress the solvers against each other on random programs.
 
 Generates random ground hybrid programs (Boolean atoms mixed with linear and
-difference constraint atoms), solves each with both engines in casp mode, and
-reports any disagreement.  Exits nonzero on the first mismatch, printing the
-offending program so it can be pasted into a regression test.
+difference constraint atoms) and reports any disagreement.  In casp mode it
+solves each program with both engines, the search engine and the oracle.  In
+founded mode the programs also get &in assignment heads, and the oracle
+(``enumerate_equilibrium``) is compared, answers and order, with the
+definitional enumerator ``naive_equilibrium`` of ``tests/oracles.py``.
+Exits nonzero on the first mismatch, printing the offending program so it
+can be pasted into a regression test.
 
 Usage:
     python3 scripts/differential_solvers.py --count 500 --seed 7 --domain 0..3
+    python3 scripts/differential_solvers.py --semantics founded --count 300 --seed 8
 """
 
 import argparse
+import importlib.util
 import random
 import re
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
-from htsolve import solve
+from htsolve import enumerate_equilibrium, solve
 from htsolve.randprog import random_hybrid_program
+
+ORACLES = Path(__file__).resolve().parent.parent / "tests" / "oracles.py"
 
 
 def domain(text: str) -> tuple:
@@ -26,6 +35,14 @@ def domain(text: str) -> tuple:
     if not m or int(m.group(1)) > int(m.group(2)):
         raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
     return (int(m.group(1)), int(m.group(2)))
+
+
+def load_naive_equilibrium():
+    """``naive_equilibrium`` of ``tests/oracles.py``, imported by path."""
+    spec = importlib.util.spec_from_file_location("htsolve_test_oracles", ORACLES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.naive_equilibrium
 
 
 def main(argv=None) -> int:
@@ -36,33 +53,46 @@ def main(argv=None) -> int:
     ap.add_argument("--variables", type=int, default=3)
     ap.add_argument("--rules", type=int, default=6)
     ap.add_argument("--domain", type=domain, default=(0, 3), metavar="LO..HI")
+    ap.add_argument("--semantics", choices=("casp", "founded"), default="casp")
     args = ap.parse_args(argv)
 
+    bounds = args.domain
+    if args.semantics == "casp":
+        solvers = {
+            "oracle": lambda g: solve(g, "casp", bounds, engine="oracle"),
+            "search": lambda g: solve(g, "casp", bounds, engine="search"),
+        }
+    else:
+        naive = load_naive_equilibrium()
+        solvers = {
+            "oracle": lambda g: enumerate_equilibrium(g, "founded", bounds),
+            "naive": lambda g: naive(g, "founded", bounds),
+        }
     rng = random.Random(args.seed)
     answer_histogram = Counter()
-    oracle_time = search_time = 0.0
+    seconds = Counter()
     for n in range(1, args.count + 1):
         g = random_hybrid_program(
-            rng, n_atoms=args.atoms, n_vars=args.variables, max_rules=args.rules
+            rng, n_atoms=args.atoms, n_vars=args.variables, max_rules=args.rules,
+            assignments=args.semantics == "founded",
         )
-        t0 = time.perf_counter()
-        by_oracle = solve(g, "casp", args.domain, engine="oracle")
-        t1 = time.perf_counter()
-        by_search = solve(g, "casp", args.domain, engine="search")
-        t2 = time.perf_counter()
-        oracle_time += t1 - t0
-        search_time += t2 - t1
-        if by_oracle != by_search:
+        found = {}
+        for name, run in solvers.items():
+            t0 = time.perf_counter()
+            found[name] = run(g)
+            seconds[name] += time.perf_counter() - t0
+        (first, by_first), (second, by_second) = found.items()
+        if by_first != by_second:
             print(f"MISMATCH on program {n}:")
             print(g)
-            print(f"oracle found {len(by_oracle)}, search found {len(by_search)}")
+            print(f"{first} found {len(by_first)}, {second} found {len(by_second)}")
             return 1
-        answer_histogram[len(by_oracle)] += 1
+        answer_histogram[len(by_first)] += 1
 
-    print(f"{args.count} programs agree "
+    print(f"{args.count} programs agree in {args.semantics} mode "
           f"(atoms<={args.atoms}, variables<={args.variables}, "
-          f"rules<={args.rules}, domain {args.domain[0]}..{args.domain[1]})")
-    print(f"oracle {oracle_time:.2f}s, search {search_time:.2f}s")
+          f"rules<={args.rules}, domain {bounds[0]}..{bounds[1]})")
+    print(", ".join(f"{name} {seconds[name]:.2f}s" for name in solvers))
     print("answer-set counts:",
           ", ".join(f"{k}x{v}" for k, v in sorted(answer_histogram.items())))
     return 0

@@ -155,6 +155,14 @@ class _Parser:
         found = "end of input" if tok.kind == "eof" else repr(tok.text)
         self.fail(tok, f"expected {what}, found {found}")
 
+    def integer(self, tok: _Token, sign: int = 1) -> int:
+        """The value of INT token tok times sign.  int() refuses very long
+        digit strings, so that becomes a diagnostic at tok."""
+        try:
+            return sign * int(tok.text)
+        except ValueError:
+            self.fail(tok, f"integer of {len(tok.text)} digits is too long")
+
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
@@ -165,13 +173,8 @@ class _Parser:
 
     def term(self, depth: int = 0):
         tok = self.peek()
-        if tok.kind == "minus":
-            self.next()
-            num = self.expect("int", "an integer")
-            return IntConst(-int(num.text))
-        if tok.kind == "int":
-            self.next()
-            return IntConst(int(tok.text))
+        if tok.kind in ("minus", "int"):
+            return IntConst(self.signed_int())
         if tok.kind == "var":
             self.next()
             return AspVar(tok.text)
@@ -213,17 +216,15 @@ class _Parser:
             window = self.tokens[self.pos : self.pos + len(kinds)]
             if tuple(tok.kind for tok in window) == kinds:
                 self.pos += len(kinds)
-                return (sign * int(window[kinds.index("int")].text), self.term())
+                return (self.integer(window[kinds.index("int")], sign), self.term())
         return (1, self.term())
 
     def signed_int(self) -> int:
         tok = self.peek()
         if tok.kind == "minus":
             self.next()
-            num = self.expect("int", "an integer")
-            return -int(num.text)
-        num = self.expect("int", "an integer")
-        return int(num.text)
+            return self.integer(self.expect("int", "an integer"), -1)
+        return self.integer(self.expect("int", "an integer"))
 
     def diff_atom(self):
         self.expect("diff", "'&diff'")

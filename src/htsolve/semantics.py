@@ -12,10 +12,13 @@ Two solve modes differ in what "smaller" means:
 * founded: valuations may be partial, and sub-valuations (dropping defined
   pairs) take part in minimization alongside atom subsets.
 
-The reference enumerator walks every valuation within bounds and, per
-valuation, every guess of which negated atoms are true: a guess yields at
-most one candidate, the least model of the reduct, and founded mode adds a
-Horn check per proper sub-valuation.
+The reference enumerator compiles the program once and walks every
+valuation within bounds.  A valuation matters to the Boolean part only
+through its truth vector, the truth of each distinct theory atom, so the
+rules are folded and every guess of which negated atoms are true is tried
+once per distinct truth vector: a guess yields at most one candidate, the
+least model of the reduct.  Founded mode adds a Horn check per proper
+sub-valuation, cached by (atoms, truth vector, sub-valuation's truth vector).
 
 Constraint atoms referring to an undefined variable are false.  An &in
 assignment whose bounds reference an undefined variable is true: it imposes
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 
 from .core import (
     AspVar,
@@ -36,10 +39,10 @@ from .core import (
     Falsity,
     IntConst,
     LinearConstraintAtom,
-    Literal,
     Rule,
-    atoms_of,
+    atoms_of,  # noqa: F401  looked up here by the benchmark's tracer
     is_ground,
+    variable_names,
 )
 from .grounder import GroundProgram
 
@@ -253,105 +256,205 @@ def is_ht_model(i: Interpretation, g: GroundProgram) -> bool:
 
 # --- compiled fast paths ---------------------------------------------------
 
-_FAIL = -1
-_TRUE = -2
+# Head codes of compiled rows: an atom's bit (> 0), _FAIL for a head that
+# cannot hold, or ~tid (< 0) for the theory atom numbered tid.
+_FAIL = 0
 
 
-def _compile(g: GroundProgram) -> list:
-    rules = []
-    for r in g.rules:
-        if isinstance(r.head, Falsity):
-            head = ("false", None)
-        elif isinstance(r.head, Atom):
-            head = ("atom", r.head)
-        else:
-            head = ("theory", r.head)
-        body = tuple(
-            (lit.positive, isinstance(lit.atom, Atom), lit.atom) for lit in r.body
-        )
-        rules.append((head, body))
-    return rules
+def _operand(t, position: dict):
+    """Getter of a term's value from a value tuple; None when undefined."""
+    if isinstance(t, IntConst):
+        return lambda vals, c=t.value: c
+    if isinstance(t, AspVar):
+        raise ValueError(f"non-ground element: variable {t}")
+    return operator.itemgetter(position[t])
 
 
-def _fold_classical(compiled, vd: dict, bit: dict) -> tuple:
-    """Reduce rules under a fixed total-world valuation.
+def _evaluator(e, position: dict):
+    """Truth of theory atom e over a value tuple, by _elem_true's rules."""
+    if isinstance(e, LinearConstraintAtom):
+        terms = [(k, _operand(t, position)) for k, t in e.terms]
+        holds, rhs = _CMP[e.cmp], e.rhs
 
-    Result rows are (pos_mask, neg_mask, head_code) where head_code is an
-    atom bit, _FAIL for an unsatisfiable head, and rows for rules that are
-    already satisfied are omitted.  Returns the rows and the union of their
-    neg_masks.
+        def linear(vals):
+            tally = 0
+            for k, get in terms:
+                v = get(vals)
+                if v is None:
+                    return False
+                tally += k * v
+            return holds(tally, rhs)
+
+        return linear
+    if isinstance(e, DiffConstraintAtom):
+        x, y, bound = _operand(e.lhs_var, position), _operand(e.rhs_var, position), e.bound
+
+        def diff(vals):
+            vx, vy = x(vals), y(vals)
+            return vx is not None and vy is not None and vx - vy <= bound
+
+        return diff
+    if isinstance(e, AssignmentAtom):
+        lo, hi, target = (_operand(t, position) for t in (e.lo, e.hi, e.target))
+
+        def assign(vals):
+            vlo, vhi = lo(vals), hi(vals)
+            if vlo is None or vhi is None:
+                return True
+            v = target(vals)
+            return v is not None and vlo <= v <= vhi
+
+        return assign
+    raise ValueError(f"cannot evaluate {e!r}")
+
+
+class _Compiled:
+    """A ground program numbered once.
+
+    Atoms are bits in text order, each variable has a position in a value
+    tuple (None: undefined), and each distinct theory atom is one evaluator
+    over such tuples.  Each rule is a row (pos_mask, neg_mask, positive
+    theory ids, negative theory ids, head code).  A truth vector tau holds
+    every theory atom's truth at one valuation; the Boolean rows a
+    valuation folds to depend only on its tau.
     """
-    folded = []
-    negated = 0
-    for (htag, hobj), body in compiled:
-        pos_mask = 0
-        neg_mask = 0
-        skip = False
-        for positive, is_atom, obj in body:
-            if is_atom:
-                b = bit[obj]
-                if positive:
-                    pos_mask |= b
+
+    def __init__(self, g: GroundProgram):
+        index: dict = {}  # atom -> number of its first occurrence
+        theory: dict = {}  # theory atom -> id
+        raw = []
+        for r in g.rules:
+            pos, neg, pids, nids = [], [], [], []
+            for lit in r.body:
+                e = lit.atom
+                if isinstance(e, Atom):
+                    (pos if lit.positive else neg).append(index.setdefault(e, len(index)))
                 else:
-                    neg_mask |= b
+                    (pids if lit.positive else nids).append(theory.setdefault(e, len(theory)))
+            head = r.head
+            if isinstance(head, Atom):
+                hc = index.setdefault(head, len(index))
+            elif isinstance(head, Falsity):
+                hc = None
             else:
-                tv = _elem_true((), vd, obj)
-                if tv != positive:
-                    skip = True
-                    break
-        if skip:
-            continue
-        if htag == "false":
-            hc = _FAIL
-        elif htag == "atom":
-            hc = bit[hobj]
-        else:
-            hc = _TRUE if _elem_true((), vd, hobj) else _FAIL
-        if hc == _TRUE:
-            continue
-        folded.append((pos_mask, neg_mask, hc))
-        negated |= neg_mask
-    return folded, negated
+                hc = ~theory.setdefault(head, len(theory))
+            raw.append((pos, neg, tuple(pids), tuple(nids), hc))
+
+        self.atoms = tuple(sorted(index, key=str))
+        bit = [0] * len(index)
+        for rank, a in enumerate(self.atoms):
+            bit[index[a]] = 1 << rank
+        self.index, self.bit = index, bit
+        self.rows = []
+        self.fixed = []  # (pos_mask, neg_mask, head) of rows no tau changes
+        self.fixed_negated = 0
+        self.gated = []
+        for pos, neg, pids, nids, hc in raw:
+            pm = nm = 0
+            for n in pos:
+                pm |= bit[n]
+            for n in neg:
+                nm |= bit[n]
+            hc = _FAIL if hc is None else bit[hc] if hc >= 0 else hc
+            row = (pm, nm, pids, nids, hc)
+            self.rows.append(row)
+            if pids or nids or hc < 0:
+                self.gated.append(row)
+            else:
+                self.fixed.append((pm, nm, hc))
+                self.fixed_negated |= nm
+
+        names: set = set()
+        for e in theory:
+            names.update(variable_names(e))
+        self.variables = tuple(sorted(names, key=str))
+        position = {v: p for p, v in enumerate(self.variables)}
+        self.evaluators = [_evaluator(e, position) for e in theory]
+
+    def truth(self, vals: tuple) -> tuple:
+        """tau: the truth of every theory atom under a value tuple."""
+        return tuple([ev(vals) for ev in self.evaluators])
+
+    def fold(self, tau: tuple) -> tuple:
+        """Boolean rows (pos_mask, neg_mask, head) of the rules not already
+        satisfied under tau, and the union of their neg_masks."""
+        rows = list(self.fixed)
+        negated = self.fixed_negated
+        for pm, nm, pids, nids, hc in self.gated:
+            if _blocked(pids, nids, tau, tau):
+                continue
+            if hc < 0:
+                if tau[~hc]:
+                    continue
+                hc = _FAIL
+            rows.append((pm, nm, hc))
+            negated |= nm
+        return rows, negated
+
+    def stable_masks(self, tau: tuple) -> list:
+        """Stable there-masks under tau, one per guess over the negated
+        atoms where the guess holds, guesses descending from all-true."""
+        rows, negated = self.fold(tau)
+        masks = []
+        guess = negated
+        while True:
+            mask = _stable_mask(rows, negated, guess)
+            if mask is not None:
+                masks.append(mask)
+            if not guess:
+                return masks
+            guess = (guess - 1) & negated
+
+    def here_world(self, mask: int, tau: tuple, sub: tuple) -> bool:
+        """Is there a here world with atoms within mask and a valuation whose
+        truth vector is sub, below the there world (mask, tau)?  Its rows
+        are Horn, so one exists iff their least model fires no _FAIL row."""
+        rows = []
+        for pm, nm, pids, nids, hc in self.rows:
+            if pm & ~mask or nm & mask or _blocked(pids, nids, sub, tau):
+                continue
+            if hc > 0:
+                if not hc & mask:
+                    hc = _FAIL
+            elif hc < 0:
+                if sub[~hc]:
+                    continue
+                hc = _FAIL
+            rows.append((pm, hc))
+        return _least_model(rows) is not None
+
+    def smaller(self, mask: int, tau: tuple, subs, memo: dict) -> bool:
+        """Does some proper sub-valuation, given by its truth vectors subs,
+        have a here world below (mask, tau)?  memo caches here_world."""
+        for sub in subs:
+            key = (mask, tau, sub)
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = self.here_world(mask, tau, sub)
+            if found:
+                return True
+        return False
+
+    def sub_truths(self, vals: tuple) -> set:
+        """The distinct truth vectors of the proper sub-valuations of vals."""
+        subs = list(product(*[(None,) if v is None else (None, v) for v in vals]))
+        subs.pop()  # the last one keeps every value: vals itself
+        return {self.truth(s) for s in subs}
+
+    def atoms_in(self, mask: int) -> frozenset:
+        return frozenset(a for n, a in enumerate(self.atoms) if mask >> n & 1)
 
 
-def _fold_here(compiled, tmask: int, vd_there: dict, vd_here: dict, bit: dict) -> list:
-    """Reduce rules to here-side checks for subsets of a fixed there world."""
-    folded = []
-    for (htag, hobj), body in compiled:
-        pos_mask = 0
-        skip = False
-        for positive, is_atom, obj in body:
-            if positive:
-                if is_atom:
-                    b = bit[obj]
-                    if not (tmask & b):
-                        skip = True
-                        break
-                    pos_mask |= b
-                else:
-                    if not _elem_true((), vd_here, obj):
-                        skip = True
-                        break
-            else:
-                sat_there = (
-                    bool(tmask & bit[obj]) if is_atom else _elem_true((), vd_there, obj)
-                )
-                if sat_there:
-                    skip = True
-                    break
-        if skip:
-            continue
-        if htag == "false":
-            hc = _FAIL
-        elif htag == "atom":
-            b = bit[hobj]
-            hc = b if (tmask & b) else _FAIL
-        else:
-            hc = _TRUE if _elem_true((), vd_here, hobj) else _FAIL
-        if hc == _TRUE:
-            continue
-        folded.append((pos_mask, hc))
-    return folded
+def _blocked(pids, nids, pos_truth: tuple, neg_truth: tuple) -> bool:
+    """Does a theory literal make the body false?  Positive ones are read
+    in pos_truth, negative ones in neg_truth."""
+    for i in pids:
+        if not pos_truth[i]:
+            return True
+    for i in nids:
+        if neg_truth[i]:
+            return True
+    return False
 
 
 def _least_model(rows):
@@ -370,24 +473,13 @@ def _least_model(rows):
     return model
 
 
-def _stable_mask(folded, negated: int, guess: int):
+def _stable_mask(rows, negated: int, guess: int):
     """The stable atom set T with T & negated == guess, or None: the least
     model of the reduct under guess, firing no constraint, matching guess."""
-    model = _least_model([(pm, hc) for pm, nm, hc in folded if not (nm & guess)])
+    model = _least_model([(pm, hc) for pm, nm, hc in rows if not (nm & guess)])
     if model is None or (model & negated) != guess:
         return None
     return model
-
-
-def _smaller_sub_valuation(compiled, bit, tmask: int, vd: dict) -> bool:
-    """Does a proper sub-valuation of vd have a here world?  Its rows are
-    Horn, so one exists iff their least model fires no _FAIL row."""
-    pairs = list(vd.items())
-    for size in range(len(pairs)):
-        for kept in combinations(pairs, size):
-            if _least_model(_fold_here(compiled, tmask, vd, dict(kept), bit)) is not None:
-                return True
-    return False
 
 
 def _bounds_ok(bounds) -> tuple:
@@ -404,41 +496,44 @@ def _mode_ok(mode: str) -> str:
 
 
 def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
-    """Is m a stable point: a total model with no smaller here-world model?"""
+    """Is m a stable point: a total model with no smaller here-world model?
+
+    In both modes the valuation may name only the program's variables, with
+    values within bounds; casp mode also needs every variable valued.
+    """
     _mode_ok(mode)
     lo, hi = _bounds_ok(bounds)
-    atoms, _, variables = atoms_of(g)
+    prog = _Compiled(g)
     vd = m.val.as_dict()
+    known = set(prog.variables)
+    extra = [k for k in vd if k not in known]
+    if extra:
+        raise ValueError(
+            "valuation mentions variables not in the program: "
+            + ", ".join(str(k) for k in extra)
+        )
+    off = [k for k, v in vd.items() if not lo <= v <= hi]
+    if off:
+        raise ValueError("valuation outside bounds: " + ", ".join(str(k) for k in off))
     if mode == "casp":
-        missing = [v for v in variables if v not in vd]
+        missing = [v for v in prog.variables if v not in vd]
         if missing:
             raise ValueError(
                 "casp mode needs a total valuation; undefined: "
                 + ", ".join(str(v) for v in missing)
             )
-    else:
-        known = set(variables)
-        extra = [k for k in vd if k not in known]
-        if extra:
-            raise ValueError(
-                "valuation mentions variables not in the program: "
-                + ", ".join(str(k) for k in extra)
-            )
-        off = [k for k, v in vd.items() if not lo <= v <= hi]
-        if off:
-            raise ValueError(
-                "valuation outside bounds: " + ", ".join(str(k) for k in off)
-            )
-    compiled = _compile(g)
-    atom_pool = sorted(set(atoms) | set(m.atoms), key=str)
-    bit = {a: 1 << n for n, a in enumerate(atom_pool)}
     tmask = 0
     for a in m.atoms:
-        tmask |= bit[a]
-    folded, negated = _fold_classical(compiled, vd, bit)
-    if _stable_mask(folded, negated, tmask & negated) != tmask:
+        n = prog.index.get(a)
+        if n is None:
+            return False  # no rule derives a foreign atom
+        tmask |= prog.bit[n]
+    vals = tuple(vd.get(v) for v in prog.variables)
+    tau = prog.truth(vals)
+    rows, negated = prog.fold(tau)
+    if _stable_mask(rows, negated, tmask & negated) != tmask:
         return False
-    return mode == "casp" or not _smaller_sub_valuation(compiled, bit, tmask, vd)
+    return mode == "casp" or not prog.smaller(tmask, tau, prog.sub_truths(vals), {})
 
 
 def _answer_sort_key(ans: AnswerSet, variables) -> tuple:
@@ -452,33 +547,42 @@ def _answer_sort_key(ans: AnswerSet, variables) -> tuple:
 def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
     """All answer sets over the program's atoms and variables, sorted.
 
-    Per valuation, the rules fold to Boolean rows and each guess over the
-    negated atoms gives one least model, kept when stable (_stable_mask);
-    founded mode also rejects it when a sub-valuation has a here world.
+    The program is compiled once.  Each grid point (a total valuation in
+    casp mode, a partial one in founded mode) gives a truth vector tau,
+    and each distinct tau is folded to Boolean rows and solved once: per
+    guess over the negated atoms, one least model, kept when stable.
+    Founded mode rejects a candidate when a proper sub-valuation has a
+    here world, a Horn check cached per (atoms, tau, sub-valuation tau).
+
+    The order is _answer_sort_key's: atom sets by their sorted atom texts
+    (the atoms' bits are in text order), each set's valuations in grid order.
     """
     _mode_ok(mode)
     lo, hi = _bounds_ok(bounds)
-    atoms, _, variables = atoms_of(g)
-    compiled = _compile(g)
-    bit = {a: 1 << n for n, a in enumerate(atoms)}
-    values = list(range(lo, hi + 1))
-    options = [values if mode == "casp" else [None] + values for _ in variables]
+    founded = mode == "founded"
+    prog = _Compiled(g)
+    values = tuple(range(lo, hi + 1))
+    options = (None,) + values if founded else values
+    solved: dict = {}  # tau -> stable masks
+    here_memo: dict = {}
+    found: dict = {}  # mask -> value tuples, in grid order
+    for vals in product(options, repeat=len(prog.variables)):
+        tau = prog.truth(vals)
+        masks = solved.get(tau)
+        if masks is None:
+            masks = solved[tau] = prog.stable_masks(tau)
+        if founded and masks:
+            subs = prog.sub_truths(vals)
+            masks = [m for m in masks if not prog.smaller(m, tau, subs, here_memo)]
+        for mask in masks:
+            found.setdefault(mask, []).append(vals)
+    variables = prog.variables
     results = []
-    for combo in product(*options):
-        vd = {v: x for v, x in zip(variables, combo) if x is not None}
-        folded, negated = _fold_classical(compiled, vd, bit)
-        guess = negated
-        while True:
-            mask = _stable_mask(folded, negated, guess)
-            if mask is not None and (
-                mode == "casp" or not _smaller_sub_valuation(compiled, bit, mask, vd)
-            ):
-                chosen = frozenset(a for a in atoms if mask & bit[a])
-                results.append(AnswerSet(chosen, Valuation.of(vd)))
-            if guess == 0:
-                break
-            guess = (guess - 1) & negated
-    results.sort(key=lambda a: _answer_sort_key(a, variables))
+    for mask in sorted(found, key=lambda m: [n for n in range(m.bit_length()) if m >> n & 1]):
+        chosen = prog.atoms_in(mask)
+        for vals in found[mask]:
+            pairs = tuple((v, x) for v, x in zip(variables, vals) if x is not None)
+            results.append(AnswerSet(chosen, Valuation.from_sorted(pairs)))
     return results
 
 

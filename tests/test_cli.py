@@ -139,6 +139,12 @@ def test_non_ascii_digit_is_a_positioned_input_error(command, lp, capsys):
     assert capsys.readouterr().err == f"{path}:1:3: invalid name '\u00b2'\n"
 
 
+def test_solve_integer_too_long_is_a_positioned_input_error(lp, capsys):
+    path = lp("a(" + "1" * 5000 + ").")
+    assert run(["solve", path]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"{path}:1:3: integer of 5000 digits is too long\n"
+
+
 def test_solve_unsafe_program(lp, capsys):
     path = lp("p(X).")
     code = run(["solve", path])

@@ -192,6 +192,20 @@ def test_lexer_non_ascii_digits_and_numerals_are_names():
     assert (d.line, d.column, d.message) == (1, 3, "invalid name '\u00bd'")
 
 
+def test_integers_too_long_to_convert_are_positioned_errors():
+    long = "1" * 5000  # int() refuses more than 4,300 digits
+    (d,) = diags(f"a({long}).")
+    assert (d.line, d.column, d.message) == (1, 3, "integer of 5000 digits is too long")
+    found = diags(
+        f"b(-{long}).\n"
+        f"c :- &sum{{{long}*x;(-{long})*y}} <= 1.\n"
+        f"d :- &diff{{x-y}} <= -{long}.\n"
+        "e(7)."
+    )
+    assert [(d.line, d.column) for d in found] == [(1, 4), (2, 11), (3, 21)]
+    assert parsed(f"a({'9' * 4300}).").rules[0].head.args == (IntConst(int("9" * 4300)),)
+
+
 def test_eof_after_trailing_comment_is_past_the_last_character():
     (d,) = diags("a :- b % note")
     assert (d.line, d.column, d.message) == (1, 14, "expected '.', found end of input")

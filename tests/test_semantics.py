@@ -1,6 +1,7 @@
 """Semantics tests: worlds, element truth, rule satisfaction, stable points."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -25,10 +26,15 @@ from htsolve import (
     is_equilibrium,
     is_ht_model,
     least_model,
+    load_instance,
+    load_model,
     parse_program,
     sat_rule,
     total,
+    translate,
+    value_bounds,
 )
+from htsolve.configkit import EMPTY_INSTANCE
 from htsolve.core import atoms_of
 from htsolve.grounder import GroundProgram
 from htsolve.randprog import (
@@ -37,9 +43,9 @@ from htsolve.randprog import (
     random_interpretation_and_rule,
     random_valuation_pair,
 )
-from htsolve.semantics import EMPTY_VALUATION, sat_elem
+from htsolve.semantics import EMPTY_VALUATION, MODES, _answer_sort_key, sat_elem
 
-from oracles import naive_equilibrium
+from oracles import naive_equilibrium, partial_valuations, total_valuations
 
 x, y = SymConst("x"), SymConst("y")
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -295,6 +301,14 @@ def test_is_equilibrium_argument_validation():
         )
     with pytest.raises(ValueError, match="valuation outside bounds"):
         is_equilibrium(AnswerSet(frozenset(), Valuation.of({x: 9})), g, "founded", (0, 2))
+    # casp mode checks the valuation the same way
+    g = gprog("&sum{1*x} >= 0.")
+    with pytest.raises(ValueError, match="valuation outside bounds: x"):
+        is_equilibrium(AnswerSet(frozenset(), Valuation.of({x: 99})), g, "casp", (0, 3))
+    with pytest.raises(ValueError, match="not in the program: z"):
+        is_equilibrium(
+            AnswerSet(frozenset(), Valuation.of({x: 1, SymConst("z"): 1})), g, "casp", (0, 3)
+        )
     with pytest.raises(ValueError, match="unknown mode"):
         is_equilibrium(AnswerSet(frozenset()), g, "weird", (0, 2))
     with pytest.raises(ValueError, match="empty bounds"):
@@ -386,10 +400,10 @@ def _candidates(want, atoms, variables, mode, bounds, rng):
     return out
 
 
-def _check_against_naive(g, mode, bounds, rng) -> list:
+def _check_against_naive(g, mode, bounds, rng, naive=naive_equilibrium) -> list:
     """enumerate_equilibrium equals the definitional oracle, in order, and
     is_equilibrium agrees with membership in it; returns the answers."""
-    want = naive_equilibrium(g, mode, bounds)
+    want = naive(g, mode, bounds)
     assert enumerate_equilibrium(g, mode, bounds) == want, f"{mode} {bounds} differs on:\n{g}"
     atoms, _, variables = atoms_of(g)
     for cand in _candidates(want, atoms, variables, mode, bounds, rng):
@@ -469,6 +483,109 @@ def test_hybrid_founded_enumeration_matches_naive_oracle():
         partial += any(len(ans.val) < n_vars for ans in answers)
         mixed += any(0 < len(ans.val) < n_vars for ans in answers)
     assert several >= 40 and partial >= 80 and mixed >= 25, (several, partial, mixed)
+
+
+# one fold and guess loop per truth vector ------------------------------------
+
+
+def _naive_without_facts(g, mode, bounds) -> list:
+    """naive_equilibrium(g, mode, bounds), computed on g less its Boolean facts.
+
+    Every here world holds the facts, so g's answers are those of its other
+    rules with the fact atoms deleted from their positive bodies, each with
+    the facts added back.  The asserts check that this applies: no fact
+    atom is negated or derived by another rule, and no variable is lost.
+    """
+    facts = frozenset(r.head for r in g.rules if not r.body and isinstance(r.head, Atom))
+    rest = []
+    for r in g.rules:
+        if r.body or r.head not in facts:
+            assert r.head not in facts and all(
+                lit.positive for lit in r.body if lit.atom in facts
+            ), r
+            rest.append(Rule(r.head, tuple(lit for lit in r.body if lit.atom not in facts)))
+    reduced = GroundProgram(tuple(rest), g.universe)
+    variables = atoms_of(g)[2]
+    assert atoms_of(reduced)[2] == variables
+    lifted = [AnswerSet(ans.atoms | facts, ans.val)
+              for ans in naive_equilibrium(reduced, mode, bounds)]
+    return sorted(lifted, key=lambda ans: _answer_sort_key(ans, variables))
+
+
+def _gated_assignment_program(rng) -> tuple:
+    """An even loop over a1/a2, one &in rule per variable guarded by a loop
+    atom (lower bound 0 or another variable), and further atoms guarded by
+    a loop atom and often a bound, maybe negated, on one variable; with its
+    bounds."""
+    atoms = [f"a{i}" for i in range(1, rng.randint(3, 5) + 1)]
+    names = rng.sample(("x", "y", "z"), rng.randint(1, 3))
+    dom = rng.randint(1, 2)
+    rules = ["a1 :- not a2.", "a2 :- not a1."]
+    for v in names:
+        lo = rng.choice(["0"] + [w for w in names if w != v])
+        rules.append(f"&in{{{lo}..{dom}}} =: {v} :- {rng.choice(atoms[:2])}.")
+    for at in atoms[2:]:
+        body = [rng.choice(atoms[:2])]
+        if rng.random() < 0.7:
+            sign = rng.choice(("", "", "not "))
+            cmp = rng.choice((">=", "<="))
+            body.append(f"{sign}&sum{{1*{rng.choice(names)}}} {cmp} {rng.randint(0, dom)}")
+        rules.append(f"{at} :- {', '.join(body)}.")
+    if rng.random() < 0.5:
+        rules.append(f":- {rng.choice(atoms[2:])}, not {rng.choice(atoms)}.")
+    return gprog(" ".join(rules)), (0, dom)
+
+
+def test_truth_vector_memo_matches_naive_oracle():
+    """Grid points with one truth vector (the truth of every theory atom)
+    share one solve, yet founded minimality still tells them apart:
+    configurations and gated &in programs, both modes, against the oracle."""
+    rng = random.Random(7006)
+    cases = []
+    for slots, values, pinned in product((1, 2), (2, 3, 4), (False, True)):
+        model = load_model(parse_program(
+            "ptype(bike). root(bike). ptype(wheel). "
+            f"subpart(bike,wheel,0,{slots}). attrdom(wheel,diam,10,{9 + values})."
+        ))
+        partial = EMPTY_INSTANCE
+        if pinned:
+            partial = load_instance(parse_program(
+                "inst(b1,bike). inst(w1,wheel). parentOf(w1,b1). "
+                f"val(w1,diam,{rng.randint(10, 9 + values)})."
+            ))
+        for mode in MODES:
+            g = ground(translate(model, partial, mode))
+            cases.append((g, mode, value_bounds(model), _naive_without_facts))
+    for _ in range(60):
+        g, bounds = _gated_assignment_program(rng)
+        cases.extend((g, mode, bounds, naive_equilibrium) for mode in MODES)
+    check_rng = random.Random(7106)
+    shared = split = 0
+    for g, mode, bounds, naive in cases:
+        answers = _check_against_naive(g, mode, bounds, check_rng, naive)
+        _, theory, variables = atoms_of(g)
+        grid = list((total_valuations if mode == "casp" else partial_valuations)(variables, bounds))
+        answered = {ans.val for ans in answers}
+        by_tau: dict = {}
+        for val in grid:
+            tau = tuple(sat_elem(total((), val), "there", e) for e in theory)
+            by_tau.setdefault(tau, set()).add(val in answered)
+        shared += len(by_tau) < len(grid)
+        split += any(len(outcomes) == 2 for outcomes in by_tau.values())
+    # 122 of the 144 cases have fewer truth vectors than grid points, and 28
+    # have two grid points with one truth vector where only one is answered
+    assert shared >= 100 and split >= 10, (shared, split)
+
+
+def test_founded_here_check_reads_negation_at_there():
+    """y=0 and y=1 give c the same atoms and, with y dropped, the same
+    truth vector; only y=0 blocks the first rule at there, so only y=0 is
+    founded (y=1 supports itself through c)."""
+    g = gprog("c :- not &sum{1*y} >= 1. c :- &sum{1*y} >= 1. &in{0..1} =: y :- c.")
+    want = [AnswerSet(frozenset({c}), Valuation.of({y: 0}))]
+    assert naive_equilibrium(g, "founded", (0, 1)) == want
+    assert enumerate_equilibrium(g, "founded", (0, 1)) == want
+    assert not is_equilibrium(AnswerSet(frozenset({c}), Valuation.of({y: 1})), g, "founded", (0, 1))
 
 
 def test_modes_agree_on_boolean_programs():
