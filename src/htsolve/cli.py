@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import configkit
-from .core import Program, atoms_of, pretty_print
+from .core import AssignmentAtom, Program, atoms_of, pretty_print
 from .grounder import ground
 from .parser import parse_program
 from .search import solve
@@ -79,6 +79,9 @@ def _build() -> _Parser:
     return top
 
 
+_PARSER = _build()
+
+
 def _fail_usage(message: str) -> int:
     print(f"htsolve: usage error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -141,7 +144,7 @@ def _attach_negative_domain(argv: list) -> list:
 def run(argv) -> int:
     """Execute one invocation and return its exit code."""
     try:
-        ns = _build().parse_args(_attach_negative_domain(list(argv)))
+        ns = _PARSER.parse_args(_attach_negative_domain(list(argv)))
     except _UsageError as exc:
         return _fail_usage(str(exc))
     except SystemExit as exc:  # --help
@@ -168,6 +171,8 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"htsolve: {ns.file}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if ns.engine == "search" and any(isinstance(r.head, AssignmentAtom) for r in g.rules):
+        return _fail_usage("--engine search does not support &in assignments")
     variables = atoms_of(g)[2]
     bounds = ns.domain
     if bounds is None:

@@ -44,7 +44,6 @@ from .core import (
     Atom,
     DiffConstraintAtom,
     Falsity,
-    IntConst,
     Literal,
     Rule,
     atoms_of,
@@ -57,6 +56,7 @@ from .semantics import (
     AnswerSet,
     Valuation,
     _bounds_ok,
+    _row,
     enumerate_equilibrium,
 )
 
@@ -366,37 +366,9 @@ class _Core:
             ok = self._expand()
 
 
-# comparator of a false atom; over the integers, < and > become <= and >=
-_NEGATED = {"<=": ">", "=": "!=", "!=": "=", "<": ">=", ">": "<=", ">=": "<"}
-_STRICT = {"<": ("<=", -1), ">": (">=", 1)}
 # The valuations of one program pair the same variables, in the same order,
 # so their entries compare by value in grid order.
 _ENTRIES = operator.attrgetter("entries")
-
-
-def _row(atom, sign: bool, position: dict) -> tuple:
-    """atom under its sign as (terms, cmp, rhs), meaning sum c * x[p] cmp rhs.
-
-    terms are the (position, coefficient) pairs with a nonzero merged
-    coefficient, in position order; integer constants are folded into rhs,
-    and cmp is one of <=, >=, = and !=.
-    """
-    if isinstance(atom, DiffConstraintAtom):
-        elems, cmp, rhs = ((1, atom.lhs_var), (-1, atom.rhs_var)), "<=", atom.bound
-    else:
-        elems, cmp, rhs = atom.terms, atom.cmp, atom.rhs
-    coef: dict = {}
-    for k, t in elems:
-        if isinstance(t, IntConst):
-            rhs -= k * t.value
-        else:
-            coef[position[t]] = coef.get(position[t], 0) + k
-    if not sign:
-        cmp = _NEGATED[cmp]
-    if cmp in _STRICT:
-        cmp, shift = _STRICT[cmp]
-        rhs += shift
-    return sorted((p, k) for p, k in coef.items() if k), cmp, rhs
 
 
 def _schedule(rows: list, n: int, lo: int, hi: int) -> tuple:

@@ -260,40 +260,48 @@ def is_ht_model(i: Interpretation, g: GroundProgram) -> bool:
 # cannot hold, or ~tid (< 0) for the theory atom numbered tid.
 _FAIL = 0
 
+# comparator of a false atom; over the integers, < and > become <= and >=
+_NEGATED = {"<=": ">", "=": "!=", "!=": "=", "<": ">=", ">": "<=", ">=": "<"}
+_STRICT = {"<": ("<=", -1), ">": (">=", 1)}
+
+
+def _row(atom, sign: bool, position: dict) -> tuple:
+    """atom under its sign as (terms, cmp, rhs), meaning sum c * x[p] cmp rhs.
+
+    terms are the (position, coefficient) pairs with a nonzero merged
+    coefficient, in position order; integer constants are folded into rhs,
+    and cmp is one of <=, >=, = and !=.
+    """
+    if isinstance(atom, DiffConstraintAtom):
+        elems, cmp, rhs = ((1, atom.lhs_var), (-1, atom.rhs_var)), "<=", atom.bound
+    else:
+        elems, cmp, rhs = atom.terms, atom.cmp, atom.rhs
+    coef: dict = {}
+    for k, t in elems:
+        if isinstance(t, IntConst):
+            rhs -= k * t.value
+        else:
+            coef[position[t]] = coef.get(position[t], 0) + k
+    if not sign:
+        cmp = _NEGATED[cmp]
+    if cmp in _STRICT:
+        cmp, shift = _STRICT[cmp]
+        rhs += shift
+    return sorted((p, k) for p, k in coef.items() if k), cmp, rhs
+
 
 def _operand(t, position: dict):
     """Getter of a term's value from a value tuple; None when undefined."""
     if isinstance(t, IntConst):
         return lambda vals, c=t.value: c
-    if isinstance(t, AspVar):
-        raise ValueError(f"non-ground element: variable {t}")
     return operator.itemgetter(position[t])
 
 
 def _evaluator(e, position: dict):
     """Truth of theory atom e over a value tuple, by _elem_true's rules."""
-    if isinstance(e, LinearConstraintAtom):
-        terms = [(k, _operand(t, position)) for k, t in e.terms]
-        holds, rhs = _CMP[e.cmp], e.rhs
-
-        def linear(vals):
-            tally = 0
-            for k, get in terms:
-                v = get(vals)
-                if v is None:
-                    return False
-                tally += k * v
-            return holds(tally, rhs)
-
-        return linear
-    if isinstance(e, DiffConstraintAtom):
-        x, y, bound = _operand(e.lhs_var, position), _operand(e.rhs_var, position), e.bound
-
-        def diff(vals):
-            vx, vy = x(vals), y(vals)
-            return vx is not None and vy is not None and vx - vy <= bound
-
-        return diff
+    for t in variable_names(e):
+        if isinstance(t, AspVar):
+            raise ValueError(f"non-ground element: variable {t}")
     if isinstance(e, AssignmentAtom):
         lo, hi, target = (_operand(t, position) for t in (e.lo, e.hi, e.target))
 
@@ -305,7 +313,23 @@ def _evaluator(e, position: dict):
             return v is not None and vlo <= v <= vhi
 
         return assign
-    raise ValueError(f"cannot evaluate {e!r}")
+    if not isinstance(e, (LinearConstraintAtom, DiffConstraintAtom)):
+        raise ValueError(f"cannot evaluate {e!r}")
+    # every variable named must be defined, also one whose coefficients cancel
+    named = tuple({position[t]: None for t in variable_names(e)})
+    terms, cmp, rhs = _row(e, True, position)
+    holds = _CMP[cmp]
+
+    def constraint(vals):
+        for p in named:
+            if vals[p] is None:
+                return False
+        tally = 0
+        for p, c in terms:
+            tally += c * vals[p]
+        return holds(tally, rhs)
+
+    return constraint
 
 
 class _Compiled:

@@ -116,6 +116,22 @@ def test_solve_founded_with_search_engine_is_rejected(lp, capsys):
     )
 
 
+def test_solve_assignment_head_with_search_engine_is_rejected(lp, capsys):
+    code = run(["solve", lp("&in{y..y} =: x."), "--domain", "0..1", "--engine", "search"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "htsolve: usage error: --engine search does not support &in assignments\n"
+    )
+
+
+def test_solve_assignment_rule_grounded_away_runs_on_search_engine(lp, capsys):
+    code = run(["solve", lp("&in{0..1} =: x :- p.\nq."), "--engine", "search"])
+    assert code == EXIT_SAT
+    assert capsys.readouterr().out == "Answer: 1\nq\nSATISFIABLE\n"
+
+
 def test_solve_missing_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.lp")
     code = run(["solve", missing])
@@ -494,6 +510,14 @@ def test_usage_errors(capsys):
     assert run(["translate-config", "--model", "m.lp", "-o", "x.lp"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "usage error:" in err
+
+
+def test_options_do_not_leak_between_runs(lp, capsys):
+    path = lp("a :- not b. b :- not a.")
+    assert run(["solve", path, "--models", "1", "--engine", "search"]) == EXIT_SAT
+    assert capsys.readouterr().out == "Answer: 1\na\nSATISFIABLE\n"
+    assert run(["solve", path]) == EXIT_SAT
+    assert capsys.readouterr().out == "Answer: 1\na\nAnswer: 2\nb\nSATISFIABLE\n"
 
 
 def test_help_exits_zero(capsys):

@@ -1,4 +1,4 @@
-"""Difference-logic engine tests: assertions, conflicts, trails, solutions."""
+"""Difference-logic engine tests: assertions, conflicts, tightest bounds, solutions."""
 
 import random
 
@@ -18,7 +18,6 @@ X, Y, Z = "x", "y", "z"
 def test_single_constraint_is_sat():
     g = DiffGraph()
     assert g.assert_diff(X, Y, 3, "c1") == Sat()
-    assert not g.in_conflict()
 
 
 def test_two_constraint_conflict_lists_both_ids():
@@ -26,7 +25,6 @@ def test_two_constraint_conflict_lists_both_ids():
     assert g.assert_diff(X, Y, 3, "c1") == Sat()
     out = g.assert_diff(Y, X, -4, "c2")
     assert out == Conflict(("c1", "c2"))
-    assert g.in_conflict()
 
 
 def test_three_constraint_cycle_in_assertion_order():
@@ -54,12 +52,21 @@ def test_self_difference():
 
 
 def test_parallel_edges_are_kept():
-    g = DiffGraph()
-    g.assert_diff(X, Y, 5, "loose")
-    g.assert_diff(X, Y, 3, "tight")
-    assert g.edge_multiset() == (("y", "x", 3, "tight"), ("y", "x", 5, "loose"))
-    sol = g.solution().as_dict()
-    assert sol[X] - sol[Y] <= 3
+    """Of parallel bounds, a pair keeps the tightest one and its id, the
+    first on a tie, in either order; a later conflict cycle names that id."""
+    cases = (
+        ([(5, "loose"), (3, "tight")], "tight"),
+        ([(3, "tight"), (5, "loose")], "tight"),
+        ([(3, "first"), (3, "second")], "first"),
+    )
+    for bounds, kept in cases:
+        g = DiffGraph()
+        for k, cid in bounds:
+            assert g.assert_diff(X, Y, k, cid) == Sat()
+        assert g.edge_multiset() == (("y", "x", 3, kept),)
+        sol = g.solution().as_dict()
+        assert sol[X] - sol[Y] <= 3
+        assert g.assert_diff(Y, X, -4, "back") == Conflict((kept, "back"))
 
 
 # solutions ---------------------------------------------------------------------
@@ -72,12 +79,6 @@ def test_solution_is_pointwise_greatest_nonpositive():
     assert str(g.solution()) == "x=-1 y=0"
 
 
-def test_solution_of_empty_graph_with_seeded_vertices():
-    g = DiffGraph(vertices=(X, Y))
-    assert g.vertices() == (X, Y)
-    assert g.solution().as_dict() == {X: 0, Y: 0}
-
-
 def test_solution_satisfies_every_constraint():
     rng = random.Random(31)
     for _ in range(300):
@@ -86,10 +87,6 @@ def test_solution_satisfies_every_constraint():
         for n, (x, y, k) in enumerate(random_dl_instance(rng)):
             if g.assert_diff(x, y, k, f"c{n}") == Sat():
                 kept.append((x, y, k))
-            else:
-                break
-        if g.in_conflict():
-            continue
         sol = g.solution().as_dict()
         assert all(v <= 0 for v in sol.values())
         for x, y, k in kept:
@@ -115,87 +112,34 @@ def test_negate_diff_partitions_the_plane():
                 assert original != negated
 
 
-# conflict-state discipline --------------------------------------------------------
+# rejected bounds and ids -----------------------------------------------------------
 
 
-def test_conflict_blocks_further_use_until_popped():
+def test_graph_stays_usable_after_conflict():
     g = DiffGraph()
-    g.assert_diff(X, Y, 0, "c1")
-    level = g.push_level()
+    assert g.assert_diff(X, Y, 0, "c1") == Sat()
     assert g.assert_diff(Y, X, 0, "c2") == Sat()
     before = g.edge_multiset()
     assert g.assert_diff(X, Y, -1, "c3") == Conflict(("c2", "c3"))
-    assert g.in_conflict()
-    with pytest.raises(ValueError, match="in conflict"):
-        g.assert_diff(X, Z, 0, "c4")
-    with pytest.raises(ValueError, match="in conflict"):
-        g.push_level()
-    with pytest.raises(ValueError, match="no solution"):
-        g.solution()
-    # the failing edge was never attached
+    # the rejected bound added nothing
     assert g.edge_multiset() == before
-    g.pop_level(level)
-    assert not g.in_conflict()
-    assert g.edge_multiset() == (("y", "x", 0, "c1"),)
-    assert g.assert_diff(X, Z, 0, "c4") == Sat()
+    assert g.assert_diff(X, Z, 2, "c4") == Sat()
+    assert g.assert_diff(Z, Y, -1, "c5") == Sat()
+    sol = g.solution().as_dict()
+    for x, y, k in ((X, Y, 0), (Y, X, 0), (X, Z, 2), (Z, Y, -1)):
+        assert sol[x] - sol[y] <= k
 
 
 def test_duplicate_constraint_id_rejected_per_level():
+    """An id may be used once per graph, also after a rejected bound."""
     g = DiffGraph()
     g.assert_diff(X, Y, 1, "c1")
     with pytest.raises(ValueError, match="duplicate constraint id"):
         g.assert_diff(Y, Z, 1, "c1")
-    level = g.push_level()
-    # a fresh level has its own id namespace
-    assert g.assert_diff(Y, Z, 1, "c1") == Sat()
-    g.pop_level(level)
-
-
-def test_pop_unknown_or_base_level_rejected():
-    g = DiffGraph()
-    with pytest.raises(ValueError, match="unknown level"):
-        g.pop_level(0)
-    level = g.push_level()
-    g.pop_level(level)
-    with pytest.raises(ValueError, match="unknown level"):
-        g.pop_level(level)
-
-
-def test_pop_outer_level_unwinds_inner_levels():
-    g = DiffGraph()
-    first = g.push_level()
-    g.assert_diff(X, Y, 1, "c1")
-    second = g.push_level()
-    g.assert_diff(Y, Z, 1, "c2")
-    assert g.current_level() == second
-    g.pop_level(first)
-    assert g.current_level() == 0
-    assert g.edge_multiset() == ()
-
-
-def test_trail_restores_exact_edge_multiset():
-    rng = random.Random(32)
-    for _ in range(200):
-        base = DiffGraph()
-        surviving = []
-        for n, (x, y, k) in enumerate(random_dl_instance(rng)):
-            if base.assert_diff(x, y, k, f"b{n}") != Sat():
-                base = None
-                break
-            surviving.append((x, y, k, f"b{n}"))
-        if base is None:
-            continue
-        checkpoint = base.edge_multiset()
-        level = base.push_level()
-        for n, (x, y, k) in enumerate(random_dl_instance(rng)):
-            if base.assert_diff(x, y, k, f"t{n}") != Sat():
-                break
-        base.pop_level(level)
-        assert base.edge_multiset() == checkpoint
-        fresh = DiffGraph()
-        for x, y, k, cid in surviving:
-            fresh.assert_diff(x, y, k, cid)
-        assert fresh.edge_multiset() == checkpoint
+    assert g.assert_diff(Y, X, -2, "c2") == Conflict(("c1", "c2"))
+    with pytest.raises(ValueError, match="duplicate constraint id"):
+        g.assert_diff(Y, Z, 1, "c2")
+    assert g.assert_diff(Y, Z, 1, "c3") == Sat()
 
 
 # differential against the windowed brute-force oracle ------------------------------

@@ -588,6 +588,22 @@ def test_founded_here_check_reads_negation_at_there():
     assert not is_equilibrium(AnswerSet(frozenset({c}), Valuation.of({y: 1})), g, "founded", (0, 1))
 
 
+def test_cancelled_variable_must_still_be_defined_founded():
+    """x's coefficients cancel in the &sum, which still needs x defined:
+    with b false x stays undefined, so a is not derived."""
+    g = gprog(
+        "b :- not c. c :- not b. &in{0..1} =: x :- b. a :- &sum{1*x;-1*x} = 0."
+    )
+    want = [
+        AnswerSet(frozenset({a, b}), Valuation.of({x: 0})),
+        AnswerSet(frozenset({a, b}), Valuation.of({x: 1})),
+        AnswerSet(frozenset({c})),
+    ]
+    assert enumerate_equilibrium(g, "founded", (0, 1)) == want
+    assert naive_equilibrium(g, "founded", (0, 1)) == want
+    assert not is_equilibrium(AnswerSet(frozenset({a, c})), g, "founded", (0, 1))
+
+
 def test_modes_agree_on_boolean_programs():
     rng = random.Random(7004)
     for _ in range(60):
