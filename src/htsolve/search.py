@@ -1,14 +1,14 @@
 """Generate-and-certify solving for casp mode.
 
-The ground program is abstracted by replacing every distinct constraint
-atom with a fresh proposition (__t1, __t2, ... in first-occurrence order).
+solve() reads the ground program as semantics._Compiled numbers it, once.
 Constraint-atom truth is a function of the shared valuation, not something
-rules derive, so solve() hands the propositions to the Boolean search as
-free atoms: each is decided true or false like any atom but needs no
+rules derive, so the Boolean search takes the t distinct constraint atoms
+as free propositions, ids 0..t-1, and then the atoms, id t + rank: a free
+proposition is decided true or false like any atom but needs no
 supporting rule, and a rule with one as head still forbids "body true,
-head false".
+head false".  The names __t1, __t2, ... exist only in abstract()'s output.
 
-stable_models_bool() searches with an explicit trail and decision stack
+The Boolean search (_Core) runs with an explicit trail and decision stack
 and runs Smodels' expand (Simons, Niemela, Soininen 2002) to a fixpoint
 after every assignment.  Both of its passes are linear in the program,
 working from occurrence lists and per-rule counters.  Atleast forces the
@@ -18,7 +18,7 @@ a false body.  Atmost derives, by a Horn least fixpoint, the atoms on
 positive cycles that the rules could still support, and sets the others
 false; atoms off such cycles need no such check, as for them support
 already implies stability (Fages 1994).  The search branches, false then
-true, only on atoms expand leaves open, in text order, and backtracks
+true, only on atoms expand leaves open, in id order, and backtracks
 chronologically; a leaf without a conflict is a stable model, and facts,
 Horn and stratified programs need no decision at all.
 
@@ -28,25 +28,25 @@ outright, each atom becomes one linear row over the variables, and one
 backtracking pass over the bounded grid, pruned by the interval each row's
 unbound terms can still add (bounds propagation as in clingcon, Ostrowski
 and Schaub 2012), returns every valuation under which each atom has its
-sign, so the result set matches the exhaustive oracle.  solve() takes the
-Boolean models grouped by visible atoms, in the order answers are printed,
-and can stop after the first N answers.
+sign, so the result set matches the exhaustive oracle.  solve() groups
+the Boolean models by their ids past t, the visible atoms, takes the
+groups in the order answers are printed, and can stop after N answers.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (
     AssignmentAtom,
     Atom,
     DiffConstraintAtom,
-    Falsity,
     Literal,
     Rule,
-    atoms_of,
+    atoms_of,  # noqa: F401  looked up here by the benchmark's tracer
     variable_names,
 )
 from .dl import Conflict, DiffGraph, negate_diff
@@ -56,6 +56,7 @@ from .semantics import (
     AnswerSet,
     Valuation,
     _bounds_ok,
+    _Compiled,
     _row,
     enumerate_equilibrium,
 )
@@ -69,28 +70,27 @@ class Abstraction:
     mapping: tuple  # of (proposition Atom, constraint atom) in introduction order
 
 
+def _compile(g: GroundProgram) -> _Compiled:
+    """g numbered once; &in atoms have no Boolean abstraction."""
+    prog = _Compiled(g)
+    if any(isinstance(e, AssignmentAtom) for e in prog.theory):
+        raise ValueError("assignment atoms have no Boolean abstraction")
+    return prog
+
+
 def abstract(g: GroundProgram) -> Abstraction:
     """Replace constraint atoms by fresh propositions; rejects assignments."""
-    prop_of: dict = {}
-    order: list = []
+    mapping = tuple((Atom(f"__t{k}"), e) for k, e in enumerate(_compile(g).theory, 1))
+    prop_of = {e: prop for prop, e in mapping}
 
     def lift(e):
-        if isinstance(e, Atom):
-            return e
-        if isinstance(e, AssignmentAtom):
-            raise ValueError("assignment atoms have no Boolean abstraction")
-        if e not in prop_of:
-            prop = Atom(f"__t{len(prop_of) + 1}")
-            prop_of[e] = prop
-            order.append((prop, e))
-        return prop_of[e]
+        return prop_of.get(e, e)
 
-    rules = []
-    for r in g.rules:
-        head = r.head if isinstance(r.head, Falsity) else lift(r.head)
-        body = tuple(Literal(lit.positive, lift(lit.atom)) for lit in r.body)
-        rules.append(Rule(head, body))
-    return Abstraction(tuple(rules), tuple(order))
+    rules = tuple(
+        Rule(lift(r.head), tuple(Literal(lit.positive, lift(lit.atom)) for lit in r.body))
+        for r in g.rules
+    )
+    return Abstraction(rules, mapping)
 
 
 def stable_models_bool(b: GroundProgram, free=frozenset()) -> list:
@@ -101,32 +101,22 @@ def stable_models_bool(b: GroundProgram, free=frozenset()) -> list:
     is true.  A rule with a free head still forbids a true body with that
     head false.  Models range over the atoms of b together with free.
     """
-    seen: dict = {}  # every atom once, in order of first occurrence
-    for r in b.rules:
-        if not isinstance(r.head, Falsity):
-            seen[r.head] = None
-        for lit in r.body:
-            seen[lit.atom] = None
-    seen.update(dict.fromkeys(free))
-    atoms = sorted(seen, key=str)  # atom ids are positions in text order
+    prog = _Compiled(b)
+    if prog.theory:
+        raise ValueError(f"stable_models_bool expects a Boolean program, found {prog.theory[0]}")
+    extra = sorted(set(free).difference(prog.index), key=str)
+    atoms = list(heapq.merge(prog.atoms, extra, key=str))  # ids are places in text order
     ids = {a: i for i, a in enumerate(atoms)}
-    rules = [
-        (
-            -1 if isinstance(r.head, Falsity) else ids[r.head],
-            list({ids[lit.atom] for lit in r.body if lit.positive}),
-            list({ids[lit.atom] for lit in r.body if not lit.positive}),
-        )
-        for r in b.rules
-    ]
-    found = _Core(len(atoms), rules, [ids[a] for a in free]).models()
-    found.sort()  # ascending id tuples sort as the tuples of their texts
-    return [frozenset(atoms[i] for i in m) for m in found]
+    core = _Core(prog, [ids[a] for a in prog.index], [ids[a] for a in free], len(atoms))
+    return [frozenset(atoms[i] for i in m) for m in core.models()]
 
 
 class _Core:
-    """Propagating search over atoms 0..n-1 of compiled Boolean rules.
+    """Propagating search over the rules of a numbered program.
 
-    A rule is (head, positive body, negative body), head -1 for a
+    Its atoms are the Boolean ids 0..n-1: atom k of prog is id rank[k],
+    theory atom k is id k, and the ids in free need no supporting rule.
+    A rule is (head, positive body, negative body) of ids, head -1 for a
     constraint.  Values live in val (None while open) and, in assignment
     order, on the trail; the entries before qhead have been propagated,
     and only those are counted in the per-rule counters:
@@ -136,19 +126,20 @@ class _Core:
     - support[a]: rules with head a and no false body literal.
     """
 
-    def __init__(self, n: int, rules: list, free: list) -> None:
+    def __init__(self, prog: _Compiled, rank: list, free, n: int) -> None:
         self.n = n
-        self.head = [h for h, _, _ in rules]
-        self.pos = [p for _, p, _ in rules]
-        self.neg = [q for _, _, q in rules]
-        self.need = [len(p) + len(q) for _, p, q in rules]
-        self.false_lits = [0] * len(rules)
+        raw = prog.raw
+        self.head = [-1 if h is None else rank[h] if h >= 0 else ~h for *_, h in raw]
+        self.pos = [list({rank[a] for a in p}.union(ids)) for p, _, ids, _, _ in raw]
+        self.neg = [list({rank[a] for a in q}.union(ids)) for _, q, _, ids, _ in raw]
+        self.need = [len(p) + len(q) for p, q in zip(self.pos, self.neg)]
+        self.false_lits = [0] * len(raw)
         self.support = [0] * n
         self.pos_occ: list = [[] for _ in range(n)]
         self.neg_occ: list = [[] for _ in range(n)]
         self.head_occ: list = [[] for _ in range(n)]
         succ: dict = {}  # positive dependency graph of the heads with a positive body
-        for r, (h, p, q) in enumerate(rules):
+        for r, (h, p, q) in enumerate(zip(self.head, self.pos, self.neg)):
             if h >= 0:
                 self.support[h] += 1
                 self.head_occ[h].append(r)
@@ -330,7 +321,7 @@ class _Core:
         self.qhead = mark
 
     def models(self) -> list:
-        """Every stable model, each as the ascending tuple of its true atoms.
+        """Every stable model, each as the ascending tuple of its true ids, sorted.
 
         Chronological backtracking over the open atoms in index order, each
         tried false, then true; expand runs to a fixpoint after each
@@ -358,7 +349,7 @@ class _Core:
             while stack and stack[-1][2]:
                 stack.pop()
             if not stack:
-                return found
+                return sorted(found)  # by atom texts, where ids are in text order
             mark, nxt, _ = stack.pop()
             self._undo(mark)
             stack.append((mark, nxt, True))
@@ -513,27 +504,28 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
     """
     if engine not in ("oracle", "search"):
         raise ValueError(f"unknown engine {engine!r}")
+    if models < 0:
+        raise ValueError("models must be nonnegative")
     if engine == "oracle":
         answers = enumerate_equilibrium(g, mode, bounds)
         return answers[:models] if models else answers
     if mode != "casp":
         raise ValueError("engine 'search' supports casp mode only")
     _bounds_ok(bounds)  # also when no Boolean model reaches theory_certify
-    ab = abstract(g)
-    atoms = atoms_of(g)[0]  # sorted by text
-    text = [str(a) for a in atoms]
-    props = frozenset(prop for prop, _ in ab.mapping)
-    groups: dict = {}
-    for model in stable_models_bool(GroundProgram(ab.rules, g.universe), props):
-        key = tuple(t for a, t in zip(atoms, text) if a in model)
-        groups.setdefault(key, []).append(model)
+    prog = _compile(g)
+    t = len(prog.theory)  # Boolean ids: theory atoms first, then atoms in text order
+    groups: dict = {}  # visible atom ids -> true theory ids of each model
+    core = _Core(prog, [t + place for place in prog.rank], range(t), t + len(prog.atoms))
+    for m in core.models():
+        k = bisect_left(m, t)
+        groups.setdefault(m[k:], []).append(set(m[:k]))
     answers: list = []
     for key in sorted(groups):
         lists = [
-            theory_certify({theory: prop in model for prop, theory in ab.mapping}, bounds)
-            for model in groups[key]
+            theory_certify({e: i in true for i, e in enumerate(prog.theory)}, bounds)
+            for true in groups[key]
         ]
-        visible = groups[key][0] - props
+        visible = frozenset(prog.atoms[i - t] for i in key)
         merged = lists[0] if len(lists) == 1 else heapq.merge(*lists, key=_ENTRIES)
         answers.extend(AnswerSet(visible, val) for val in merged)
         if models and len(answers) >= models:

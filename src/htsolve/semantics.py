@@ -333,28 +333,25 @@ def _evaluator(e, position: dict):
 
 
 class _Compiled:
-    """A ground program numbered once.
+    """A ground program numbered once, the table both engines read.
 
-    Atoms are bits in text order, each variable has a position in a value
-    tuple (None: undefined), and each distinct theory atom is one evaluator
-    over such tuples.  Each rule is a row (pos_mask, neg_mask, positive
-    theory ids, negative theory ids, head code).  A truth vector tau holds
-    every theory atom's truth at one valuation; the Boolean rows a
-    valuation folds to depend only on its tau.
+    Atoms and distinct theory atoms are numbered by first occurrence, a
+    rule's head before its body, so theory[k] is abstract()'s __t{k+1}.
+    atoms is in text order, rank[n] is atom n's place there, and variables
+    are in text order.  raw holds each rule as (pos, neg, pids, nids, head),
+    head being an atom number, ~k for theory atom k or None.  The oracle
+    reads atom n as bit rank[n], a valuation as a value tuple (None:
+    undefined), each theory atom as an evaluator over such tuples and each
+    rule as a row (pos_mask, neg_mask, pids, nids, head code).  A truth
+    vector tau holds every theory atom's truth at one valuation; the
+    Boolean rows a valuation folds to depend only on its tau.
     """
 
     def __init__(self, g: GroundProgram):
         index: dict = {}  # atom -> number of its first occurrence
         theory: dict = {}  # theory atom -> id
-        raw = []
+        self.raw = []
         for r in g.rules:
-            pos, neg, pids, nids = [], [], [], []
-            for lit in r.body:
-                e = lit.atom
-                if isinstance(e, Atom):
-                    (pos if lit.positive else neg).append(index.setdefault(e, len(index)))
-                else:
-                    (pids if lit.positive else nids).append(theory.setdefault(e, len(theory)))
             head = r.head
             if isinstance(head, Atom):
                 hc = index.setdefault(head, len(index))
@@ -362,18 +359,26 @@ class _Compiled:
                 hc = None
             else:
                 hc = ~theory.setdefault(head, len(theory))
-            raw.append((pos, neg, tuple(pids), tuple(nids), hc))
+            pos, neg, pids, nids = [], [], [], []
+            for lit in r.body:
+                e = lit.atom
+                if isinstance(e, Atom):
+                    (pos if lit.positive else neg).append(index.setdefault(e, len(index)))
+                else:
+                    (pids if lit.positive else nids).append(theory.setdefault(e, len(theory)))
+            self.raw.append((pos, neg, tuple(pids), tuple(nids), hc))
 
+        self.index, self.theory = index, tuple(theory)
         self.atoms = tuple(sorted(index, key=str))
-        bit = [0] * len(index)
-        for rank, a in enumerate(self.atoms):
-            bit[index[a]] = 1 << rank
-        self.index, self.bit = index, bit
+        self.rank = [0] * len(index)
+        for place, a in enumerate(self.atoms):
+            self.rank[index[a]] = place
+        bit = [1 << place for place in self.rank]
         self.rows = []
         self.fixed = []  # (pos_mask, neg_mask, head) of rows no tau changes
         self.fixed_negated = 0
         self.gated = []
-        for pos, neg, pids, nids, hc in raw:
+        for pos, neg, pids, nids, hc in self.raw:
             pm = nm = 0
             for n in pos:
                 pm |= bit[n]
@@ -551,7 +556,7 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
         n = prog.index.get(a)
         if n is None:
             return False  # no rule derives a foreign atom
-        tmask |= prog.bit[n]
+        tmask |= 1 << prog.rank[n]
     vals = tuple(vd.get(v) for v in prog.variables)
     tau = prog.truth(vals)
     rows, negated = prog.fold(tau)
@@ -642,13 +647,5 @@ def least_model(g: GroundProgram) -> frozenset:
         if any(not lit.positive for lit in r.body):
             raise ValueError("least_model expects a negation-free program")
     _require_boolean(g, "least_model")
-    model: set = set()
-    rules = [r for r in g.rules if isinstance(r.head, Atom)]
-    changed = True
-    while changed:
-        changed = False
-        for r in rules:
-            if r.head not in model and all(lit.atom in model for lit in r.body):
-                model.add(r.head)
-                changed = True
-    return frozenset(model)
+    prog = _Compiled(g)
+    return prog.atoms_in(_least_model([(pm, hc) for pm, _, _, _, hc in prog.rows if hc > 0]))

@@ -32,6 +32,7 @@ from htsolve.core import COMPARATORS, atoms_of, variable_names, walk_terms
 from htsolve.grounder import GroundProgram
 from htsolve.randprog import random_boolean_program, random_hybrid_program
 from htsolve.semantics import _elem_true
+from oracles import naive_equilibrium
 
 x, y = SymConst("x"), SymConst("y")
 a, b = Atom("a"), Atom("b")
@@ -81,6 +82,45 @@ def test_abstract_is_identity_on_boolean_programs():
 def test_abstract_rejects_assignment_atoms():
     with pytest.raises(ValueError, match="no Boolean abstraction"):
         abstract(gprog("&in{1..2} =: x."))
+
+
+def test_numbering_contract_golden():
+    """Theory atoms are numbered by first occurrence, a rule's head first."""
+    src = """
+        &sum{1*x} <= 1 :- &diff{x-y} <= 0.
+        b :- not a, &sum{1*y} >= 1.
+        a :- not b, &diff{y-x} <= 0.
+        c :- a, &sum{1*x;1*y} = 1.
+        c :- b, not &diff{x-y} <= 0.
+        :- c, &sum{2*x} != 2.
+        a :- &diff{x-y} <= -1, &sum{1*x;-1*y} > 0.
+        b :- not &sum{1*y} < 1.
+        c :- &sum{1*x} = 0, not &diff{y-x} <= -1.
+    """
+    g = GroundProgram(parse_program(src).rules, ())  # rules not in text order
+    assert [str(r) for r in g.rules] != sorted(str(r) for r in g.rules)
+    ab = abstract(g)
+    assert [(str(prop), str(e)) for prop, e in ab.mapping] == [
+        ("__t1", "&sum{1*x} <= 1"),
+        ("__t2", "&diff{x-y} <= 0"),
+        ("__t3", "&sum{1*y} >= 1"),
+        ("__t4", "&diff{y-x} <= 0"),
+        ("__t5", "&sum{1*x;1*y} = 1"),
+        ("__t6", "&sum{2*x} != 2"),
+        ("__t7", "&diff{x-y} <= -1"),
+        ("__t8", "&sum{1*x;-1*y} > 0"),
+        ("__t9", "&sum{1*y} < 1"),
+        ("__t10", "&sum{1*x} = 0"),
+        ("__t11", "&diff{y-x} <= -1"),
+    ]
+    assert str(ab.rules[0]) == "__t1 :- __t2."
+    assert str(ab.rules[4]) == "c :- b, not __t2."
+    want = naive_equilibrium(g, "casp", (0, 1))
+    assert want
+    for engine in ("oracle", "search"):
+        assert solve(g, "casp", (0, 1), engine) == want
+    with pytest.raises(ValueError, match="expects a Boolean program"):
+        stable_models_bool(g)
 
 
 # Boolean stable models ----------------------------------------------------------
@@ -402,6 +442,11 @@ def test_solve_engine_validation():
         solve(g, "founded", (0, 0), engine="search")
     with pytest.raises(ValueError, match="empty bounds"):
         solve(gprog(":- not a."), "casp", (2, 1), engine="search")
+    two_loops = gprog("a :- not b. b :- not a. c :- not d. d :- not c.")
+    for engine in ("oracle", "search"):
+        assert len(solve(two_loops, "casp", (0, 0), engine)) == 4
+        with pytest.raises(ValueError, match="models must be nonnegative"):
+            solve(two_loops, "casp", (0, 0), engine, -1)
 
 
 def test_solve_boolean_program_both_engines():
