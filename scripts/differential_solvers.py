@@ -6,7 +6,10 @@ difference constraint atoms) and reports any disagreement, answers and
 order, with the definitional enumerator ``naive_equilibrium`` of
 ``tests/oracles.py``.  In casp mode each program is solved by both engines,
 the oracle and the search engine; they read one numbering of the program,
-so their agreement alone would not catch a fault in it.  In founded mode
+so their agreement alone would not catch a fault in it.  The search engine
+is also asked for the first one and the first two answers (``models=1``
+and ``2``), which must be the prefixes of the full list, also where the
+cut falls inside a group of Boolean models.  In founded mode
 the programs also get &in assignment heads, and the oracle
 (``enumerate_equilibrium``) is compared.  Exits nonzero on the first
 mismatch, printing the offending program so it can be pasted into a
@@ -88,6 +91,13 @@ def main(argv=None) -> int:
                 print(g)
                 print(f"{name} found {len(answers)}, naive found {len(want)}")
                 return 1
+        if args.semantics == "casp":
+            for k in (1, 2):
+                if solve(g, "casp", bounds, engine="search", models=k) != want[:k]:
+                    print(f"MISMATCH on program {n}:")
+                    print(g)
+                    print(f"search with models={k} is not the first {k} of naive's answers")
+                    return 1
         answer_histogram[len(want)] += 1
 
     print(f"{args.count} programs agree in {args.semantics} mode "

@@ -22,21 +22,23 @@ true, only on atoms expand leaves open, in id order, and backtracks
 chronologically; a leaf without a conflict is a stable model, and facts,
 Horn and stratified programs need no decision at all.
 
-For each Boolean model, theory_certify() is the single place that decides
-its valuations: a difference-logic graph refutes inconsistent &diff signs
-outright, each atom becomes one linear row over the variables, and one
-backtracking pass over the bounded grid, pruned by the interval each row's
-unbound terms can still add (bounds propagation as in clingcon, Ostrowski
-and Schaub 2012), returns every valuation under which each atom has its
-sign, so the result set matches the exhaustive oracle.  solve() groups
-the Boolean models by their ids past t, the visible atoms, takes the
-groups in the order answers are printed, and can stop after N answers.
+theory_certify() is the single place that decides valuations: a
+difference-logic graph refutes inconsistent &diff signs outright, each
+atom becomes one linear row over the variables, and one backtracking pass
+over the bounded grid, pruned by the interval each row's unbound terms can
+still add (bounds propagation as in clingcon, Ostrowski and Schaub 2012),
+returns every valuation under which each atom has its sign, so the result
+set matches the exhaustive oracle.  solve() groups the Boolean models by
+their ids past t, the visible atoms, takes the groups in the order answers
+are printed, and can stop after N answers.  It certifies each group in one
+pass: an atom with one sign in all the group's models keeps it, the others
+get no sign, and a valuation is kept only when the truth of those others
+is the sign pattern of one of the group's models.
 """
 
 from __future__ import annotations
 
 import heapq
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -357,11 +359,6 @@ class _Core:
             ok = self._expand()
 
 
-# The valuations of one program pair the same variables, in the same order,
-# so their entries compare by value in grid order.
-_ENTRIES = operator.attrgetter("entries")
-
-
 def _schedule(rows: list, n: int, lo: int, hi: int) -> tuple:
     """Per grid position 0..n-1, what binding its variable x checks and sums.
 
@@ -417,22 +414,26 @@ def _schedule(rows: list, n: int, lo: int, hi: int) -> tuple:
 def theory_certify(signs: dict, bounds) -> list:
     """Every total valuation within bounds under which each atom has its sign.
 
-    The &diff atoms, negated ones via negate_diff, are first asserted into a
-    DiffGraph; a negative cycle means no valuation exists.  Each atom is then
-    compiled into one linear row over the variables' grid positions, and a
-    row without variables is checked once.  One backtracking pass binds the
-    variables in grid order, variables sorted by text, values ascending.  A
-    row keeps a running sum of its bound terms, and the interval its unbound
-    terms can still add (c * lo or c * hi each) bounds that sum at every
-    position of the row; variable i then takes only the values that keep
-    each of its rows satisfiable, so a subtree with no valuation is never
-    entered, and a row is exact at its last position.
+    A sign is True, False or None, "either": an atom signed None constrains
+    nothing, but its variables still join the grid, so the result is the
+    union, in grid order, of the results for each of its two signs.  The
+    signed &diff atoms, negated ones via negate_diff, are first asserted
+    into a DiffGraph; a negative cycle means no valuation exists.  Each
+    signed atom is then compiled into one linear row over the variables'
+    grid positions, and a row without variables is checked once.  One
+    backtracking pass binds the variables in grid order, variables sorted
+    by text, values ascending.  A row keeps a running sum of its bound
+    terms, and the interval its unbound terms can still add (c * lo or
+    c * hi each) bounds that sum at every position of the row; variable i
+    then takes only the values that keep each of its rows satisfiable, so a
+    subtree with no valuation is never entered, and a row is exact at its
+    last position.
     """
     lo, hi = _bounds_ok(bounds)
     graph = DiffGraph()
     cid = 0
     for atom, sign in sorted(signs.items(), key=lambda kv: str(kv[0])):
-        if not isinstance(atom, DiffConstraintAtom):
+        if sign is None or not isinstance(atom, DiffConstraintAtom):
             continue
         x, y, k = atom.lhs_var, atom.rhs_var, atom.bound
         if not sign:
@@ -445,6 +446,8 @@ def theory_certify(signs: dict, bounds) -> list:
     position = {v: i for i, v in enumerate(variables)}
     rows = []
     for atom, sign in signs.items():
+        if sign is None:
+            continue
         terms, cmp, rhs = _row(atom, sign, position)
         if terms:
             rows.append((terms, cmp, rhs))
@@ -498,9 +501,12 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
     Answers are sorted by their atoms' text, then by value in grid order;
     with models > 0 only the first models answers are returned, and the
     search engine certifies no Boolean model past them.  It groups the
-    Boolean models by visible atoms and takes the groups in text order;
-    models of one group differ in constraint signs, so their valuation
-    lists are disjoint and a merge orders them.
+    Boolean models by visible atoms and takes the groups in text order.
+    The models of one group differ only in the signs of some theory atoms,
+    the varying ones, so one theory_certify call with those unsigned yields
+    the union of their valuation lists, which are disjoint, in grid order;
+    unless the group has every sign pattern of the varying atoms, a
+    valuation is kept only when their truth under it is one of the group's.
     """
     if engine not in ("oracle", "search"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -521,13 +527,22 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
         groups.setdefault(m[k:], []).append(set(m[:k]))
     answers: list = []
     for key in sorted(groups):
-        lists = [
-            theory_certify({e: i in true for i, e in enumerate(prog.theory)}, bounds)
-            for true in groups[key]
-        ]
+        trues = groups[key]
+        fixed = set.intersection(*trues)
+        varying = sorted(set.union(*trues) - fixed)
+        signs = {e: None if i in varying else i in fixed for i, e in enumerate(prog.theory)}
+        found = theory_certify(signs, bounds)
+        if len(trues) < 2 ** len(varying):
+            patterns = {tuple(i in true for i in varying) for true in trues}
+            tests = [prog.evaluators[i] for i in varying]
+            kept = []
+            for val in found:
+                vals = tuple([v for _, v in val.entries])  # in prog.variables order
+                if tuple([ev(vals) for ev in tests]) in patterns:
+                    kept.append(val)
+            found = kept
         visible = frozenset(prog.atoms[i - t] for i in key)
-        merged = lists[0] if len(lists) == 1 else heapq.merge(*lists, key=_ENTRIES)
-        answers.extend(AnswerSet(visible, val) for val in merged)
+        answers.extend(AnswerSet(visible, val) for val in found)
         if models and len(answers) >= models:
             return answers[:models]
     return answers

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+import htsolve.search
 from htsolve import (
     FALSITY,
     Abstraction,
@@ -431,6 +432,26 @@ def test_certify_compiled_rows_match_brute_force_wide():
     assert min(seen.values()) >= 30, seen
 
 
+def test_certify_either_sign_is_union_of_both_signs():
+    rng = random.Random(808)
+    names = [x, y, SymConst("z")]
+    seen = {"both signs hold somewhere": 0, "empty": 0}
+    for _ in range(300):
+        signs = {_wide_atom(rng, names): rng.random() < 0.5 for _ in range(rng.randint(1, 4))}
+        either = rng.choice(list(signs))
+        lo = rng.randint(-2, 0)
+        bounds = (lo, rng.randint(max(lo, 0), 2))
+        true = theory_certify({**signs, either: True}, bounds)
+        false = theory_certify({**signs, either: False}, bounds)
+        got = theory_certify({**signs, either: None}, bounds)
+        assert got == sorted(true + false, key=lambda val: val.entries), (
+            f"differs on {signs} with {either} unsigned, {bounds}"
+        )
+        seen["both signs hold somewhere"] += bool(true) and bool(false)
+        seen["empty"] += not got
+    assert min(seen.values()) >= 30, seen
+
+
 # solve ------------------------------------------------------------------------
 
 
@@ -489,3 +510,31 @@ def test_solve_random_hybrid_differential():
         oracle = solve(g, "casp", (0, 2), engine="oracle")
         search = solve(g, "casp", (0, 2), engine="search")
         assert oracle == search, f"engines differ on:\n{g}"
+
+
+@pytest.mark.parametrize(
+    "src, groups",
+    [
+        # groups {on}, {off} and {near, off} hold 4, 2 and 1 Boolean models,
+        # every sign pattern of their varying theory atoms
+        ("on :- not off. off :- not on. near :- &diff{x-y} <= 0, off. "
+         ":- near, &sum{1*x;1*y} >= 3.", 3),
+        # one group with 3 of the 4 sign patterns, so some valuations are dropped
+        (":- &diff{x-y} <= 0, &sum{1*x;1*y} >= 2.", 1),
+    ],
+    ids=["every-pattern", "3-of-4-patterns"],
+)
+def test_solve_certifies_each_group_once(monkeypatch, src, groups):
+    g = gprog(src)
+    calls = []
+
+    def certify(signs, bounds):
+        calls.append(signs)
+        return theory_certify(signs, bounds)
+
+    monkeypatch.setattr(htsolve.search, "theory_certify", certify)
+    want = naive_equilibrium(g, "casp", (0, 2))
+    assert solve(g, "casp", (0, 2), engine="search") == want
+    assert len(calls) == groups
+    for k in (1, 2, 3):
+        assert solve(g, "casp", (0, 2), engine="search", models=k) == want[:k]
