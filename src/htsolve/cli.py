@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import configkit
-from .core import AssignmentAtom, Atom, Falsity, Program, pretty_print, variable_names
+from .core import AssignmentAtom, Program, pretty_print, variables_of
 from .core import atoms_of  # noqa: F401  looked up here by the benchmark's tracer
 from .grounder import ground
 from .parser import parse_program
@@ -176,12 +176,8 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
         return _fail_usage("--engine search does not support &in assignments")
     bounds = ns.domain
     if bounds is None:
-        names = set()
-        for r in g.rules:
-            for e in (r.head, *[lit.atom for lit in r.body]):
-                if not isinstance(e, (Atom, Falsity)):
-                    names.update(variable_names(e))
-        variables = sorted(names, key=str)
+        elems = (e for r in g.rules for e in (r.head, *[lit.atom for lit in r.body]))
+        variables = variables_of(elems)
         if variables:
             return _fail_usage(
                 "--domain is required for programs with integer variables: "

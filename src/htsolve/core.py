@@ -344,7 +344,6 @@ def atoms_of(g) -> tuple:
     """
     atoms: set = set()
     theory: set = set()
-    names: set = set()
     for r in g.rules:
         elems = [] if isinstance(r.head, Falsity) else [r.head]
         elems.extend(lit.atom for lit in r.body)
@@ -353,10 +352,9 @@ def atoms_of(g) -> tuple:
                 atoms.add(e)
             else:
                 theory.add(e)
-                names.update(variable_names(e))
-    key = str
-    return (
-        tuple(sorted(atoms, key=key)),
-        tuple(sorted(theory, key=key)),
-        tuple(sorted(names, key=key)),
-    )
+    return tuple(sorted(atoms, key=str)), tuple(sorted(theory, key=str)), variables_of(theory)
+
+
+def variables_of(elems) -> tuple:
+    """Integer-variable names of the given atoms, deduplicated and sorted by text."""
+    return tuple(sorted({v for e in elems for v in variable_names(e)}, key=str))

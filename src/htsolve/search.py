@@ -30,15 +30,18 @@ still add (bounds propagation as in clingcon, Ostrowski and Schaub 2012),
 returns every valuation under which each atom has its sign, so the result
 set matches the exhaustive oracle.  solve() groups the Boolean models by
 their ids past t, the visible atoms, takes the groups in the order answers
-are printed, and can stop after N answers.  It certifies each group in one
-pass: an atom with one sign in all the group's models keeps it, the others
-get no sign, and a valuation is kept only when the truth of those others
-is the sign pattern of one of the group's models.
+are printed, and can stop after N answers.  It splits each group's models
+into cubes, sets of models that agree on some theory atoms and take every
+sign pattern of the others, and certifies each cube in one pass: the atoms
+it agrees on keep their sign and the others get none.  A group whose
+models take every pattern of the atoms they differ on is one cube; the
+valuation lists of a group's cubes are disjoint and a merge orders them.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -359,6 +362,11 @@ class _Core:
             ok = self._expand()
 
 
+# The valuations of one program pair the same variables, in the same order,
+# so their entries compare by value in grid order.
+_ENTRIES = operator.attrgetter("entries")
+
+
 def _schedule(rows: list, n: int, lo: int, hi: int) -> tuple:
     """Per grid position 0..n-1, what binding its variable x checks and sums.
 
@@ -495,6 +503,21 @@ def theory_certify(signs: dict, bounds) -> list:
             sums[dst] = sums[src] + c * v
 
 
+def _cubes(trues: list) -> list:
+    """Split distinct sign patterns, each given as its set of true theory
+    ids, into disjoint cubes that together hold exactly those patterns.
+
+    A cube (true, free) holds the patterns that take every sign on the free
+    ids, and are true on the ids in true and false on all the others.
+    """
+    true = set.intersection(*trues)
+    free = set.union(*trues) - true
+    if len(trues) == 2 ** len(free):
+        return [(true, free)]
+    pivot = min(free)
+    return _cubes([s for s in trues if pivot in s]) + _cubes([s for s in trues if pivot not in s])
+
+
 def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: int = 0) -> list:
     """Answer sets of g, via the exhaustive oracle or the search engine.
 
@@ -502,11 +525,10 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
     with models > 0 only the first models answers are returned, and the
     search engine certifies no Boolean model past them.  It groups the
     Boolean models by visible atoms and takes the groups in text order.
-    The models of one group differ only in the signs of some theory atoms,
-    the varying ones, so one theory_certify call with those unsigned yields
-    the union of their valuation lists, which are disjoint, in grid order;
-    unless the group has every sign pattern of the varying atoms, a
-    valuation is kept only when their truth under it is one of the group's.
+    The models of one group differ only in the signs of theory atoms; one
+    theory_certify call per cube of the group, its free atoms unsigned,
+    yields the union of its models' valuation lists in grid order, so every
+    call is pruned by each atom the cube's models agree on.
     """
     if engine not in ("oracle", "search"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -527,22 +549,13 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
         groups.setdefault(m[k:], []).append(set(m[:k]))
     answers: list = []
     for key in sorted(groups):
-        trues = groups[key]
-        fixed = set.intersection(*trues)
-        varying = sorted(set.union(*trues) - fixed)
-        signs = {e: None if i in varying else i in fixed for i, e in enumerate(prog.theory)}
-        found = theory_certify(signs, bounds)
-        if len(trues) < 2 ** len(varying):
-            patterns = {tuple(i in true for i in varying) for true in trues}
-            tests = [prog.evaluators[i] for i in varying]
-            kept = []
-            for val in found:
-                vals = tuple([v for _, v in val.entries])  # in prog.variables order
-                if tuple([ev(vals) for ev in tests]) in patterns:
-                    kept.append(val)
-            found = kept
+        lists = []
+        for true, free in _cubes(groups[key]):
+            signs = {e: None if i in free else i in true for i, e in enumerate(prog.theory)}
+            lists.append(theory_certify(signs, bounds))
         visible = frozenset(prog.atoms[i - t] for i in key)
-        answers.extend(AnswerSet(visible, val) for val in found)
+        merged = lists[0] if len(lists) == 1 else heapq.merge(*lists, key=_ENTRIES)
+        answers.extend(AnswerSet(visible, val) for val in merged)
         if models and len(answers) >= models:
             return answers[:models]
     return answers

@@ -43,6 +43,7 @@ from .core import (
     atoms_of,  # noqa: F401  looked up here by the benchmark's tracer
     is_ground,
     variable_names,
+    variables_of,
 )
 from .grounder import GroundProgram
 
@@ -393,10 +394,7 @@ class _Compiled:
                 self.fixed.append((pm, nm, hc))
                 self.fixed_negated |= nm
 
-        names: set = set()
-        for e in theory:
-            names.update(variable_names(e))
-        self.variables = tuple(sorted(names, key=str))
+        self.variables = variables_of(theory)
         position = {v: p for p, v in enumerate(self.variables)}
         self.evaluators = [_evaluator(e, position) for e in theory]
 

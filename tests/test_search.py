@@ -513,28 +513,60 @@ def test_solve_random_hybrid_differential():
 
 
 @pytest.mark.parametrize(
-    "src, groups",
+    "src, calls",
     [
         # groups {on}, {off} and {near, off} hold 4, 2 and 1 Boolean models,
-        # every sign pattern of their varying theory atoms
+        # every sign pattern of their varying theory atoms, so one cube each
         ("on :- not off. off :- not on. near :- &diff{x-y} <= 0, off. "
          ":- near, &sum{1*x;1*y} >= 3.", 3),
-        # one group with 3 of the 4 sign patterns, so some valuations are dropped
-        (":- &diff{x-y} <= 0, &sum{1*x;1*y} >= 2.", 1),
+        # one group with 3 of the 4 sign patterns: a cube of 2 and one of 1
+        (":- &diff{x-y} <= 0, &sum{1*x;1*y} >= 2.", 2),
     ],
     ids=["every-pattern", "3-of-4-patterns"],
 )
-def test_solve_certifies_each_group_once(monkeypatch, src, groups):
+def test_solve_certifies_each_cube_once(monkeypatch, src, calls):
     g = gprog(src)
-    calls = []
+    seen = []
 
     def certify(signs, bounds):
-        calls.append(signs)
+        seen.append(signs)
         return theory_certify(signs, bounds)
 
     monkeypatch.setattr(htsolve.search, "theory_certify", certify)
     want = naive_equilibrium(g, "casp", (0, 2))
     assert solve(g, "casp", (0, 2), engine="search") == want
-    assert len(calls) == groups
+    assert len(seen) == calls
     for k in (1, 2, 3):
         assert solve(g, "casp", (0, 2), engine="search", models=k) == want[:k]
+
+
+def test_cubes_partition_the_sign_patterns():
+    rng = random.Random(909)
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        every = [frozenset(i for i in range(n) if bits >> i & 1) for bits in range(2**n)]
+        trues = [set(p) for p in rng.sample(every, rng.randint(1, len(every)))]
+        held = []
+        for true, free in htsolve.search._cubes(trues):
+            assert true.isdisjoint(free)
+            held += [true | set(c) for k in range(len(free) + 1) for c in combinations(free, k)]
+        assert sorted(map(sorted, held)) == sorted(map(sorted, trues))
+
+
+def test_solve_prunes_a_group_missing_a_sign_pattern(monkeypatch):
+    # one group with patterns TT, TF and FT over a 10^12 grid; certifying it
+    # with both atoms unsigned would walk the whole grid
+    total = "&sum{" + ";".join(f"1*x{i}" for i in range(12)) + "}"
+    g = gprog(f":- not {total} >= 108, not {total} <= 0.")
+    built = []
+
+    class Counted(Valuation):
+        @classmethod
+        def from_sorted(cls, pairs):
+            built.append(pairs)
+            assert len(built) <= 10, "certification walks the grid"
+            return Valuation.from_sorted(pairs)
+
+    monkeypatch.setattr(htsolve.search, "Valuation", Counted)
+    got = solve(g, "casp", (0, 9), engine="search")
+    assert [sorted(v for _, v in ans.val.entries) for ans in got] == [[0] * 12, [9] * 12]
