@@ -5,14 +5,16 @@ Generates random ground hybrid programs (Boolean atoms mixed with linear and
 difference constraint atoms) and reports any disagreement, answers and
 order, with the definitional enumerator ``naive_equilibrium`` of
 ``tests/oracles.py``.  In casp mode each program is solved by both engines,
-the oracle and the search engine; they read one numbering of the program,
-so their agreement alone would not catch a fault in it.  The search engine
-is also asked for the first one and the first two answers (``models=1``
-and ``2``), which must be the prefixes of the full list, also where the
-cut falls inside a group of Boolean models.  In founded mode
-the programs also get &in assignment heads, and the oracle
-(``enumerate_equilibrium``) is compared.  Exits nonzero on the first
-mismatch, printing the offending program so it can be pasted into a
+the oracle and the search engine.  They share both the numbering of the
+program and the Boolean core, so their agreement alone would not catch a
+fault in either; ``naive_equilibrium`` is the independent check.  The
+search engine is also asked for the first one and the first two answers
+(``models=1`` and ``2``), which must be the prefixes of the full list, also
+where the cut falls inside a group of Boolean models.  In founded mode the
+programs also get &in assignment heads, and the oracle
+(``enumerate_equilibrium``) is compared.  In both modes ``is_equilibrium``
+must accept every answer of ``naive_equilibrium``.  Exits nonzero on the
+first mismatch, printing the offending program so it can be pasted into a
 regression test.
 
 Usage:
@@ -29,7 +31,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from htsolve import enumerate_equilibrium, solve
+from htsolve import enumerate_equilibrium, is_equilibrium, solve
 from htsolve.randprog import random_hybrid_program
 
 ORACLES = Path(__file__).resolve().parent.parent / "tests" / "oracles.py"
@@ -90,6 +92,12 @@ def main(argv=None) -> int:
                 print(f"MISMATCH on program {n}:")
                 print(g)
                 print(f"{name} found {len(answers)}, naive found {len(want)}")
+                return 1
+        for ans in want:
+            if not is_equilibrium(ans, g, args.semantics, bounds):
+                print(f"MISMATCH on program {n}:")
+                print(g)
+                print(f"is_equilibrium rejects naive's answer {ans}")
                 return 1
         if args.semantics == "casp":
             for k in (1, 2):

@@ -1,8 +1,8 @@
-"""Deterministic generators of random and exhaustive test programs.
+"""Deterministic generators of random test programs.
 
 Everything here is driven by an explicit random.Random instance (or is
-fully enumerated), so differential tests and experiment scripts can be
-replayed from a seed.
+fully enumerated, as the rule pool is), so differential tests and
+experiment scripts can be replayed from a seed.
 """
 
 from __future__ import annotations
@@ -54,17 +54,9 @@ def boolean_rule_pool(n_atoms: int, max_body: int = 2) -> tuple:
     )
 
 
-def exhaustive_boolean_programs(n_atoms: int, max_rules: int, max_body: int = 2):
-    """All Boolean ground programs drawn from the rule pool, smallest first."""
-    pool = boolean_rule_pool(n_atoms, max_body)
-    for size in range(max_rules + 1):
-        for rules in combinations(pool, size):
-            yield GroundProgram(rules, ())
-
-
 def random_boolean_program(rng: random.Random, n_atoms: int = 3, max_rules: int = 4,
                            max_body: int = 2) -> GroundProgram:
-    """One random Boolean ground program from the exhaustive family."""
+    """One random Boolean ground program drawn from the rule pool."""
     pool = boolean_rule_pool(n_atoms, max_body)
     rules = tuple(rng.sample(pool, rng.randint(0, max_rules)))
     return GroundProgram(rules, ())

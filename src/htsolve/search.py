@@ -1,26 +1,15 @@
 """Generate-and-certify solving for casp mode.
 
-solve() reads the ground program as semantics._Compiled numbers it, once.
-Constraint-atom truth is a function of the shared valuation, not something
-rules derive, so the Boolean search takes the t distinct constraint atoms
-as free propositions, ids 0..t-1, and then the atoms, id t + rank: a free
-proposition is decided true or false like any atom but needs no
-supporting rule, and a rule with one as head still forbids "body true,
-head false".  The names __t1, __t2, ... exist only in abstract()'s output.
-
-The Boolean search (_Core) runs with an explicit trail and decision stack
-and runs Smodels' expand (Simons, Niemela, Soininen 2002) to a fixpoint
-after every assignment.  Both of its passes are linear in the program,
-working from occurrence lists and per-rule counters.  Atleast forces the
-head of a true body, makes false the last open literal of a rule whose
-head cannot hold, and sets false every non-free atom whose rules all have
-a false body.  Atmost derives, by a Horn least fixpoint, the atoms on
-positive cycles that the rules could still support, and sets the others
-false; atoms off such cycles need no such check, as for them support
-already implies stability (Fages 1994).  The search branches, false then
-true, only on atoms expand leaves open, in id order, and backtracks
-chronologically; a leaf without a conflict is a stable model, and facts,
-Horn and stratified programs need no decision at all.
+solve() reads the ground program as semantics._Compiled numbers it, once,
+and finds its Boolean models with the core the oracle runs too,
+_Compiled.core(): Smodels-style propagation with chronological
+backtracking.  Constraint-atom truth is a function of the shared
+valuation, not something rules derive, so the core takes the t distinct
+constraint atoms as free propositions, ids 0..t-1, and then the atoms, id
+t + rank: a free proposition is decided true or false like any atom but
+needs no supporting rule, and a rule with one as head still forbids "body
+true, head false".  The oracle assumes each one's truth instead.  The
+names __t1, __t2, ... exist only in abstract()'s output.
 
 theory_certify() is the single place that decides valuations: a
 difference-logic graph refutes inconsistent &diff signs outright, each
@@ -55,13 +44,14 @@ from .core import (
     variable_names,
 )
 from .dl import Conflict, DiffGraph, negate_diff
-from .grounder import GroundProgram, strongly_connected
+from .grounder import GroundProgram
 from .semantics import (
     _CMP,
     AnswerSet,
     Valuation,
     _bounds_ok,
     _Compiled,
+    _Core,
     _row,
     enumerate_equilibrium,
 )
@@ -114,252 +104,6 @@ def stable_models_bool(b: GroundProgram, free=frozenset()) -> list:
     ids = {a: i for i, a in enumerate(atoms)}
     core = _Core(prog, [ids[a] for a in prog.index], [ids[a] for a in free], len(atoms))
     return [frozenset(atoms[i] for i in m) for m in core.models()]
-
-
-class _Core:
-    """Propagating search over the rules of a numbered program.
-
-    Its atoms are the Boolean ids 0..n-1: atom k of prog is id rank[k],
-    theory atom k is id k, and the ids in free need no supporting rule.
-    A rule is (head, positive body, negative body) of ids, head -1 for a
-    constraint.  Values live in val (None while open) and, in assignment
-    order, on the trail; the entries before qhead have been propagated,
-    and only those are counted in the per-rule counters:
-
-    - need[r]: body literals of r not yet true;
-    - false_lits[r]: body literals of r that are false;
-    - support[a]: rules with head a and no false body literal.
-    """
-
-    def __init__(self, prog: _Compiled, rank: list, free, n: int) -> None:
-        self.n = n
-        raw = prog.raw
-        self.head = [-1 if h is None else rank[h] if h >= 0 else ~h for *_, h in raw]
-        self.pos = [list({rank[a] for a in p}.union(ids)) for p, _, ids, _, _ in raw]
-        self.neg = [list({rank[a] for a in q}.union(ids)) for _, q, _, ids, _ in raw]
-        self.need = [len(p) + len(q) for p, q in zip(self.pos, self.neg)]
-        self.false_lits = [0] * len(raw)
-        self.support = [0] * n
-        self.pos_occ: list = [[] for _ in range(n)]
-        self.neg_occ: list = [[] for _ in range(n)]
-        self.head_occ: list = [[] for _ in range(n)]
-        succ: dict = {}  # positive dependency graph of the heads with a positive body
-        for r, (h, p, q) in enumerate(zip(self.head, self.pos, self.neg)):
-            if h >= 0:
-                self.support[h] += 1
-                self.head_occ[h].append(r)
-                if p:
-                    succ.setdefault(h, set()).update(p)
-            for a in p:
-                self.pos_occ[a].append(r)
-            for a in q:
-                self.neg_occ[a].append(r)
-        self.free = [False] * n
-        for a in free:
-            self.free[a] = True
-        self.val: list = [None] * n
-        self.trail: list = []
-        self.qhead = 0
-
-        # Unfounded-set check: only atoms on a positive cycle need it; for
-        # the rest, support (a rule whose body is not false) is enough.
-        for h, body in succ.items():
-            succ[h] = [a for a in body if a in succ]
-        self.cyclic = [
-            a
-            for component in strongly_connected(succ)
-            for a in component
-            if len(component) > 1 or a in succ[a]
-        ]
-        in_loop = bytearray(n)
-        for a in self.cyclic:
-            in_loop[a] = 1
-        self.loop_seeds = [a for a in self.cyclic if self.free[a]]
-        self.loop_rules = [r for r, h in enumerate(self.head) if h >= 0 and in_loop[h]]
-        self.loop_need = []  # per loop rule: body atoms on a positive cycle
-        self.loop_occ: list = [[] for _ in range(n)]
-        for j, r in enumerate(self.loop_rules):
-            inner = [a for a in self.pos[r] if in_loop[a]]
-            self.loop_need.append(len(inner))
-            for a in inner:
-                self.loop_occ[a].append(j)
-
-    def _set(self, a: int, value: bool) -> None:
-        self.val[a] = value
-        self.trail.append(a)
-
-    def _falsify_last(self, r: int) -> bool:
-        """r has one literal left and its head cannot hold: make it false."""
-        val = self.val
-        last = None
-        for a in self.pos[r]:
-            if val[a] is False:
-                return True
-            if val[a] is None:
-                last = (a, False)
-        for a in self.neg[r]:
-            if val[a]:
-                return True
-            if val[a] is None:
-                last = (a, True)
-        if last is None:
-            return False  # the body is true already
-        self._set(*last)
-        return True
-
-    def _start(self) -> bool:
-        """Propagate what holds before any assignment: facts, rule-less atoms."""
-        for a in range(self.n):
-            if not self.support[a] and not self.free[a]:
-                self._set(a, False)
-        for r, h in enumerate(self.head):
-            if not self.need[r]:
-                if h < 0 or self.val[h] is False:
-                    return False
-                if self.val[h] is None:
-                    self._set(h, True)
-            elif self.need[r] == 1 and h < 0 and not self._falsify_last(r):
-                return False
-        return True
-
-    def _propagate(self) -> bool:
-        """Atleast: forward and backward rule propagation over the trail."""
-        val, trail, head = self.val, self.trail, self.head
-        need, false_lits, support, free = self.need, self.false_lits, self.support, self.free
-        while self.qhead < len(trail):
-            a = trail[self.qhead]
-            self.qhead += 1
-            if val[a]:
-                made_true, made_false = self.pos_occ[a], self.neg_occ[a]
-            else:
-                made_true, made_false = self.neg_occ[a], self.pos_occ[a]
-            for r in made_true:
-                need[r] -= 1
-            for r in made_false:
-                false_lits[r] += 1
-                if false_lits[r] == 1 and head[r] >= 0:
-                    support[head[r]] -= 1
-            for r in made_true:
-                if false_lits[r] or need[r] > 1:
-                    continue
-                h = head[r]
-                if need[r] == 0:
-                    if h < 0 or val[h] is False:
-                        return False
-                    if val[h] is None:
-                        self._set(h, True)
-                elif (h < 0 or val[h] is False) and not self._falsify_last(r):
-                    return False
-            for r in made_false:
-                h = head[r]
-                if false_lits[r] == 1 and h >= 0 and not support[h] and not free[h]:
-                    if val[h]:
-                        return False
-                    if val[h] is None:
-                        self._set(h, False)
-            if val[a] is False:
-                for r in self.head_occ[a]:
-                    if need[r] == 1 and not false_lits[r] and not self._falsify_last(r):
-                        return False
-        return True
-
-    def _atmost(self) -> bool:
-        """Set false every cyclic atom the open rules cannot derive.
-
-        A Horn least fixpoint over the rules with a cyclic head and no false
-        body literal, seeded by the free cyclic atoms that are not false;
-        body atoms off the cycles count as given.
-        """
-        val, head, false_lits = self.val, self.head, self.false_lits
-        rules, occ = self.loop_rules, self.loop_occ
-        need = self.loop_need[:]
-        reached = bytearray(self.n)
-        stack = [a for a in self.loop_seeds if val[a] is not False]
-        stack += [head[r] for j, r in enumerate(rules) if not need[j] and not false_lits[r]]
-        while stack:
-            a = stack.pop()
-            if reached[a]:
-                continue
-            reached[a] = 1
-            for j in occ[a]:
-                if not false_lits[rules[j]]:
-                    need[j] -= 1
-                    if not need[j]:
-                        stack.append(head[rules[j]])
-        for a in self.cyclic:
-            if not reached[a]:
-                if val[a]:
-                    return False
-                if val[a] is None:
-                    self._set(a, False)
-        return True
-
-    def _expand(self) -> bool:
-        """Run atleast and atmost to a common fixpoint; False on a conflict."""
-        while self._propagate():
-            if not self.cyclic:
-                return True
-            mark = len(self.trail)
-            if not self._atmost():
-                return False
-            if len(self.trail) == mark:
-                return True
-        return False
-
-    def _undo(self, mark: int) -> None:
-        val, trail, head = self.val, self.trail, self.head
-        need, false_lits, support = self.need, self.false_lits, self.support
-        while len(trail) > mark:
-            a = trail.pop()
-            if len(trail) < self.qhead:
-                if val[a]:
-                    made_true, made_false = self.pos_occ[a], self.neg_occ[a]
-                else:
-                    made_true, made_false = self.neg_occ[a], self.pos_occ[a]
-                for r in made_true:
-                    need[r] += 1
-                for r in made_false:
-                    false_lits[r] -= 1
-                    if not false_lits[r] and head[r] >= 0:
-                        support[head[r]] += 1
-            val[a] = None
-        self.qhead = mark
-
-    def models(self) -> list:
-        """Every stable model, each as the ascending tuple of its true ids, sorted.
-
-        Chronological backtracking over the open atoms in index order, each
-        tried false, then true; expand runs to a fixpoint after each
-        assignment, so a leaf without a conflict is a stable model.
-        """
-        found: list = []
-        if not (self._start() and self._expand()):
-            return found
-        val, trail, n = self.val, self.trail, self.n
-        stack: list = []  # (trail length before the decision, atom, flipped)
-        nxt = 0
-        ok = True
-        while True:
-            if ok:
-                while nxt < n and val[nxt] is not None:
-                    nxt += 1
-                if nxt == n:
-                    found.append(tuple(a for a in range(n) if val[a]))
-                    ok = False
-                else:
-                    stack.append((len(trail), nxt, False))
-                    self._set(nxt, False)
-                    ok = self._expand()
-                continue
-            while stack and stack[-1][2]:
-                stack.pop()
-            if not stack:
-                return sorted(found)  # by atom texts, where ids are in text order
-            mark, nxt, _ = stack.pop()
-            self._undo(mark)
-            stack.append((mark, nxt, True))
-            self._set(nxt, True)
-            ok = self._expand()
 
 
 # The valuations of one program pair the same variables, in the same order,
@@ -543,8 +287,7 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
     prog = _compile(g)
     t = len(prog.theory)  # Boolean ids: theory atoms first, then atoms in text order
     groups: dict = {}  # visible atom ids -> true theory ids of each model
-    core = _Core(prog, [t + place for place in prog.rank], range(t), t + len(prog.atoms))
-    for m in core.models():
+    for m in prog.core().models():
         k = bisect_left(m, t)
         groups.setdefault(m[k:], []).append(set(m[:k]))
     answers: list = []

@@ -15,10 +15,22 @@ Two solve modes differ in what "smaller" means:
 The reference enumerator compiles the program once and walks every
 valuation within bounds.  A valuation matters to the Boolean part only
 through its truth vector, the truth of each distinct theory atom, so the
-rules are folded and every guess of which negated atoms are true is tried
-once per distinct truth vector: a guess yields at most one candidate, the
-least model of the reduct.  Founded mode adds a Horn check per proper
+Boolean core solves once per distinct truth vector, with the theory atoms
+assumed to their truth.  Founded mode adds a Horn check per proper
 sub-valuation, cached by (atoms, truth vector, sub-valuation's truth vector).
+
+The Boolean core (_Core; the search engine runs it too) runs Smodels'
+expand (Simons, Niemela, Soininen 2002) to a fixpoint after every
+assignment, on an explicit trail, in passes linear in the program.
+Atleast forces the head of a true body, makes false the last open literal
+of a rule whose head cannot hold, and sets false every non-free atom whose
+rules all have a false body.  Atmost derives, by a Horn least fixpoint,
+the atoms on positive cycles that the rules could still support, and sets
+the others false; off such cycles, support already implies stability
+(Fages 1994).  The search branches, false then true, only on atoms expand
+leaves open, in id order, and backtracks chronologically; a leaf without a
+conflict is a stable model, and facts, Horn and stratified programs need
+no decision.
 
 Constraint atoms referring to an undefined variable are false.  An &in
 assignment whose bounds reference an undefined variable is true: it imposes
@@ -45,7 +57,7 @@ from .core import (
     variable_names,
     variables_of,
 )
-from .grounder import GroundProgram
+from .grounder import GroundProgram, strongly_connected
 
 MODES = ("casp", "founded")
 
@@ -340,12 +352,15 @@ class _Compiled:
     rule's head before its body, so theory[k] is abstract()'s __t{k+1}.
     atoms is in text order, rank[n] is atom n's place there, and variables
     are in text order.  raw holds each rule as (pos, neg, pids, nids, head),
-    head being an atom number, ~k for theory atom k or None.  The oracle
-    reads atom n as bit rank[n], a valuation as a value tuple (None:
-    undefined), each theory atom as an evaluator over such tuples and each
-    rule as a row (pos_mask, neg_mask, pids, nids, head code).  A truth
-    vector tau holds every theory atom's truth at one valuation; the
-    Boolean rows a valuation folds to depend only on its tau.
+    head being an atom number, ~k for theory atom k or None.  Both engines
+    search its rules with core(), whose Boolean ids put the t theory atoms
+    first, then atom n at t + rank[n].  The oracle reads a valuation as a
+    value tuple (None: undefined) and each theory atom as an evaluator over
+    such tuples; a truth vector tau holds every theory atom's truth at one
+    valuation, and the stable models a valuation allows depend only on its
+    tau.  Founded mode's here worlds and least_model read atom n as bit
+    rank[n] and each rule as a row (pos_mask, neg_mask, pids, nids, head
+    code).
     """
 
     def __init__(self, g: GroundProgram):
@@ -376,9 +391,6 @@ class _Compiled:
             self.rank[index[a]] = place
         bit = [1 << place for place in self.rank]
         self.rows = []
-        self.fixed = []  # (pos_mask, neg_mask, head) of rows no tau changes
-        self.fixed_negated = 0
-        self.gated = []
         for pos, neg, pids, nids, hc in self.raw:
             pm = nm = 0
             for n in pos:
@@ -386,13 +398,7 @@ class _Compiled:
             for n in neg:
                 nm |= bit[n]
             hc = _FAIL if hc is None else bit[hc] if hc >= 0 else hc
-            row = (pm, nm, pids, nids, hc)
-            self.rows.append(row)
-            if pids or nids or hc < 0:
-                self.gated.append(row)
-            else:
-                self.fixed.append((pm, nm, hc))
-                self.fixed_negated |= nm
+            self.rows.append((pm, nm, pids, nids, hc))
 
         self.variables = variables_of(theory)
         position = {v: p for p, v in enumerate(self.variables)}
@@ -402,35 +408,10 @@ class _Compiled:
         """tau: the truth of every theory atom under a value tuple."""
         return tuple([ev(vals) for ev in self.evaluators])
 
-    def fold(self, tau: tuple) -> tuple:
-        """Boolean rows (pos_mask, neg_mask, head) of the rules not already
-        satisfied under tau, and the union of their neg_masks."""
-        rows = list(self.fixed)
-        negated = self.fixed_negated
-        for pm, nm, pids, nids, hc in self.gated:
-            if _blocked(pids, nids, tau, tau):
-                continue
-            if hc < 0:
-                if tau[~hc]:
-                    continue
-                hc = _FAIL
-            rows.append((pm, nm, hc))
-            negated |= nm
-        return rows, negated
-
-    def stable_masks(self, tau: tuple) -> list:
-        """Stable there-masks under tau, one per guess over the negated
-        atoms where the guess holds, guesses descending from all-true."""
-        rows, negated = self.fold(tau)
-        masks = []
-        guess = negated
-        while True:
-            mask = _stable_mask(rows, negated, guess)
-            if mask is not None:
-                masks.append(mask)
-            if not guess:
-                return masks
-            guess = (guess - 1) & negated
+    def core(self) -> "_Core":
+        """The Boolean core: theory ids 0..t-1 free, atom n at t + rank[n]."""
+        t = len(self.theory)
+        return _Core(self, [t + place for place in self.rank], range(t), t + len(self.atoms))
 
     def here_world(self, mask: int, tau: tuple, sub: tuple) -> bool:
         """Is there a here world with atoms within mask and a valuation whose
@@ -500,13 +481,269 @@ def _least_model(rows):
     return model
 
 
-def _stable_mask(rows, negated: int, guess: int):
-    """The stable atom set T with T & negated == guess, or None: the least
-    model of the reduct under guess, firing no constraint, matching guess."""
-    model = _least_model([(pm, hc) for pm, nm, hc in rows if not (nm & guess)])
-    if model is None or (model & negated) != guess:
-        return None
-    return model
+class _Core:
+    """Propagating search over the rules of a numbered program.
+
+    Its atoms are the Boolean ids 0..n-1: atom k of prog is id rank[k],
+    theory atom k is id k, and the ids in free need no supporting rule.
+    A rule is (head, positive body, negative body) of ids, head -1 for a
+    constraint; one with its head in its positive body always holds and
+    never supports its head, so it is left out.  Values live in val (None
+    while open) and, in assignment order, on the trail; the entries before
+    qhead have been propagated, and only those are counted in the per-rule
+    counters:
+
+    - need[r]: body literals of r not yet true;
+    - false_lits[r]: body literals of r that are false;
+    - support[a]: rules with head a and no false body literal.
+    """
+
+    def __init__(self, prog: _Compiled, rank: list, free, n: int) -> None:
+        self.n = n
+        self.head, self.pos, self.neg, self.need = heads, pos, neg, need = [], [], [], []
+        self.support = support = [0] * n
+        self.pos_occ = pos_occ = [[] for _ in range(n)]
+        self.neg_occ = neg_occ = [[] for _ in range(n)]
+        self.head_occ = head_occ = [[] for _ in range(n)]
+        succ: dict = {}  # positive dependency graph of the heads with a positive body
+        for ps, qs, pids, nids, h in prog.raw:
+            p = list({*map(rank.__getitem__, ps), *pids})
+            h = -1 if h is None else rank[h] if h >= 0 else ~h
+            if h in p:
+                continue  # always satisfied, and never supports its head
+            q = list({*map(rank.__getitem__, qs), *nids})
+            r = len(heads)
+            heads.append(h)
+            pos.append(p)
+            neg.append(q)
+            need.append(len(p) + len(q))
+            if h >= 0:
+                support[h] += 1
+                head_occ[h].append(r)
+                if p:
+                    succ.setdefault(h, []).extend(p)
+            for a in p:
+                pos_occ[a].append(r)
+            for a in q:
+                neg_occ[a].append(r)
+        self.false_lits = [0] * len(heads)
+        self.free = [False] * n
+        for a in free:
+            self.free[a] = True
+        self.val: list = [None] * n
+        self.trail: list = []
+        self.qhead = 0
+
+        # Unfounded-set check: only atoms on a positive cycle need it; for
+        # the rest, support (a rule whose body is not false) is enough.  No
+        # rule is left with its head in its positive body, so a cycle has
+        # two atoms at least.
+        for h, body in succ.items():
+            succ[h] = [a for a in body if a in succ]
+        self.cyclic = []
+        if any(succ.values()):
+            self.cyclic = [a for c in strongly_connected(succ) if len(c) > 1 for a in c]
+        if not self.cyclic:
+            return  # _expand never runs _atmost
+        in_loop = bytearray(n)
+        for a in self.cyclic:
+            in_loop[a] = 1
+        self.loop_seeds = [a for a in self.cyclic if self.free[a]]
+        self.loop_rules = [r for r, h in enumerate(heads) if h >= 0 and in_loop[h]]
+        self.loop_need = []  # per loop rule: body atoms on a positive cycle
+        self.loop_occ: list = [[] for _ in range(n)]
+        for j, r in enumerate(self.loop_rules):
+            inner = [a for a in pos[r] if in_loop[a]]
+            self.loop_need.append(len(inner))
+            for a in inner:
+                self.loop_occ[a].append(j)
+
+    def _set(self, a: int, value: bool) -> None:
+        self.val[a] = value
+        self.trail.append(a)
+
+    def _falsify_last(self, r: int) -> bool:
+        """r has one literal left and its head cannot hold: make it false."""
+        val = self.val
+        last = None
+        for a in self.pos[r]:
+            if val[a] is False:
+                return True
+            if val[a] is None:
+                last = (a, False)
+        for a in self.neg[r]:
+            if val[a]:
+                return True
+            if val[a] is None:
+                last = (a, True)
+        if last is None:
+            return False  # the body is true already
+        self._set(*last)
+        return True
+
+    def _start(self) -> bool:
+        """Propagate what holds before any decision: facts, rule-less atoms."""
+        val = self.val
+        for a in range(self.n):
+            if not self.support[a] and not self.free[a]:
+                if val[a]:
+                    return False  # assumed true, but no rule can support it
+                if val[a] is None:
+                    self._set(a, False)
+        for r, h in enumerate(self.head):
+            if not self.need[r]:
+                if h < 0 or val[h] is False:
+                    return False
+                if val[h] is None:
+                    self._set(h, True)
+            elif self.need[r] == 1 and h < 0 and not self._falsify_last(r):
+                return False
+        return True
+
+    def _propagate(self) -> bool:
+        """Atleast: forward and backward rule propagation over the trail."""
+        val, trail, head = self.val, self.trail, self.head
+        need, false_lits, support, free = self.need, self.false_lits, self.support, self.free
+        while self.qhead < len(trail):
+            a = trail[self.qhead]
+            self.qhead += 1
+            if val[a]:
+                made_true, made_false = self.pos_occ[a], self.neg_occ[a]
+            else:
+                made_true, made_false = self.neg_occ[a], self.pos_occ[a]
+            for r in made_true:
+                need[r] -= 1
+            for r in made_false:
+                false_lits[r] += 1
+                if false_lits[r] == 1 and head[r] >= 0:
+                    support[head[r]] -= 1
+            for r in made_true:
+                if false_lits[r] or need[r] > 1:
+                    continue
+                h = head[r]
+                if need[r] == 0:
+                    if h < 0 or val[h] is False:
+                        return False
+                    if val[h] is None:
+                        self._set(h, True)
+                elif (h < 0 or val[h] is False) and not self._falsify_last(r):
+                    return False
+            for r in made_false:
+                h = head[r]
+                if false_lits[r] == 1 and h >= 0 and not support[h] and not free[h]:
+                    if val[h]:
+                        return False
+                    if val[h] is None:
+                        self._set(h, False)
+            if val[a] is False:
+                for r in self.head_occ[a]:
+                    if need[r] == 1 and not false_lits[r] and not self._falsify_last(r):
+                        return False
+        return True
+
+    def _atmost(self) -> bool:
+        """Set false every cyclic atom the open rules cannot derive.
+
+        A Horn least fixpoint over the rules with a cyclic head and no false
+        body literal, seeded by the free cyclic atoms that are not false;
+        body atoms off the cycles count as given.
+        """
+        val, head, false_lits = self.val, self.head, self.false_lits
+        rules, occ = self.loop_rules, self.loop_occ
+        need = self.loop_need[:]
+        reached = bytearray(self.n)
+        stack = [a for a in self.loop_seeds if val[a] is not False]
+        stack += [head[r] for j, r in enumerate(rules) if not need[j] and not false_lits[r]]
+        while stack:
+            a = stack.pop()
+            if reached[a]:
+                continue
+            reached[a] = 1
+            for j in occ[a]:
+                if not false_lits[rules[j]]:
+                    need[j] -= 1
+                    if not need[j]:
+                        stack.append(head[rules[j]])
+        for a in self.cyclic:
+            if not reached[a]:
+                if val[a]:
+                    return False
+                if val[a] is None:
+                    self._set(a, False)
+        return True
+
+    def _expand(self) -> bool:
+        """Run atleast and atmost to a common fixpoint; False on a conflict."""
+        while self._propagate():
+            if not self.cyclic:
+                return True
+            mark = len(self.trail)
+            if not self._atmost():
+                return False
+            if len(self.trail) == mark:
+                return True
+        return False
+
+    def _undo(self, mark: int) -> None:
+        val, trail, head = self.val, self.trail, self.head
+        need, false_lits, support = self.need, self.false_lits, self.support
+        while len(trail) > mark:
+            a = trail.pop()
+            if len(trail) < self.qhead:
+                if val[a]:
+                    made_true, made_false = self.pos_occ[a], self.neg_occ[a]
+                else:
+                    made_true, made_false = self.neg_occ[a], self.pos_occ[a]
+                for r in made_true:
+                    need[r] += 1
+                for r in made_false:
+                    false_lits[r] -= 1
+                    if not false_lits[r] and head[r] >= 0:
+                        support[head[r]] += 1
+            val[a] = None
+        self.qhead = mark
+
+    def models(self, assume=()) -> list:
+        """Every stable model, each as the ascending tuple of its true ids, sorted.
+
+        Ids 0..len(assume)-1 are first set to the values in assume, and a
+        model must keep them.  Chronological backtracking over the open atoms
+        in index order, each tried false, then true; expand runs to a
+        fixpoint after each assignment, so a leaf without a conflict is a
+        stable model.  Each call starts from an empty trail, so one core
+        serves any number of calls.
+        """
+        self._undo(0)
+        for a, value in enumerate(assume):
+            self._set(a, value)
+        found: list = []
+        if not (self._start() and self._expand()):
+            return found
+        val, trail, n = self.val, self.trail, self.n
+        stack: list = []  # (trail length before the decision, atom, flipped)
+        nxt = 0
+        ok = True
+        while True:
+            if ok:
+                while nxt < n and val[nxt] is not None:
+                    nxt += 1
+                if nxt == n:
+                    found.append(tuple(a for a in range(n) if val[a]))
+                    ok = False
+                else:
+                    stack.append((len(trail), nxt, False))
+                    self._set(nxt, False)
+                    ok = self._expand()
+                continue
+            while stack and stack[-1][2]:
+                stack.pop()
+            if not stack:
+                return sorted(found)  # by atom texts, where ids are in text order
+            mark, nxt, _ = stack.pop()
+            self._undo(mark)
+            stack.append((mark, nxt, True))
+            self._set(nxt, True)
+            ok = self._expand()
 
 
 def _bounds_ok(bounds) -> tuple:
@@ -549,16 +786,13 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
                 "casp mode needs a total valuation; undefined: "
                 + ", ".join(str(v) for v in missing)
             )
-    tmask = 0
-    for a in m.atoms:
-        n = prog.index.get(a)
-        if n is None:
-            return False  # no rule derives a foreign atom
-        tmask |= 1 << prog.rank[n]
+    if not prog.index.keys() >= m.atoms:
+        return False  # no rule derives a foreign atom
+    tmask = sum(1 << prog.rank[prog.index[a]] for a in m.atoms)
     vals = tuple(vd.get(v) for v in prog.variables)
     tau = prog.truth(vals)
-    rows, negated = prog.fold(tau)
-    if _stable_mask(rows, negated, tmask & negated) != tmask:
+    # m's truth on every Boolean id: the theory atoms', then the atoms'
+    if not prog.core().models(tau + tuple(bool(tmask >> k & 1) for k in range(len(prog.atoms)))):
         return False
     return mode == "casp" or not prog.smaller(tmask, tau, prog.sub_truths(vals), {})
 
@@ -574,12 +808,12 @@ def _answer_sort_key(ans: AnswerSet, variables) -> tuple:
 def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
     """All answer sets over the program's atoms and variables, sorted.
 
-    The program is compiled once.  Each grid point (a total valuation in
-    casp mode, a partial one in founded mode) gives a truth vector tau,
-    and each distinct tau is folded to Boolean rows and solved once: per
-    guess over the negated atoms, one least model, kept when stable.
-    Founded mode rejects a candidate when a proper sub-valuation has a
-    here world, a Horn check cached per (atoms, tau, sub-valuation tau).
+    The program is compiled and its Boolean core built once.  Each grid
+    point (a total valuation in casp mode, a partial one in founded mode)
+    gives a truth vector tau, and the core solves each distinct tau once,
+    with the theory atoms assumed to their truth in tau.  Founded mode
+    rejects a candidate when a proper sub-valuation has a here world, a
+    Horn check cached per (atoms, tau, sub-valuation tau).
 
     The order is _answer_sort_key's: atom sets by their sorted atom texts
     (the atoms' bits are in text order), each set's valuations in grid order.
@@ -588,6 +822,8 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
     lo, hi = _bounds_ok(bounds)
     founded = mode == "founded"
     prog = _Compiled(g)
+    core = prog.core()
+    t = len(prog.theory)
     values = tuple(range(lo, hi + 1))
     options = (None,) + values if founded else values
     solved: dict = {}  # tau -> stable masks
@@ -597,7 +833,9 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
         tau = prog.truth(vals)
         masks = solved.get(tau)
         if masks is None:
-            masks = solved[tau] = prog.stable_masks(tau)
+            masks = solved[tau] = [
+                sum(1 << (i - t) for i in m if i >= t) for m in core.models(tau)
+            ]
         if founded and masks:
             subs = prog.sub_truths(vals)
             masks = [m for m in masks if not prog.smaller(m, tau, subs, here_memo)]

@@ -201,12 +201,24 @@ def test_solve_ten_thousand_facts_on_search_engine(lp, capsys):
     )
 
 
-def test_solve_long_negation_chain_on_search_engine(lp, capsys):
+@pytest.mark.parametrize("engine", ["oracle", "search"])
+def test_solve_long_negation_chain(lp, capsys, engine):
     # p1 has no rule, so p0 and every even pI from p2 on are true.
     rules = ["p0 :- not p1."] + [f"p{k + 1} :- not p{k}." for k in range(1, 1500)]
-    code = run(["solve", lp("\n".join(rules)), "--engine", "search"])
+    code = run(["solve", lp("\n".join(rules)), "--engine", engine])
     assert code == EXIT_SAT
     atoms = ["p0"] + [f"p{k}" for k in range(2, 1501, 2)]
+    assert capsys.readouterr().out == (
+        "Answer: 1\n" + " ".join(sorted(atoms)) + "\nSATISFIABLE\n"
+    )
+
+
+def test_solve_even_loops_first_model_on_default_engine(lp, capsys):
+    # 2^14 answers; the first in text order takes every aI.
+    loops = [f"a{k} :- not b{k}. b{k} :- not a{k}." for k in range(1, 15)]
+    code = run(["solve", lp("\n".join(loops)), "--models", "1"])
+    assert code == EXIT_SAT
+    atoms = [f"a{k}" for k in range(1, 15)]
     assert capsys.readouterr().out == (
         "Answer: 1\n" + " ".join(sorted(atoms)) + "\nSATISFIABLE\n"
     )
