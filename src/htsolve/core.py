@@ -69,13 +69,25 @@ Term = Union[IntConst, SymConst, AspVar, FuncTerm]
 
 @dataclass(frozen=True)
 class Atom:
-    """Ordinary atom: predicate name plus ground or non-ground arguments."""
+    """Ordinary atom: predicate name plus ground or non-ground arguments.
+
+    The hash is computed once, since engines look atoms up in dicts again
+    and again; it is not a field, so ==, repr and fields() ignore it.
+    """
 
     predicate: str
     args: tuple = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy in another process rehashes
+        return (Atom, (self.predicate, self.args))
 
     def __str__(self) -> str:
         if not self.args:

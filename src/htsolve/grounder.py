@@ -1,9 +1,19 @@
-"""Join-based grounding over the term universe.
+"""Join-based grounding over interned term ids.
 
 Safety requires every rule variable to occur in a positive body atom;
 constraint atoms never bind variables, and a variable binds only to a term
 of the Herbrand universe (a derived term such as f(a) from a head w(f(X))
 is never a binding unless it occurs in the program).
+
+Every rule is walked once (``_RuleCode``); the walk yields its variables,
+its safety, the ground terms it adds to the universe and each ordinary atom
+as a predicate name plus argument codes.  Terms are interned as ints: the
+universe's terms are ids 0..U-1 in universe order, and derived function
+terms get ids from U on, so "binds only in the universe" is "id below U".
+An instance is a rule's code plus a frame, a tuple of ids: the constants
+of its atoms with variables, then its variables in the order the join binds
+them, then those that range over the universe.  An atom of an instance is (predicate name,
+id tuple), read from the frame by an ``itemgetter``.
 
 The result is the greatest set of rule instances in which every positive
 body atom is the head of a kept instance.  It is built without the cross
@@ -12,13 +22,20 @@ product over all rule variables:
 1. The positive dependency graph over predicate keys (name, arity) is
    split into strongly connected components, processed dependencies first.
 2. A rule's positive body atoms from lower components are joined against
-   the atoms already kept for those predicates.  A variable occurring only
-   in body atoms of the rule's own component ranges over the universe.
+   the id tuples already kept for those predicates.  A variable occurring
+   only in body atoms of the rule's own component ranges over the universe.
    The candidates are then cut down to the greatest fixpoint with support
-   counters: an instance dies once one of its same-component positive body
-   atoms is the head of no live instance.
+   counters keyed on atoms as id tuples: an instance dies once one of its
+   same-component positive body atoms is the head of no live instance.
 3. Integrity constraints and theory-atom heads are joined last, against
    every kept atom.
+
+Only the surviving instances become ``Rule`` objects.  Each distinct ground
+atom is one ``Atom`` and each (sign, atom) one ``Literal``; rules are
+deduplicated on their id keys and sorted by their text, built from each
+atom's string, computed once.  A variable-free rule is its own only
+instance and is returned as itself when its atoms are the interned ones.
+Theory atoms with rule variables are substituted per surviving instance.
 
 The greatest fixpoint keeps positive loops that nothing derives, such as
 q(x) :- p(x) and p(x) :- q(x), not s(x).  This shows in casp mode, where
@@ -31,23 +48,22 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
+from itertools import compress, product
+from operator import is_, itemgetter
 
 from .core import (
+    FALSITY,
     AspVar,
     AssignmentAtom,
     Atom,
     Diagnostic,
     DiffConstraintAtom,
-    Falsity,
     FuncTerm,
     IntConst,
     LinearConstraintAtom,
     Literal,
     Rule,
-    is_ground,
-    rule_variables,
-    walk_terms,
 )
 
 
@@ -81,30 +97,30 @@ class GroundProgram:
 
 def herbrand_universe(p, opts: GroundingOptions = GroundingOptions()) -> tuple:
     """All ground terms occurring in p, plus the optional integer range."""
-    terms = set()
+    terms: set = set()
     for r in p.rules:
-        for t in walk_terms(r):
-            if is_ground(t):
-                terms.add(t)
+        _RuleCode(r, terms)
+    return _universe(terms, opts)
+
+
+def check_safety(p) -> list:
+    """One diagnostic per rule whose variables are not bound by a positive body atom."""
+    return _unsafe([_RuleCode(r, set()) for r in p.rules])
+
+
+def _universe(terms: set, opts: GroundingOptions) -> tuple:
     if opts.int_range is not None:
         lo, hi = opts.int_range
         terms.update(IntConst(v) for v in range(lo, hi + 1))
     return tuple(sorted(terms, key=str))
 
 
-def check_safety(p) -> list:
-    """One diagnostic per rule whose variables are not bound by a positive body atom."""
-    out = []
-    for i, r in enumerate(p.rules):
-        bound = set()
-        for lit in r.body:
-            if lit.positive and isinstance(lit.atom, Atom):
-                bound.update(t for t in walk_terms(lit.atom) if isinstance(t, AspVar))
-        loose = rule_variables(r) - bound
-        if loose:
-            names = ", ".join(sorted(v.name for v in loose))
-            out.append(Diagnostic(i, f"unsafe variables: {names}"))
-    return out
+def _unsafe(codes: list) -> list:
+    return [
+        Diagnostic(i, "unsafe variables: " + ", ".join(sorted(v.name for v in c.unsafe)))
+        for i, c in enumerate(codes)
+        if c.unsafe
+    ]
 
 
 def _subst_term(t, env: dict):
@@ -133,18 +149,245 @@ def _subst_elem(e, env: dict):
     return e
 
 
-def _subst_rule(r: Rule, env: dict) -> Rule:
-    head = r.head if isinstance(r.head, Falsity) else _subst_elem(r.head, env)
-    body = tuple(Literal(lit.positive, _subst_elem(lit.atom, env)) for lit in r.body)
-    return Rule(head, body)
+def _theory_terms(e) -> tuple:
+    if isinstance(e, LinearConstraintAtom):
+        return tuple(t for _, t in e.terms)
+    if isinstance(e, DiffConstraintAtom):
+        return (e.lhs_var, e.rhs_var)
+    if isinstance(e, AssignmentAtom):
+        return (e.lo, e.hi, e.target)
+    return ()
 
 
-def _key(a: Atom) -> tuple:
-    return (a.predicate, len(a.args))
+def _walk(t, found: list, terms: set):
+    """t's raw code: the AspVar itself (appended to found), the ground term
+    itself (added to terms), or (name, codes) for a function term with variables."""
+    if isinstance(t, AspVar):
+        found.append(t)
+        return t
+    if isinstance(t, FuncTerm):
+        codes = tuple(_walk(a, found, terms) for a in t.args)
+        if any(isinstance(c, (AspVar, tuple)) for c in codes):
+            return (t.name, codes)
+    terms.add(t)
+    return t
 
 
-def _positive_atoms(r: Rule) -> list:
-    return [lit.atom for lit in r.body if lit.positive and isinstance(lit.atom, Atom)]
+def _place_constants(codes: tuple, slot: dict, consts: list, ids: dict) -> None:
+    for c in codes:
+        if isinstance(c, tuple):
+            _place_constants(c[1], slot, consts, ids)
+        elif not isinstance(c, AspVar) and c not in slot:
+            slot[c] = len(consts)
+            consts.append(ids[c])
+
+
+def _frame_codes(codes: tuple, slot: dict) -> tuple:
+    """Raw codes as frame positions; a function term with variables stays (name, codes)."""
+    return tuple(
+        (c[0], _frame_codes(c[1], slot)) if isinstance(c, tuple) else slot[c] for c in codes
+    )
+
+
+def _getter(positions) -> itemgetter:
+    """A C-level callable giving the items at positions, always as a tuple."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    if not positions:
+        return itemgetter(slice(0, 0))
+    return itemgetter(*positions)
+
+
+class _Terms:
+    """Term ids: the universe's terms are 0..size-1 in universe order; derived
+    function terms follow, interned on (name, argument ids)."""
+
+    def __init__(self, universe: tuple) -> None:
+        self.size = len(universe)
+        self.objs = list(universe)
+        self.texts = [str(t) for t in universe]
+        self.ids = {t: i for i, t in enumerate(universe)}
+        self.func_id: dict = {}
+        self.func_of: dict = {}
+        for i, t in enumerate(universe):
+            if isinstance(t, FuncTerm):
+                f = (t.name, tuple(self.ids[a] for a in t.args))
+                self.func_id[f] = i
+                self.func_of[i] = f
+
+    def intern(self, name: str, args: tuple) -> int:
+        fid = self.func_id.get((name, args))
+        if fid is None:
+            fid = self.func_id[name, args] = len(self.objs)
+            self.func_of[fid] = (name, args)
+            self.objs.append(FuncTerm(name, tuple(self.objs[a] for a in args)))
+            self.texts.append(f"{name}({','.join(self.texts[a] for a in args)})")
+        return fid
+
+    def build(self, codes: tuple, frame: tuple) -> tuple:
+        """The ids of an atom whose codes hold a function term with variables."""
+        return tuple(
+            self.intern(c[0], self.build(c[1], frame)) if isinstance(c, tuple) else frame[c]
+            for c in codes
+        )
+
+    def match(self, codes: tuple, args: tuple, env: list) -> bool:
+        """Extend env (None where unbound) so that codes become args; a
+        variable binds only to an id below size."""
+        for c, a in zip(codes, args):
+            if type(c) is tuple:
+                f = self.func_of.get(a)
+                if f is None or f[0] != c[0] or len(f[1]) != len(c[1]):
+                    return False
+                if not self.match(c[1], f[1], env):
+                    return False
+            elif env[c] is None:
+                if a >= self.size:
+                    return False
+                env[c] = a
+            elif env[c] != a:
+                return False
+        return True
+
+
+class _AtomCode:
+    """An ordinary atom of a planned rule: ids(frame) gives its argument ids.
+
+    codes are the arguments as frame positions, None for a variable-free atom.
+    """
+
+    __slots__ = ("name", "pkey", "codes", "ids")
+
+    def __init__(self, raw: tuple, slot: dict, terms: _Terms) -> None:
+        name, codes, variables = raw
+        self.name = name
+        self.pkey = (name, len(codes))
+        if not variables:
+            key = tuple([terms.ids[t] for t in codes])
+            self.codes = None
+            self.ids = lambda frame: key
+        else:
+            self.codes = _frame_codes(codes, slot)
+            if any(isinstance(c, tuple) for c in self.codes):
+                self.ids = partial(terms.build, self.codes)
+            else:
+                self.ids = _getter(self.codes)
+
+
+class _Kept:
+    """Atoms kept so far as id tuples per predicate key, indexed by argument id on first use."""
+
+    def __init__(self) -> None:
+        self.rows: dict = {}
+        self.keys: set = set()
+        self.index: dict = {}
+
+    def add(self, heads) -> None:
+        # All atoms of a key arrive in one call, before any lookup of that key.
+        for key in heads:
+            if key not in self.keys:
+                self.keys.add(key)
+                self.rows.setdefault((key[0], len(key[1])), []).append(key[1])
+
+    def lookup(self, pkey: tuple, pos: int, value: int):
+        index = self.index.get((pkey, pos))
+        if index is None:
+            index = self.index[pkey, pos] = defaultdict(list)
+            for ids in self.rows.get(pkey, ()):
+                index[ids[pos]].append(ids)
+        return index.get(value, ())
+
+    def join(self, envs: list, atom: _AtomCode, terms: _Terms) -> list:
+        """Each env extended by every kept atom that atom matches under it,
+        looked up by the first argument the env already binds."""
+        if atom.codes is None:
+            return envs if (atom.name, atom.ids(())) in self.keys else []
+        out = []
+        for env in envs:
+            for pos, c in enumerate(atom.codes):
+                if type(c) is int and env[c] is not None:
+                    rows = self.lookup(atom.pkey, pos, env[c])
+                    break
+            else:
+                rows = self.rows.get(atom.pkey, ())
+            for args in rows:
+                extended = env.copy()
+                if terms.match(atom.codes, args, extended):
+                    out.append(extended)
+        return out
+
+
+class _RuleCode:
+    """A rule walked once, then planned once its universe and component are known.
+
+    The walk keeps each ordinary atom as (predicate, raw codes, variables);
+    planning lays out the frame: the constants of the atoms with variables,
+    then the variables the join binds, then those ranging over the universe.
+    """
+
+    def __init__(self, r: Rule, terms: set) -> None:
+        found: list = []
+        bound: set = set()
+        self.rule = r
+        self.raw_head = self._walk_elem(r.head, found, terms)
+        ordinary = isinstance(self.raw_head, tuple)
+        self.head_pkey = (self.raw_head[0], len(self.raw_head[1])) if ordinary else None
+        self.open = bool(found) and not ordinary  # a theory atom holds variables
+        self.raw_body = []
+        for lit in r.body:
+            start = len(found)
+            raw = self._walk_elem(lit.atom, found, terms)
+            if lit.positive and isinstance(raw, tuple):
+                bound.update(raw[2])
+            open_ = len(found) > start and not isinstance(raw, tuple)
+            self.open = self.open or open_
+            self.raw_body.append((lit.positive, raw, open_))
+        self.variables = dict.fromkeys(found)
+        self.unsafe = [v for v in self.variables if v not in bound]
+
+    @staticmethod
+    def _walk_elem(e, found: list, terms: set):
+        """(predicate, raw codes, variables) for an ordinary atom; any other element itself."""
+        start = len(found)
+        if isinstance(e, Atom):
+            codes = tuple([_walk(t, found, terms) for t in e.args])
+            return (e.predicate, codes, found[start:])
+        for t in _theory_terms(e):
+            _walk(t, found, terms)
+        return e
+
+    def plan(self, terms: _Terms, inner: set) -> None:
+        """Lay out the frame and the join; inner: predicate keys of the rule's own component."""
+        slot: dict = {}
+        consts: list = []
+        free: list = []
+        if self.variables:
+            for e in [self.raw_head, *(e for _, e, _ in self.raw_body)]:
+                if isinstance(e, tuple) and e[2]:
+                    _place_constants(e[1], slot, consts, terms.ids)
+            for positive, e, _ in self.raw_body:
+                if positive and isinstance(e, tuple) and (e[0], len(e[1])) not in inner:
+                    for v in e[2]:
+                        slot.setdefault(v, len(slot))
+            free = [v for v in self.variables if v not in slot]
+        self.start = consts + [None] * (len(slot) - len(consts))
+        for v in free:
+            slot[v] = len(slot)
+        self.slot = slot
+        self.tails = list(product(range(terms.size), repeat=len(free)))
+        code = partial(_AtomCode, slot=slot, terms=terms)
+        head = self.raw_head
+        self.head = code(head) if isinstance(head, tuple) else head
+        self.body = [(pos, code(e) if isinstance(e, tuple) else e, open_) for pos, e, open_ in self.raw_body]
+        positive = [e for pos, e, _ in self.body if pos and isinstance(e, _AtomCode)]
+        self.lower = [e for e in positive if e.pkey not in inner]
+        self.inner = [e for e in positive if e.pkey in inner]
+
+    def frames(self, kept: _Kept, terms: _Terms) -> list:
+        envs = [self.start]
+        for atom in self.lower:
+            envs = kept.join(envs, atom, terms)
+        return [tuple(env) + tail for env in envs for tail in self.tails]
 
 
 def strongly_connected(succ: dict) -> list:
@@ -195,162 +438,162 @@ def strongly_connected(succ: dict) -> list:
     return out
 
 
-def _components(rules: list) -> list:
+def _components(plain: list) -> list:
     """Predicate-key sets of the positive dependency graph, dependencies first."""
     succ: dict = {}
-    for r in rules:
-        succ.setdefault(_key(r.head), {})
-    for r in rules:
-        edges = succ[_key(r.head)]
-        edges.update((k, None) for k in map(_key, _positive_atoms(r)) if k in succ)
+    for c in plain:
+        succ.setdefault(c.head_pkey, {})
+    for c in plain:
+        edges = succ[c.head_pkey]
+        for positive, e, _ in c.raw_body:
+            if positive and isinstance(e, tuple) and (e[0], len(e[1])) in succ:
+                edges[e[0], len(e[1])] = None
     return strongly_connected(succ)
 
 
-class _KeptAtoms:
-    """Atoms kept so far per predicate key, indexed by argument value on first use."""
-
-    def __init__(self) -> None:
-        self.by_key: dict = defaultdict(list)
-        self.by_arg: dict = {}
-
-    def add(self, atoms) -> None:
-        # All atoms of a key arrive in one call, before any lookup of that key.
-        for a in atoms:
-            self.by_key[_key(a)].append(a)
-
-    def matching(self, pattern: Atom, env: dict):
-        """Kept atoms that may match pattern, narrowed by its first bound argument."""
-        key = _key(pattern)
-        for i, t in enumerate(pattern.args):
-            if isinstance(t, AspVar):
-                t = env.get(t)
-            elif isinstance(t, FuncTerm):
-                continue  # may hold variables
-            if t is None:
-                continue
-            index = self.by_arg.get((key, i))
-            if index is None:
-                index = self.by_arg[key, i] = defaultdict(list)
-                for a in self.by_key[key]:
-                    index[a.args[i]].append(a)
-            return index.get(t, ())
-        return self.by_key[key]
-
-
-def _match(pattern, term, env: dict, universe: set) -> bool:
-    """Extend env in place so that pattern becomes term; variables bind only in universe."""
-    if isinstance(pattern, AspVar):
-        bound = env.get(pattern)
-        if bound is None:
-            if term not in universe:
-                return False
-            env[pattern] = term
-            return True
-        return bound == term
-    if isinstance(pattern, FuncTerm):
-        return (
-            isinstance(term, FuncTerm)
-            and term.name == pattern.name
-            and len(term.args) == len(pattern.args)
-            and all(_match(p, t, env, universe) for p, t in zip(pattern.args, term.args))
-        )
-    return pattern == term
-
-
-def _join(atoms: list, kept: _KeptAtoms, universe: set):
-    """Yield every binding under which each pattern in atoms is a kept atom.
-
-    Depth first over atoms in order, one candidate iterator per matched
-    pattern on an explicit stack, so bindings come in nested-loop order.
-    """
-    if not atoms:
-        yield {}
-        return
-    envs = [{}]  # envs[i]: the binding atoms[i] is matched under
-    stack = [iter(kept.matching(atoms[0], {}))]
-    while stack:
-        depth = len(stack) - 1
-        pattern, env = atoms[depth], envs[depth]
-        for a in stack[-1]:
-            extended = dict(env)
-            if all(_match(p, t, extended, universe) for p, t in zip(pattern.args, a.args)):
-                break
-        else:
-            stack.pop()
-            envs.pop()
-            continue
-        if depth + 1 == len(atoms):
-            yield extended
-        else:
-            envs.append(extended)
-            stack.append(iter(kept.matching(atoms[depth + 1], extended)))
-
-
-def _instantiate(r: Rule, joined: list, kept: _KeptAtoms, universe: tuple, allowed: set):
-    """Instances of r whose joined atoms are kept; other variables range over universe."""
-    variables = rule_variables(r)
-    bound = {t for a in joined for t in walk_terms(a) if isinstance(t, AspVar)}
-    free = sorted(variables - bound, key=lambda v: v.name)
-    for env in _join(joined, kept, allowed):
-        if not variables:
-            yield r
-            continue
-        for values in product(universe, repeat=len(free)):
-            yield _subst_rule(r, {**env, **dict(zip(free, values))})
-
-
-def _greatest_fixpoint(candidates: list, keys: set) -> list:
-    """Candidates left once every instance with an unsupported same-component atom is gone."""
-    inner = [
-        (i, a) for i, r in enumerate(candidates) for a in _positive_atoms(r) if _key(a) in keys
-    ]
+def _greatest_fixpoint(cands: list) -> tuple:
+    """The (code, frame) candidates left once every instance with an
+    unsupported same-component atom is gone, and their heads."""
+    heads = [(c.head.name, c.head.ids(f)) for c, f in cands]
+    inner = [(n, (a.name, a.ids(f))) for n, (c, f) in enumerate(cands) for a in c.inner]
     if not inner:
-        return candidates
-    support = Counter(r.head for r in candidates)
+        return cands, heads
+    support = Counter(heads)
     watchers = defaultdict(list)
     doomed = []
-    for i, a in inner:
-        watchers[a].append(i)
-        if not support[a]:
-            doomed.append(i)
-    dead = [False] * len(candidates)
+    for n, atom in inner:
+        watchers[atom].append(n)
+        if atom not in support:
+            doomed.append(n)
+    dead = [False] * len(cands)
     while doomed:
-        i = doomed.pop()
-        if dead[i]:
+        n = doomed.pop()
+        if dead[n]:
             continue
-        dead[i] = True
-        head = candidates[i].head
+        dead[n] = True
+        head = heads[n]
         support[head] -= 1
         if not support[head]:
-            doomed.extend(watchers[head])
-    return [r for r, gone in zip(candidates, dead) if not gone]
+            doomed.extend(watchers.get(head, ()))
+    alive = [not d for d in dead]
+    return list(compress(cands, alive)), list(compress(heads, alive))
+
+
+class _Builder:
+    """Rule objects for the surviving instances, deduplicated on id keys.
+
+    An ordinary atom's key is (predicate, id tuple), a theory atom's its
+    number here, a literal's (sign, atom key) and a rule's (head key, literal
+    keys), with None for a #false head.  The first object seen for a key is
+    the one every rule shares; a variable-free rule offers its own.
+    """
+
+    def __init__(self, terms: _Terms) -> None:
+        self.terms = terms
+        self.atoms: dict = {}  # key -> (Atom, text)
+        self.theory: dict = {}  # theory atom -> key
+        self.theory_atoms: list = []  # key -> (theory atom, text)
+        self.literals: dict = {}  # key -> (Literal, text)
+        self.rules: dict = {}  # key -> (text, Rule)
+
+    def _atom(self, key, own) -> tuple:
+        if type(key) is int:
+            return self.theory_atoms[key]
+        entry = self.atoms.get(key)
+        if entry is None:
+            name, ids = key
+            texts = self.terms.texts
+            text = f"{name}({','.join([texts[i] for i in ids])})" if ids else name
+            if own is None:
+                own = Atom(name, tuple([self.terms.objs[i] for i in ids]))
+            entry = self.atoms[key] = (own, text)
+        return entry
+
+    def _theory_key(self, e) -> int:
+        key = self.theory.get(e)
+        if key is None:
+            key = self.theory[e] = len(self.theory_atoms)
+            self.theory_atoms.append((e, str(e)))
+        return key
+
+    def _literal(self, key: tuple, own) -> tuple:
+        positive, akey = key
+        atom, text = self._atom(akey, None if own is None else own.atom)
+        if own is None or own.atom is not atom:
+            own = Literal(positive, atom)
+        entry = self.literals[key] = (own, text if positive else "not " + text)
+        return entry
+
+    def add(self, c: _RuleCode, frame: tuple) -> None:
+        env = None
+        if c.open:
+            objs = self.terms.objs
+            env = {v: objs[frame[c.slot[v]]] for v in c.variables}
+        head = c.head
+        if head is FALSITY:
+            hkey = None
+        elif type(head) is _AtomCode:
+            hkey = (head.name, head.ids(frame))
+        else:
+            hkey = self._theory_key(_subst_elem(head, env) if env else head)
+        lkeys = tuple([
+            (pos, (e.name, e.ids(frame)) if type(e) is _AtomCode
+             else self._theory_key(_subst_elem(e, env) if open_ else e))
+            for pos, e, open_ in c.body
+        ])
+        rkey = (hkey, lkeys)
+        if rkey in self.rules:
+            return
+        rule = None if c.variables else c.rule  # a variable-free rule offers its own objects
+        get = self.literals.get
+        if rule is None:
+            entries = [get(k) or self._literal(k, None) for k in lkeys]
+        else:
+            entries = [get(k) or self._literal(k, lit) for k, lit in zip(lkeys, rule.body)]
+        lits = tuple([lit for lit, _ in entries])
+        body = ", ".join([text for _, text in entries])
+        if hkey is None:
+            head, text = FALSITY, f":- {body}."
+        else:
+            head, text = self.atoms.get(hkey) or self._atom(hkey, rule and rule.head)
+            text = f"{text} :- {body}." if lits else f"{text}."
+        if rule is None or head is not rule.head or not all(map(is_, lits, rule.body)):
+            rule = Rule(head, lits)
+        self.rules[rkey] = (text, rule)
+
+    def sorted_rules(self) -> tuple:
+        return tuple(r for _, r in sorted(self.rules.values(), key=itemgetter(0)))
 
 
 def ground(p, opts: GroundingOptions = GroundingOptions()) -> GroundProgram:
     """Instantiate p bottom-up over its universe; rejects unsafe programs."""
-    diags = check_safety(p)
+    found: set = set()
+    codes = [_RuleCode(r, found) for r in p.rules]
+    diags = _unsafe(codes)
     if diags:
         raise ValueError("unsafe program: " + "; ".join(str(d) for d in diags))
-    universe = herbrand_universe(p, opts)
-    allowed = set(universe)
-    plain = [r for r in p.rules if isinstance(r.head, Atom)]
+    universe = _universe(found, opts)
+    terms = _Terms(universe)
+    plain = [c for c in codes if c.head_pkey]
     components = _components(plain)
     component_of = {k: i for i, keys in enumerate(components) for k in keys}
     by_component: list = [[] for _ in components]
-    for r in plain:
-        by_component[component_of[_key(r.head)]].append(r)
-    kept = _KeptAtoms()
-    ground_rules: list = []
+    for c in plain:
+        by_component[component_of[c.head_pkey]].append(c)
+    kept = _Kept()
+    builder = _Builder(terms)
     for i, keys in enumerate(components):
         candidates: list = []
-        for r in by_component[i]:
-            lower = [a for a in _positive_atoms(r) if _key(a) not in keys]
-            candidates.extend(_instantiate(r, lower, kept, universe, allowed))
-        live = _greatest_fixpoint(candidates, keys)
-        kept.add(dict.fromkeys(r.head for r in live))
-        ground_rules.extend(live)
-    for r in p.rules:
-        if not isinstance(r.head, Atom):
-            ground_rules.extend(_instantiate(r, _positive_atoms(r), kept, universe, allowed))
-    unique = sorted(set(ground_rules), key=str)
-    return GroundProgram(tuple(unique), universe)
+        for c in by_component[i]:
+            c.plan(terms, keys)
+            candidates += [(c, f) for f in c.frames(kept, terms)]
+        live, heads = _greatest_fixpoint(candidates)
+        kept.add(heads)
+        for c, f in live:
+            builder.add(c, f)
+    for c in codes:
+        if not c.head_pkey:
+            c.plan(terms, ())
+            for f in c.frames(kept, terms):
+                builder.add(c, f)
+    return GroundProgram(builder.sorted_rules(), universe)

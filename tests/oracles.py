@@ -10,11 +10,11 @@ incremental potentials.
 
 from itertools import chain, combinations, product
 
-from htsolve.core import Atom, Rule, atoms_of, rule_variables
+from htsolve.core import Atom, Falsity, Literal, Rule, atoms_of, rule_variables
 from htsolve.grounder import (
     GroundingOptions,
     GroundProgram,
-    _subst_rule,
+    _subst_elem,
     check_safety,
     herbrand_universe,
 )
@@ -52,6 +52,12 @@ def sub_valuations(val: Valuation):
     entries = list(val.as_dict().items())
     for keep in subsets(entries):
         yield Valuation.of(dict(keep))
+
+
+def _subst_rule(r: Rule, env: dict) -> Rule:
+    head = r.head if isinstance(r.head, Falsity) else _subst_elem(r.head, env)
+    body = tuple(Literal(lit.positive, _subst_elem(lit.atom, env)) for lit in r.body)
+    return Rule(head, body)
 
 
 def instances(r: Rule, universe) -> list:

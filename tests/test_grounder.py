@@ -175,6 +175,45 @@ def test_ground_output_is_deduplicated():
     assert [str(r) for r in gp.rules] == ["p(a).", "q(a) :- p(a)."]
 
 
+def test_ground_deduplicates_instances_of_different_rules():
+    src = (
+        "q(a). q(b). q(a).\n"
+        "r(X) :- q(X). r(X) :- q(X). r(a) :- q(a).\n"
+        "b :- &diff{x-y} <= 0, q(X). b :- &diff{x-y} <= 0, q(X).\n"
+        ":- r(X), not q(X). :- r(b), not q(b)."
+    )
+    gp = ground(prog(src))
+    assert [str(r) for r in gp.rules] == [
+        ":- r(a), not q(a).",
+        ":- r(b), not q(b).",
+        "b :- &diff{x-y} <= 0, q(a).",
+        "b :- &diff{x-y} <= 0, q(b).",
+        "q(a).",
+        "q(b).",
+        "r(a) :- q(a).",
+        "r(b) :- q(b).",
+    ]
+    assert gp == naive_ground(prog(src))
+
+
+def test_ground_shares_one_object_per_ground_atom_and_literal():
+    gp = ground(prog(
+        "e(a,b). e(b,c). p(a). p(a). q :- p(a), not s(a).\n"
+        "t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z).\n"
+        "s(X) :- p(X), not t(X,X). :- t(X,X), p(X). w(f(X)) :- p(X). v :- w(f(a))."
+    ))
+    atoms: dict = {}
+    literals: dict = {}
+    for r in gp.rules:
+        if isinstance(r.head, Atom):
+            assert atoms.setdefault(r.head, r.head) is r.head, r
+        for lit in r.body:
+            assert atoms.setdefault(lit.atom, lit.atom) is lit.atom, r
+            assert literals.setdefault(lit, lit) is lit, r
+    assert str(atoms[Atom("p", (SymConst("a"),))]) == "p(a)"
+    assert len(atoms) == 11 and len(literals) == 7
+
+
 def test_ground_program_contains_no_variables():
     gp = naive_ground(prog("p(a). p(b). s(X,Y) :- p(X), p(Y), not q(X)."), simplify=False)
     assert all(not rule_variables(r) for r in gp.rules)
