@@ -7,12 +7,12 @@ order, with the definitional enumerator ``naive_equilibrium`` of
 ``tests/oracles.py``.  In casp mode each program is solved by both engines,
 the oracle and the search engine.  They share both the numbering of the
 program and the Boolean core, so their agreement alone would not catch a
-fault in either; ``naive_equilibrium`` is the independent check.  The
-search engine is also asked for the first one and the first two answers
-(``models=1`` and ``2``), which must be the prefixes of the full list, also
-where the cut falls inside a group of Boolean models.  In founded mode the
-programs also get &in assignment heads, and the oracle
-(``enumerate_equilibrium``) is compared.  In both modes ``is_equilibrium``
+fault in either; ``naive_equilibrium`` is the independent check.  In
+founded mode the programs also get &in assignment heads, and only the
+oracle engine runs.  Every engine, each called through ``solve``, is also
+asked for the first one and the first two answers (``models=1`` and
+``2``), which must be the prefixes of the full list, also where the cut
+falls inside a group of Boolean models.  In both modes ``is_equilibrium``
 must accept every answer of ``naive_equilibrium``.  Exits nonzero on the
 first mismatch, printing the offending program so it can be pasted into a
 regression test.
@@ -31,7 +31,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from htsolve import enumerate_equilibrium, is_equilibrium, solve
+from htsolve import is_equilibrium, solve
 from htsolve.randprog import random_hybrid_program
 
 ORACLES = Path(__file__).resolve().parent.parent / "tests" / "oracles.py"
@@ -65,13 +65,11 @@ def main(argv=None) -> int:
 
     bounds = args.domain
     naive = load_naive_equilibrium()
-    if args.semantics == "casp":
-        solvers = {
-            "oracle": lambda g: solve(g, "casp", bounds, engine="oracle"),
-            "search": lambda g: solve(g, "casp", bounds, engine="search"),
-        }
-    else:
-        solvers = {"oracle": lambda g: enumerate_equilibrium(g, "founded", bounds)}
+    engines = ("oracle", "search") if args.semantics == "casp" else ("oracle",)
+    solvers = {
+        engine: lambda g, engine=engine: solve(g, args.semantics, bounds, engine=engine)
+        for engine in engines
+    }
     solvers["naive"] = lambda g: naive(g, args.semantics, bounds)
     rng = random.Random(args.seed)
     answer_histogram = Counter()
@@ -99,12 +97,12 @@ def main(argv=None) -> int:
                 print(g)
                 print(f"is_equilibrium rejects naive's answer {ans}")
                 return 1
-        if args.semantics == "casp":
+        for engine in engines:
             for k in (1, 2):
-                if solve(g, "casp", bounds, engine="search", models=k) != want[:k]:
+                if solve(g, args.semantics, bounds, engine=engine, models=k) != want[:k]:
                     print(f"MISMATCH on program {n}:")
                     print(g)
-                    print(f"search with models={k} is not the first {k} of naive's answers")
+                    print(f"{engine} with models={k} is not the first {k} of naive's answers")
                     return 1
         answer_histogram[len(want)] += 1
 

@@ -335,6 +335,15 @@ def instance_facts(inst: ConfigInstance) -> Program:
 
 def check_instance(m: ConfigModel, inst: ConfigInstance) -> list:
     """All violations of inst against m, in (kind, subjects) order."""
+    return _in_order(_structural_violations(m, inst) + _constraint_violations(m, inst))
+
+
+def _in_order(out: list) -> list:
+    return sorted(out, key=lambda v: (VIOLATION_KINDS.index(v.kind), v.subjects, v.message))
+
+
+def _structural_violations(m: ConfigModel, inst: ConfigInstance) -> list:
+    """Every violation of inst against m but the "constraint" ones, unsorted."""
     out: list = []
     types = inst.type_of()
     declared = set(m.part_types)
@@ -459,8 +468,6 @@ def check_instance(m: ConfigModel, inst: ConfigInstance) -> list:
                 )
             )
 
-    out.extend(_constraint_violations(m, inst))
-    out.sort(key=lambda v: (VIOLATION_KINDS.index(v.kind), v.subjects, v.message))
     return out
 
 
@@ -493,13 +500,13 @@ def _constraint_violations(m: ConfigModel, inst: ConfigInstance) -> list:
     return out
 
 
-RELAXED_EXEMPT = ("multiplicity", "missing-attr", "constraint")
+RELAXED_EXEMPT = ("multiplicity", "missing-attr")
 
 
 def relaxed_violations(m: ConfigModel, partial: ConfigInstance) -> list:
-    """check_instance minus completeness requirements, for partial inputs."""
+    """check_instance minus completeness requirements and constraint rules, for partial inputs."""
     out = []
-    for v in check_instance(m, partial):
+    for v in _in_order(_structural_violations(m, partial)):
         if v.kind in RELAXED_EXEMPT:
             continue
         if v.kind == "multiple-roots" and not v.subjects:

@@ -33,9 +33,8 @@ product over all rule variables:
 Only the surviving instances become ``Rule`` objects.  Each distinct ground
 atom is one ``Atom`` and each (sign, atom) one ``Literal``; rules are
 deduplicated on their id keys and sorted by their text, built from each
-atom's string, computed once.  A variable-free rule is its own only
-instance and is returned as itself when its atoms are the interned ones.
-Theory atoms with rule variables are substituted per surviving instance.
+atom's string, computed once.  Theory atoms with rule variables are
+substituted per surviving instance.
 
 The greatest fixpoint keeps positive loops that nothing derives, such as
 q(x) :- p(x) and p(x) :- q(x), not s(x).  This shows in casp mode, where
@@ -50,7 +49,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, product
-from operator import is_, itemgetter
+from operator import itemgetter
 
 from .core import (
     FALSITY,
@@ -328,7 +327,6 @@ class _RuleCode:
     def __init__(self, r: Rule, terms: set) -> None:
         found: list = []
         bound: set = set()
-        self.rule = r
         self.raw_head = self._walk_elem(r.head, found, terms)
         ordinary = isinstance(self.raw_head, tuple)
         self.head_pkey = (self.raw_head[0], len(self.raw_head[1])) if ordinary else None
@@ -484,8 +482,8 @@ class _Builder:
 
     An ordinary atom's key is (predicate, id tuple), a theory atom's its
     number here, a literal's (sign, atom key) and a rule's (head key, literal
-    keys), with None for a #false head.  The first object seen for a key is
-    the one every rule shares; a variable-free rule offers its own.
+    keys), with None for a #false head.  Each key has one object, which
+    every rule shares.
     """
 
     def __init__(self, terms: _Terms) -> None:
@@ -496,7 +494,7 @@ class _Builder:
         self.literals: dict = {}  # key -> (Literal, text)
         self.rules: dict = {}  # key -> (text, Rule)
 
-    def _atom(self, key, own) -> tuple:
+    def _atom(self, key) -> tuple:
         if type(key) is int:
             return self.theory_atoms[key]
         entry = self.atoms.get(key)
@@ -504,9 +502,8 @@ class _Builder:
             name, ids = key
             texts = self.terms.texts
             text = f"{name}({','.join([texts[i] for i in ids])})" if ids else name
-            if own is None:
-                own = Atom(name, tuple([self.terms.objs[i] for i in ids]))
-            entry = self.atoms[key] = (own, text)
+            atom = Atom(name, tuple([self.terms.objs[i] for i in ids]))
+            entry = self.atoms[key] = (atom, text)
         return entry
 
     def _theory_key(self, e) -> int:
@@ -516,12 +513,10 @@ class _Builder:
             self.theory_atoms.append((e, str(e)))
         return key
 
-    def _literal(self, key: tuple, own) -> tuple:
+    def _literal(self, key: tuple) -> tuple:
         positive, akey = key
-        atom, text = self._atom(akey, None if own is None else own.atom)
-        if own is None or own.atom is not atom:
-            own = Literal(positive, atom)
-        entry = self.literals[key] = (own, text if positive else "not " + text)
+        atom, text = self._atom(akey)
+        entry = self.literals[key] = (Literal(positive, atom), text if positive else "not " + text)
         return entry
 
     def add(self, c: _RuleCode, frame: tuple) -> None:
@@ -544,22 +539,16 @@ class _Builder:
         rkey = (hkey, lkeys)
         if rkey in self.rules:
             return
-        rule = None if c.variables else c.rule  # a variable-free rule offers its own objects
         get = self.literals.get
-        if rule is None:
-            entries = [get(k) or self._literal(k, None) for k in lkeys]
-        else:
-            entries = [get(k) or self._literal(k, lit) for k, lit in zip(lkeys, rule.body)]
+        entries = [get(k) or self._literal(k) for k in lkeys]
         lits = tuple([lit for lit, _ in entries])
         body = ", ".join([text for _, text in entries])
         if hkey is None:
             head, text = FALSITY, f":- {body}."
         else:
-            head, text = self.atoms.get(hkey) or self._atom(hkey, rule and rule.head)
+            head, text = self.atoms.get(hkey) or self._atom(hkey)
             text = f"{text} :- {body}." if lits else f"{text}."
-        if rule is None or head is not rule.head or not all(map(is_, lits, rule.body)):
-            rule = Rule(head, lits)
-        self.rules[rkey] = (text, rule)
+        self.rules[rkey] = (text, Rule(head, lits))
 
     def sorted_rules(self) -> tuple:
         return tuple(r for _, r in sorted(self.rules.values(), key=itemgetter(0)))

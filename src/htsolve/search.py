@@ -5,11 +5,11 @@ and finds its Boolean models with the core the oracle runs too,
 _Compiled.core(): Smodels-style propagation with chronological
 backtracking.  Constraint-atom truth is a function of the shared
 valuation, not something rules derive, so the core takes the t distinct
-constraint atoms as free propositions, ids 0..t-1, and then the atoms, id
-t + rank: a free proposition is decided true or false like any atom but
-needs no supporting rule, and a rule with one as head still forbids "body
-true, head false".  The oracle assumes each one's truth instead.  The
-names __t1, __t2, ... exist only in abstract()'s output.
+constraint atoms, ids 0..t-1 of the table, as free propositions; the atoms
+follow in text order.  A free proposition is decided true or false like
+any atom but needs no supporting rule, and a rule with one as head still
+forbids "body true, head false".  The oracle assumes each one's truth
+instead.  The names __t1, __t2, ... exist only in abstract()'s output.
 
 theory_certify() is the single place that decides valuations: a
 difference-logic graph refutes inconsistent &diff signs outright, each
@@ -51,7 +51,6 @@ from .semantics import (
     Valuation,
     _bounds_ok,
     _Compiled,
-    _Core,
     _row,
     enumerate_equilibrium,
 )
@@ -99,11 +98,11 @@ def stable_models_bool(b: GroundProgram, free=frozenset()) -> list:
     prog = _Compiled(b)
     if prog.theory:
         raise ValueError(f"stable_models_bool expects a Boolean program, found {prog.theory[0]}")
-    extra = sorted(set(free).difference(prog.index), key=str)
-    atoms = list(heapq.merge(prog.atoms, extra, key=str))  # ids are places in text order
-    ids = {a: i for i, a in enumerate(atoms)}
-    core = _Core(prog, [ids[a] for a in prog.index], [ids[a] for a in free], len(atoms))
-    return [frozenset(atoms[i] for i in m) for m in core.models()]
+    extra = set(free).difference(prog.atoms)  # in no rule: each doubles the models
+    models = [prog.visible(m) for m in prog.core(free).models()]
+    for a in extra:
+        models += [m | {a} for m in models]
+    return sorted(models, key=lambda m: sorted(map(str, m))) if extra else models
 
 
 # The valuations of one program pair the same variables, in the same order,
@@ -184,7 +183,7 @@ def theory_certify(signs: dict, bounds) -> list:
     lo, hi = _bounds_ok(bounds)
     graph = DiffGraph()
     cid = 0
-    for atom, sign in sorted(signs.items(), key=lambda kv: str(kv[0])):
+    for atom, sign in signs.items():
         if sign is None or not isinstance(atom, DiffConstraintAtom):
             continue
         x, y, k = atom.lhs_var, atom.rhs_var, atom.bound
@@ -285,7 +284,7 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
         raise ValueError("engine 'search' supports casp mode only")
     _bounds_ok(bounds)  # also when no Boolean model reaches theory_certify
     prog = _compile(g)
-    t = len(prog.theory)  # Boolean ids: theory atoms first, then atoms in text order
+    t = len(prog.theory)  # the theory atoms' Boolean ids come first
     groups: dict = {}  # visible atom ids -> true theory ids of each model
     for m in prog.core().models():
         k = bisect_left(m, t)
@@ -296,7 +295,7 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
         for true, free in _cubes(groups[key]):
             signs = {e: None if i in free else i in true for i, e in enumerate(prog.theory)}
             lists.append(theory_certify(signs, bounds))
-        visible = frozenset(prog.atoms[i - t] for i in key)
+        visible = prog.visible(key)
         merged = lists[0] if len(lists) == 1 else heapq.merge(*lists, key=_ENTRIES)
         answers.extend(AnswerSet(visible, val) for val in merged)
         if models and len(answers) >= models:

@@ -12,12 +12,13 @@ Two solve modes differ in what "smaller" means:
 * founded: valuations may be partial, and sub-valuations (dropping defined
   pairs) take part in minimization alongside atom subsets.
 
-The reference enumerator compiles the program once and walks every
-valuation within bounds.  A valuation matters to the Boolean part only
-through its truth vector, the truth of each distinct theory atom, so the
-Boolean core solves once per distinct truth vector, with the theory atoms
-assumed to their truth.  Founded mode adds a Horn check per proper
-sub-valuation, cached by (atoms, truth vector, sub-valuation's truth vector).
+The reference enumerator numbers the program once, into the rule table the
+Boolean core reads (_Compiled), and walks every valuation within bounds.
+A valuation matters to the Boolean part only through its truth vector,
+the truth of each distinct theory atom, so the core solves once per
+distinct truth vector, with the theory atoms assumed to their truth.
+Founded mode adds a Horn check per proper sub-valuation, cached by (atoms,
+truth vector, sub-valuation's truth vector).
 
 The Boolean core (_Core; the search engine runs it too) runs Smodels'
 expand (Simons, Niemela, Soininen 2002) to a fixpoint after every
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .core import (
@@ -346,35 +348,33 @@ def _evaluator(e, position: dict):
 
 
 class _Compiled:
-    """A ground program numbered once, the table both engines read.
+    """A ground program numbered once: the rule table every engine reads.
 
-    Atoms and distinct theory atoms are numbered by first occurrence, a
-    rule's head before its body, so theory[k] is abstract()'s __t{k+1}.
-    atoms is in text order, rank[n] is atom n's place there, and variables
-    are in text order.  raw holds each rule as (pos, neg, pids, nids, head),
-    head being an atom number, ~k for theory atom k or None.  Both engines
-    search its rules with core(), whose Boolean ids put the t theory atoms
-    first, then atom n at t + rank[n].  The oracle reads a valuation as a
-    value tuple (None: undefined) and each theory atom as an evaluator over
-    such tuples; a truth vector tau holds every theory atom's truth at one
-    valuation, and the stable models a valuation allows depend only on its
-    tau.  Founded mode's here worlds and least_model read atom n as bit
-    rank[n] and each rule as a row (pos_mask, neg_mask, pids, nids, head
-    code).
+    Boolean ids put the t distinct theory atoms first, by first occurrence
+    with a rule's head before its body, so theory[k] is id k and abstract()'s
+    __t{k+1}; the atoms follow in text order, atoms[i] as id t + i.  rules
+    holds each rule as (head, pos, neg) of ids, head -1 for a constraint,
+    bodies without repeats, and no rule with its head in its positive body
+    (it always holds and supports nothing).  variables are in text order.
+    The oracle reads a valuation as a value tuple (None: undefined) and each
+    theory atom as an evaluator over such tuples; a truth vector tau holds
+    every theory atom's truth at one valuation, and the stable models a
+    valuation allows depend only on its tau.  Founded mode and least_model
+    read ids as bits of a mask and each rule as a row of horn.
     """
 
     def __init__(self, g: GroundProgram):
         index: dict = {}  # atom -> number of its first occurrence
         theory: dict = {}  # theory atom -> id
-        self.raw = []
+        raw = []
         for r in g.rules:
             head = r.head
             if isinstance(head, Atom):
-                hc = index.setdefault(head, len(index))
+                h = index.setdefault(head, len(index))
             elif isinstance(head, Falsity):
-                hc = None
+                h = None
             else:
-                hc = ~theory.setdefault(head, len(theory))
+                h = ~theory.setdefault(head, len(theory))
             pos, neg, pids, nids = [], [], [], []
             for lit in r.body:
                 e = lit.atom
@@ -382,23 +382,19 @@ class _Compiled:
                     (pos if lit.positive else neg).append(index.setdefault(e, len(index)))
                 else:
                     (pids if lit.positive else nids).append(theory.setdefault(e, len(theory)))
-            self.raw.append((pos, neg, tuple(pids), tuple(nids), hc))
+            raw.append((h, pos, neg, pids, nids))
 
-        self.index, self.theory = index, tuple(theory)
+        self.theory = tuple(theory)
         self.atoms = tuple(sorted(index, key=str))
-        self.rank = [0] * len(index)
-        for place, a in enumerate(self.atoms):
-            self.rank[index[a]] = place
-        bit = [1 << place for place in self.rank]
-        self.rows = []
-        for pos, neg, pids, nids, hc in self.raw:
-            pm = nm = 0
-            for n in pos:
-                pm |= bit[n]
-            for n in neg:
-                nm |= bit[n]
-            hc = _FAIL if hc is None else bit[hc] if hc >= 0 else hc
-            self.rows.append((pm, nm, pids, nids, hc))
+        ids = [0] * len(index)  # first-occurrence number -> Boolean id
+        for i, a in enumerate(self.atoms, len(theory)):
+            ids[index[a]] = i
+        self.rules = []
+        for h, pos, neg, pids, nids in raw:
+            p = list({*map(ids.__getitem__, pos), *pids})
+            h = -1 if h is None else ids[h] if h >= 0 else ~h
+            if h not in p:
+                self.rules.append((h, p, list({*map(ids.__getitem__, neg), *nids})))
 
         self.variables = variables_of(theory)
         position = {v: p for p, v in enumerate(self.variables)}
@@ -408,37 +404,53 @@ class _Compiled:
         """tau: the truth of every theory atom under a value tuple."""
         return tuple([ev(vals) for ev in self.evaluators])
 
-    def core(self) -> "_Core":
-        """The Boolean core: theory ids 0..t-1 free, atom n at t + rank[n]."""
+    def core(self, free=()) -> "_Core":
+        """The Boolean core: the theory atoms and the atoms in free need no rule."""
         t = len(self.theory)
-        return _Core(self, [t + place for place in self.rank], range(t), t + len(self.atoms))
+        return _Core(self, [*range(t), *(i for i, a in enumerate(self.atoms, t) if a in free)])
+
+    def visible(self, ids) -> frozenset:
+        """The atoms with the given ids, all past the theory atoms."""
+        t = len(self.theory)
+        return frozenset([self.atoms[i - t] for i in ids])
+
+    @cached_property
+    def horn(self) -> list:
+        """Each rule as (pos_mask, neg_mask, pids, nids, head code): its body
+        atoms' bits, its theory literals' ids, and as head an atom's bit,
+        ~k for theory atom k or _FAIL."""
+        t = len(self.theory)
+        return [
+            (sum([1 << a for a in p if a >= t]), sum([1 << a for a in q if a >= t]),
+             [a for a in p if a < t], [a for a in q if a < t],
+             _FAIL if h < 0 else 1 << h if h >= t else ~h)
+            for h, p, q in self.rules
+        ]
 
     def here_world(self, mask: int, tau: tuple, sub: tuple) -> bool:
         """Is there a here world with atoms within mask and a valuation whose
         truth vector is sub, below the there world (mask, tau)?  Its rows
         are Horn, so one exists iff their least model fires no _FAIL row."""
         rows = []
-        for pm, nm, pids, nids, hc in self.rows:
+        for pm, nm, pids, nids, hc in self.horn:
             if pm & ~mask or nm & mask or _blocked(pids, nids, sub, tau):
                 continue
-            if hc > 0:
-                if not hc & mask:
-                    hc = _FAIL
-            elif hc < 0:
-                if sub[~hc]:
-                    continue
-                hc = _FAIL
-            rows.append((pm, hc))
+            if hc < 0 and sub[~hc]:
+                continue  # its theory head holds at sub
+            rows.append((pm, hc if hc > 0 and hc & mask else _FAIL))
         return _least_model(rows) is not None
 
-    def smaller(self, mask: int, tau: tuple, subs, memo: dict) -> bool:
+    def smaller(self, key: tuple, tau: tuple, subs, memo: dict) -> bool:
         """Does some proper sub-valuation, given by its truth vectors subs,
-        have a here world below (mask, tau)?  memo caches here_world."""
+        have a here world below the there world of the atom ids key and tau?
+        memo caches here_world; the mask is made on a miss only."""
+        mask = None
         for sub in subs:
-            key = (mask, tau, sub)
-            found = memo.get(key)
+            found = memo.get((key, tau, sub))
             if found is None:
-                found = memo[key] = self.here_world(mask, tau, sub)
+                if mask is None:
+                    mask = sum([1 << i for i in key])
+                found = memo[key, tau, sub] = self.here_world(mask, tau, sub)
             if found:
                 return True
         return False
@@ -448,9 +460,6 @@ class _Compiled:
         subs = list(product(*[(None,) if v is None else (None, v) for v in vals]))
         subs.pop()  # the last one keeps every value: vals itself
         return {self.truth(s) for s in subs}
-
-    def atoms_in(self, mask: int) -> frozenset:
-        return frozenset(a for n, a in enumerate(self.atoms) if mask >> n & 1)
 
 
 def _blocked(pids, nids, pos_truth: tuple, neg_truth: tuple) -> bool:
@@ -484,13 +493,10 @@ def _least_model(rows):
 class _Core:
     """Propagating search over the rules of a numbered program.
 
-    Its atoms are the Boolean ids 0..n-1: atom k of prog is id rank[k],
-    theory atom k is id k, and the ids in free need no supporting rule.
-    A rule is (head, positive body, negative body) of ids, head -1 for a
-    constraint; one with its head in its positive body always holds and
-    never supports its head, so it is left out.  Values live in val (None
-    while open) and, in assignment order, on the trail; the entries before
-    qhead have been propagated, and only those are counted in the per-rule
+    Its atoms are prog's Boolean ids 0..n-1, its rules prog.rules, and the
+    ids in free need no supporting rule.  Values live in val (None while
+    open) and, in assignment order, on the trail; the entries before qhead
+    have been propagated, and only those are counted in the per-rule
     counters:
 
     - need[r]: body literals of r not yet true;
@@ -498,21 +504,15 @@ class _Core:
     - support[a]: rules with head a and no false body literal.
     """
 
-    def __init__(self, prog: _Compiled, rank: list, free, n: int) -> None:
-        self.n = n
+    def __init__(self, prog: _Compiled, free) -> None:
+        self.n = n = len(prog.theory) + len(prog.atoms)
         self.head, self.pos, self.neg, self.need = heads, pos, neg, need = [], [], [], []
         self.support = support = [0] * n
         self.pos_occ = pos_occ = [[] for _ in range(n)]
         self.neg_occ = neg_occ = [[] for _ in range(n)]
         self.head_occ = head_occ = [[] for _ in range(n)]
         succ: dict = {}  # positive dependency graph of the heads with a positive body
-        for ps, qs, pids, nids, h in prog.raw:
-            p = list({*map(rank.__getitem__, ps), *pids})
-            h = -1 if h is None else rank[h] if h >= 0 else ~h
-            if h in p:
-                continue  # always satisfied, and never supports its head
-            q = list({*map(rank.__getitem__, qs), *nids})
-            r = len(heads)
+        for r, (h, p, q) in enumerate(prog.rules):
             heads.append(h)
             pos.append(p)
             neg.append(q)
@@ -786,15 +786,15 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
                 "casp mode needs a total valuation; undefined: "
                 + ", ".join(str(v) for v in missing)
             )
-    if not prog.index.keys() >= m.atoms:
+    if not m.atoms.issubset(prog.atoms):
         return False  # no rule derives a foreign atom
-    tmask = sum(1 << prog.rank[prog.index[a]] for a in m.atoms)
     vals = tuple(vd.get(v) for v in prog.variables)
     tau = prog.truth(vals)
     # m's truth on every Boolean id: the theory atoms', then the atoms'
-    if not prog.core().models(tau + tuple(bool(tmask >> k & 1) for k in range(len(prog.atoms)))):
+    if not prog.core().models(tau + tuple(a in m.atoms for a in prog.atoms)):
         return False
-    return mode == "casp" or not prog.smaller(tmask, tau, prog.sub_truths(vals), {})
+    key = tuple(i for i, a in enumerate(prog.atoms, len(tau)) if a in m.atoms)
+    return mode == "casp" or not prog.smaller(key, tau, prog.sub_truths(vals), {})
 
 
 def _answer_sort_key(ans: AnswerSet, variables) -> tuple:
@@ -816,36 +816,33 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
     Horn check cached per (atoms, tau, sub-valuation tau).
 
     The order is _answer_sort_key's: atom sets by their sorted atom texts
-    (the atoms' bits are in text order), each set's valuations in grid order.
+    (atom ids are in text order), each set's valuations in grid order.
     """
     _mode_ok(mode)
     lo, hi = _bounds_ok(bounds)
     founded = mode == "founded"
     prog = _Compiled(g)
     core = prog.core()
-    t = len(prog.theory)
     values = tuple(range(lo, hi + 1))
     options = (None,) + values if founded else values
-    solved: dict = {}  # tau -> stable masks
+    solved: dict = {}  # tau -> each stable model's ids past its sum(tau) theory ids
     here_memo: dict = {}
-    found: dict = {}  # mask -> value tuples, in grid order
+    found: dict = {}  # visible atom ids -> value tuples, in grid order
     for vals in product(options, repeat=len(prog.variables)):
         tau = prog.truth(vals)
-        masks = solved.get(tau)
-        if masks is None:
-            masks = solved[tau] = [
-                sum(1 << (i - t) for i in m if i >= t) for m in core.models(tau)
-            ]
-        if founded and masks:
+        keys = solved.get(tau)
+        if keys is None:
+            keys = solved[tau] = [m[sum(tau):] for m in core.models(tau)]
+        if founded and keys:
             subs = prog.sub_truths(vals)
-            masks = [m for m in masks if not prog.smaller(m, tau, subs, here_memo)]
-        for mask in masks:
-            found.setdefault(mask, []).append(vals)
+            keys = [key for key in keys if not prog.smaller(key, tau, subs, here_memo)]
+        for key in keys:
+            found.setdefault(key, []).append(vals)
     variables = prog.variables
     results = []
-    for mask in sorted(found, key=lambda m: [n for n in range(m.bit_length()) if m >> n & 1]):
-        chosen = prog.atoms_in(mask)
-        for vals in found[mask]:
+    for key in sorted(found):
+        chosen = prog.visible(key)
+        for vals in found[key]:
             pairs = tuple((v, x) for v, x in zip(variables, vals) if x is not None)
             results.append(AnswerSet(chosen, Valuation.from_sorted(pairs)))
     return results
@@ -884,4 +881,5 @@ def least_model(g: GroundProgram) -> frozenset:
             raise ValueError("least_model expects a negation-free program")
     _require_boolean(g, "least_model")
     prog = _Compiled(g)
-    return prog.atoms_in(_least_model([(pm, hc) for pm, _, _, _, hc in prog.rows if hc > 0]))
+    model = _least_model([(pm, hc) for pm, _, _, _, hc in prog.horn if hc > 0])
+    return prog.visible(i for i in range(model.bit_length()) if model >> i & 1)

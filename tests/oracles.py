@@ -139,6 +139,27 @@ def naive_equilibrium(g, mode: str, bounds) -> list:
     return answers
 
 
+# a :- b, b, not c, not c.  The rule pool of randprog repeats no body literal.
+REPEATED_BODY = Rule(Atom("a"), (Literal(True, Atom("b")), Literal(True, Atom("b")),
+                                 Literal(False, Atom("c")), Literal(False, Atom("c"))))
+
+
+def rule_shapes(g) -> set:
+    """The shapes the numbering must normalise that g's rules take: a head
+    in its own positive body, a repeated body literal, and a theory atom
+    that is a head and also a body literal."""
+    theory_heads = {r.head for r in g.rules if not isinstance(r.head, (Atom, Falsity))}
+    shapes = set()
+    for r in g.rules:
+        if r.head in [lit.atom for lit in r.body if lit.positive]:
+            shapes.add("head in positive body")
+        if len(set(r.body)) < len(r.body):
+            shapes.add("repeated literal")
+        if any(lit.atom in theory_heads for lit in r.body):
+            shapes.add("theory head in a body")
+    return shapes
+
+
 def brute_force_dl(constraints, window=(-30, 30)):
     """Decide x-y<=k conjunctions inside the window; witness dict or None.
 

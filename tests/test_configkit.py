@@ -2,6 +2,7 @@
 
 import pytest
 
+import htsolve.configkit
 from htsolve import (
     ConfigInstance,
     ConfigModel,
@@ -469,6 +470,18 @@ def test_translate_emits_val_bridge_only_with_constraints():
         "&sum{1*val(bike1_wheel_1,diam)} = 16." in text.split("\n")
     )
     assert text.rstrip().endswith(":- inst(X,wheel), val(X,diam,16).")
+
+
+def test_translate_solves_no_constraint_rules(monkeypatch):
+    calls = []
+    solver = htsolve.configkit.stable_models_bool
+    monkeypatch.setattr(htsolve.configkit, "stable_models_bool",
+                        lambda *args: calls.append(args) or solver(*args))
+    constrained = model_of(MINI_BIKE + ":- inst(X,wheel), val(X,diam,16).")
+    translate(constrained, bike_instance(16), "founded")  # violates the rule
+    assert calls == []
+    (v,) = check_instance(constrained, bike_instance(16, 17))
+    assert v.kind == "constraint" and len(calls) == 1
 
 
 def test_translate_zero_max_edge_has_no_slots():

@@ -33,7 +33,7 @@ from htsolve.core import COMPARATORS, atoms_of, variable_names, walk_terms
 from htsolve.grounder import GroundProgram
 from htsolve.randprog import random_boolean_program, random_hybrid_program
 from htsolve.semantics import _elem_true
-from oracles import naive_equilibrium
+from oracles import REPEATED_BODY, naive_equilibrium, rule_shapes
 
 x, y = SymConst("x"), SymConst("y")
 a, b = Atom("a"), Atom("b")
@@ -201,9 +201,12 @@ def _even_loop_stable_sets(g: GroundProgram, free) -> list:
 
 def test_stable_models_free_atoms_match_even_loop_encoding():
     rng = random.Random(43)
-    seen = {"free head": 0, "free body-only": 0, "free unused": 0, "models": 0}
-    for _ in range(200):
+    seen = {"free head": 0, "free body-only": 0, "free unused": 0, "models": 0,
+            "head in positive body": 0, "repeated literal": 0}
+    for n in range(200):
         g = random_boolean_program(rng, n_atoms=3, max_rules=5)
+        if n % 4 == 0:
+            g = GroundProgram(g.rules + (REPEATED_BODY,), ())
         heads = {r.head for r in g.rules if not isinstance(r.head, Falsity)}
         pool = (a, b, Atom("c"), Atom("extra"))
         free = frozenset(at for at in pool if rng.random() < 0.4)
@@ -214,6 +217,8 @@ def test_stable_models_free_atoms_match_even_loop_encoding():
         seen["free body-only"] += bool(free & body_atoms)
         seen["free unused"] += bool(free - set(atoms_of(g)[0]))
         seen["models"] += len(want) > 1
+        for shape in rule_shapes(g):
+            seen[shape] += 1
     assert min(seen.values()) >= 20, seen
 
 

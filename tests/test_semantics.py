@@ -1,6 +1,7 @@
 """Semantics tests: worlds, element truth, rule satisfaction, stable points."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -45,7 +46,13 @@ from htsolve.randprog import (
 )
 from htsolve.semantics import EMPTY_VALUATION, MODES, _answer_sort_key, sat_elem
 
-from oracles import naive_equilibrium, partial_valuations, total_valuations
+from oracles import (
+    REPEATED_BODY,
+    naive_equilibrium,
+    partial_valuations,
+    rule_shapes,
+    total_valuations,
+)
 
 x, y = SymConst("x"), SymConst("y")
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -422,13 +429,20 @@ def test_boolean_enumeration_matches_naive_oracle():
         for loop in LOOPS
         for _ in range(60)
     ]
+    programs += [
+        GroundProgram((REPEATED_BODY, *random_boolean_program(rng, n_atoms=5, max_rules=4).rules), ())
+        for _ in range(60)
+    ]
     check_rng = random.Random(7101)
     several = wide = 0
+    shapes = Counter()
     for g in programs:
         for mode in ("casp", "founded"):
             several += len(_check_against_naive(g, mode, (0, 0), check_rng)) > 1
         wide += len({lit.atom for r in g.rules for lit in r.body if not lit.positive}) >= 3
+        shapes.update(rule_shapes(g))
     assert several >= 100 and wide >= 200, (several, wide)
+    assert shapes["head in positive body"] >= 100 and shapes["repeated literal"] >= 50, shapes
 
 
 def _with_loop(rng, g) -> GroundProgram:
@@ -457,11 +471,14 @@ def test_hybrid_casp_enumeration_matches_naive_oracle():
                       rng.choice(((-1, 1), (-2, 0)))))
     check_rng = random.Random(7102)
     several = negative = 0
+    shapes = Counter()
     for g, bounds in cases:
         answers = _check_against_naive(g, "casp", bounds, check_rng)
         several += len(answers) > 1
         negative += any(v < 0 for ans in answers for _, v in ans.val.entries)
+        shapes.update(rule_shapes(g))
     assert several >= 50 and negative >= 40, (several, negative)
+    assert len(shapes) == 3 and min(shapes.values()) >= 20, shapes
 
 
 def test_hybrid_founded_enumeration_matches_naive_oracle():
@@ -476,13 +493,16 @@ def test_hybrid_founded_enumeration_matches_naive_oracle():
                       rng.choice(((-1, 1), (-2, 0), (0, 1)))))
     check_rng = random.Random(7103)
     several = partial = mixed = 0
+    shapes = Counter()
     for g, bounds in cases:
         answers = _check_against_naive(g, "founded", bounds, check_rng)
         n_vars = len(atoms_of(g)[2])
         several += len(answers) > 1
         partial += any(len(ans.val) < n_vars for ans in answers)
         mixed += any(0 < len(ans.val) < n_vars for ans in answers)
+        shapes.update(rule_shapes(g))
     assert several >= 40 and partial >= 80 and mixed >= 25, (several, partial, mixed)
+    assert len(shapes) == 3 and min(shapes.values()) >= 20, shapes
 
 
 # one fold and guess loop per truth vector ------------------------------------
