@@ -23,7 +23,6 @@ Usage:
 """
 
 import argparse
-import importlib.util
 import random
 import re
 import sys
@@ -32,9 +31,10 @@ from collections import Counter
 from pathlib import Path
 
 from htsolve import is_equilibrium, solve
-from htsolve.randprog import random_hybrid_program
 
-ORACLES = Path(__file__).resolve().parent.parent / "tests" / "oracles.py"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import naive_equilibrium  # noqa: E402
+from randprog import random_hybrid_program  # noqa: E402
 
 
 def domain(text: str) -> tuple:
@@ -42,14 +42,6 @@ def domain(text: str) -> tuple:
     if not m or int(m.group(1)) > int(m.group(2)):
         raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
     return (int(m.group(1)), int(m.group(2)))
-
-
-def load_naive_equilibrium():
-    """``naive_equilibrium`` of ``tests/oracles.py``, imported by path."""
-    spec = importlib.util.spec_from_file_location("htsolve_test_oracles", ORACLES)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.naive_equilibrium
 
 
 def main(argv=None) -> int:
@@ -64,13 +56,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     bounds = args.domain
-    naive = load_naive_equilibrium()
     engines = ("oracle", "search") if args.semantics == "casp" else ("oracle",)
     solvers = {
         engine: lambda g, engine=engine: solve(g, args.semantics, bounds, engine=engine)
         for engine in engines
     }
-    solvers["naive"] = lambda g: naive(g, args.semantics, bounds)
+    solvers["naive"] = lambda g: naive_equilibrium(g, args.semantics, bounds)
     rng = random.Random(args.seed)
     answer_histogram = Counter()
     seconds = Counter()

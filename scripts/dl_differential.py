@@ -15,9 +15,12 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
 from htsolve import Conflict, DiffGraph
-from htsolve.randprog import random_dl_instance
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from randprog import random_dl_instance  # noqa: E402
 
 
 def narrow(constraints, window):

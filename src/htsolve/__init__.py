@@ -1,11 +1,11 @@
 """Hybrid answer-set solving over here-and-there models with integer constraints.
 
 The package covers the full pipeline: parsing rule programs with linear,
-difference, and assignment constraint atoms; grounding; equilibrium-model
-semantics in two valuation modes (casp: shared total valuations, founded:
-minimized partial valuations); an incremental difference-logic engine; a
-generate-and-certify search engine; a product-configuration toolkit; and a
-command-line frontend.
+difference, and assignment constraint atoms; grounding; the here-and-there
+relation and equilibrium-model semantics in two valuation modes (casp:
+shared total valuations, founded: minimized partial valuations); an
+incremental difference-logic engine; a generate-and-certify search engine;
+a product-configuration toolkit; and a command-line frontend.
 """
 
 from .core import Diagnostic as RuleDiagnostic
@@ -28,20 +28,9 @@ from .core import (
 )
 from .parser import Diagnostic as ParseDiagnostic
 from .parser import parse_program, parse_term
-from .grounder import GroundingOptions, GroundProgram, ground
-from .semantics import (
-    AnswerSet,
-    Interpretation,
-    Valuation,
-    World,
-    enumerate_equilibrium,
-    gl_reduct,
-    is_equilibrium,
-    is_ht_model,
-    least_model,
-    sat_rule,
-    total,
-)
+from .grounder import GroundProgram, ground
+from .semantics import AnswerSet, Valuation, enumerate_equilibrium, is_equilibrium, least_model
+from .ht import Interpretation, World, gl_reduct, is_ht_model, sat_rule, total
 from .dl import Conflict, DiffGraph, Sat, negate_diff
 from .search import Abstraction, abstract, solve, stable_models_bool, theory_certify
 from .configkit import (
@@ -80,7 +69,6 @@ __all__ = [
     "ParseDiagnostic",
     "parse_program",
     "parse_term",
-    "GroundingOptions",
     "GroundProgram",
     "ground",
     "AnswerSet",

@@ -59,24 +59,10 @@ from .core import (
     Diagnostic,
     DiffConstraintAtom,
     FuncTerm,
-    IntConst,
     LinearConstraintAtom,
     Literal,
     Rule,
 )
-
-
-@dataclass(frozen=True)
-class GroundingOptions:
-    """Knobs for universe construction; int_range adds lo..hi as constants."""
-
-    int_range: tuple | None = None
-
-    def __post_init__(self) -> None:
-        if self.int_range is not None:
-            lo, hi = self.int_range
-            if lo > hi:
-                raise ValueError(f"empty int_range {lo}..{hi}")
 
 
 @dataclass(frozen=True)
@@ -94,24 +80,17 @@ class GroundProgram:
         return "\n".join(str(r) for r in self.rules)
 
 
-def herbrand_universe(p, opts: GroundingOptions = GroundingOptions()) -> tuple:
-    """All ground terms occurring in p, plus the optional integer range."""
+def herbrand_universe(p) -> tuple:
+    """All ground terms occurring in p, sorted by text."""
     terms: set = set()
     for r in p.rules:
         _RuleCode(r, terms)
-    return _universe(terms, opts)
+    return tuple(sorted(terms, key=str))
 
 
 def check_safety(p) -> list:
     """One diagnostic per rule whose variables are not bound by a positive body atom."""
     return _unsafe([_RuleCode(r, set()) for r in p.rules])
-
-
-def _universe(terms: set, opts: GroundingOptions) -> tuple:
-    if opts.int_range is not None:
-        lo, hi = opts.int_range
-        terms.update(IntConst(v) for v in range(lo, hi + 1))
-    return tuple(sorted(terms, key=str))
 
 
 def _unsafe(codes: list) -> list:
@@ -554,14 +533,14 @@ class _Builder:
         return tuple(r for _, r in sorted(self.rules.values(), key=itemgetter(0)))
 
 
-def ground(p, opts: GroundingOptions = GroundingOptions()) -> GroundProgram:
+def ground(p) -> GroundProgram:
     """Instantiate p bottom-up over its universe; rejects unsafe programs."""
     found: set = set()
     codes = [_RuleCode(r, found) for r in p.rules]
     diags = _unsafe(codes)
     if diags:
         raise ValueError("unsafe program: " + "; ".join(str(d) for d in diags))
-    universe = _universe(found, opts)
+    universe = tuple(sorted(found, key=str))
     terms = _Terms(universe)
     plain = [c for c in codes if c.head_pkey]
     components = _components(plain)

@@ -64,11 +64,15 @@ class Abstraction:
     mapping: tuple  # of (proposition Atom, constraint atom) in introduction order
 
 
+def _reject_assignments(atoms) -> None:
+    if any(isinstance(e, AssignmentAtom) for e in atoms):
+        raise ValueError("assignment atoms have no Boolean abstraction")
+
+
 def _compile(g: GroundProgram) -> _Compiled:
     """g numbered once; &in atoms have no Boolean abstraction."""
     prog = _Compiled(g)
-    if any(isinstance(e, AssignmentAtom) for e in prog.theory):
-        raise ValueError("assignment atoms have no Boolean abstraction")
+    _reject_assignments(prog.theory)
     return prog
 
 
@@ -178,9 +182,10 @@ def theory_certify(signs: dict, bounds) -> list:
     c * hi each) bounds that sum at every position of the row; variable i
     then takes only the values that keep each of its rows satisfiable, so a
     subtree with no valuation is never entered, and a row is exact at its
-    last position.
+    last position.  &in atoms are rejected, signed or not.
     """
     lo, hi = _bounds_ok(bounds)
+    _reject_assignments(signs)
     graph = DiffGraph()
     cid = 0
     for atom, sign in signs.items():

@@ -1,11 +1,8 @@
-"""Two-world model semantics with partial integer valuations.
+"""The engines' shared layer: numbering, the Boolean core and the oracle.
 
-An interpretation pairs a "here" world with a "there" world; the here world
-never exceeds the there world, in atoms or in defined values.  Negation is
-always checked at there.  A total interpretation (here equals there) is an
-answer set when no strictly smaller here world yields a model.
-
-Two solve modes differ in what "smaller" means:
+The answer sets computed here are those of the two-world relation in ht:
+total interpretations with no strictly smaller here world.  Two solve
+modes differ in what "smaller" means:
 
 * casp: every integer variable must be valued, the valuation is shared by
   both worlds and exempt from minimization; only atom sets shrink.
@@ -33,9 +30,9 @@ leaves open, in id order, and backtracks chronologically; a leaf without a
 conflict is a stable model, and facts, Horn and stratified programs need
 no decision.
 
-Constraint atoms referring to an undefined variable are false.  An &in
-assignment whose bounds reference an undefined variable is true: it imposes
-nothing.  Integer constants in variable positions denote themselves.
+Theory atoms are evaluated by ht's rules: a constraint atom referring to
+an undefined variable is false, and an &in assignment whose bounds
+reference an undefined variable is true.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from .core import (
     Falsity,
     IntConst,
     LinearConstraintAtom,
-    Rule,
     atoms_of,  # noqa: F401  looked up here by the benchmark's tracer
     is_ground,
     variable_names,
@@ -141,31 +137,6 @@ EMPTY_VALUATION = Valuation()
 
 
 @dataclass(frozen=True)
-class World:
-    """One side of an interpretation: true atoms plus a partial valuation."""
-
-    atoms: frozenset = frozenset()
-    val: Valuation = EMPTY_VALUATION
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", frozenset(self.atoms))
-
-
-@dataclass(frozen=True)
-class Interpretation:
-    """here/there world pair; here is bounded by there."""
-
-    here: World
-    there: World
-
-    def __post_init__(self) -> None:
-        if not self.here.atoms <= self.there.atoms:
-            raise ValueError("here atoms exceed there atoms")
-        if not self.here.val.subset_of(self.there.val):
-            raise ValueError("here valuation disagrees with there valuation")
-
-
-@dataclass(frozen=True)
 class AnswerSet:
     """Total stable point: an atom set together with its valuation."""
 
@@ -174,99 +145,6 @@ class AnswerSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", frozenset(self.atoms))
-
-
-def total(atoms, val: Valuation = EMPTY_VALUATION) -> Interpretation:
-    w = World(frozenset(atoms), val)
-    return Interpretation(w, w)
-
-
-# --- element and rule satisfaction ---------------------------------------
-
-
-def _term_value(vd: dict, t):
-    """Value of a term under a valuation dict; None when undefined."""
-    if isinstance(t, IntConst):
-        return t.value
-    if isinstance(t, AspVar):
-        raise ValueError(f"non-ground element: variable {t}")
-    return vd.get(t)
-
-
-def _elem_true(atoms, vd: dict, e) -> bool:
-    """Truth of one element in a single world given (atom set, valuation dict)."""
-    if isinstance(e, Atom):
-        if not is_ground(e):
-            raise ValueError(f"non-ground element: {e}")
-        return e in atoms
-    if isinstance(e, LinearConstraintAtom):
-        tally = 0
-        for k, t in e.terms:
-            v = _term_value(vd, t)
-            if v is None:
-                return False
-            tally += k * v
-        return _CMP[e.cmp](tally, e.rhs)
-    if isinstance(e, DiffConstraintAtom):
-        vx = _term_value(vd, e.lhs_var)
-        vy = _term_value(vd, e.rhs_var)
-        if vx is None or vy is None:
-            return False
-        return vx - vy <= e.bound
-    if isinstance(e, AssignmentAtom):
-        lo = _term_value(vd, e.lo)
-        hi = _term_value(vd, e.hi)
-        if lo is None or hi is None:
-            return True
-        tv = _term_value(vd, e.target)
-        return tv is not None and lo <= tv <= hi
-    raise ValueError(f"cannot evaluate {e!r}")
-
-
-def _world(i: Interpretation, w: str) -> World:
-    if w == "here":
-        return i.here
-    if w == "there":
-        return i.there
-    raise ValueError(f"unknown world {w!r}")
-
-
-def sat_elem(i: Interpretation, w: str, e) -> bool:
-    """Satisfaction of a single element at the chosen world."""
-    world = _world(i, w)
-    return _elem_true(world.atoms, world.val._map, e)
-
-
-def _body_holds(i: Interpretation, w: str, body) -> bool:
-    for lit in body:
-        if lit.positive:
-            if not sat_elem(i, w, lit.atom):
-                return False
-        else:
-            # Negation is checked at there regardless of w.
-            if sat_elem(i, "there", lit.atom):
-                return False
-    return True
-
-
-def _head_holds(i: Interpretation, w: str, head) -> bool:
-    if isinstance(head, Falsity):
-        return False
-    return sat_elem(i, w, head)
-
-
-def sat_rule(i: Interpretation, w: str, r: Rule) -> bool:
-    """Rule satisfaction; at here this includes the classical there condition."""
-    there_ok = (not _body_holds(i, "there", r.body)) or _head_holds(i, "there", r.head)
-    if w == "there":
-        return there_ok
-    if not there_ok:
-        return False
-    return (not _body_holds(i, "here", r.body)) or _head_holds(i, "here", r.head)
-
-
-def is_ht_model(i: Interpretation, g: GroundProgram) -> bool:
-    return all(sat_rule(i, "here", r) for r in g.rules)
 
 
 # --- compiled fast paths ---------------------------------------------------
@@ -313,7 +191,7 @@ def _operand(t, position: dict):
 
 
 def _evaluator(e, position: dict):
-    """Truth of theory atom e over a value tuple, by _elem_true's rules."""
+    """Truth of theory atom e over a value tuple, by ht._elem_true's rules."""
     for t in variable_names(e):
         if isinstance(t, AspVar):
             raise ValueError(f"non-ground element: variable {t}")
@@ -797,14 +675,6 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
     return mode == "casp" or not prog.smaller(key, tau, prog.sub_truths(vals), {})
 
 
-def _answer_sort_key(ans: AnswerSet, variables) -> tuple:
-    atom_key = tuple(sorted(str(a) for a in ans.atoms))
-    val_key = tuple(
-        (1, ans.val.get(v)) if ans.val.defined(v) else (0,) for v in variables
-    )
-    return (atom_key, val_key)
-
-
 def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
     """All answer sets over the program's atoms and variables, sorted.
 
@@ -815,8 +685,9 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
     rejects a candidate when a proper sub-valuation has a here world, a
     Horn check cached per (atoms, tau, sub-valuation tau).
 
-    The order is _answer_sort_key's: atom sets by their sorted atom texts
-    (atom ids are in text order), each set's valuations in grid order.
+    Atom sets come in the order of their sorted atom texts (atom ids are in
+    text order), and each set's valuations in grid order: variables by text,
+    each undefined first, then ascending.
     """
     _mode_ok(mode)
     lo, hi = _bounds_ok(bounds)
@@ -848,7 +719,7 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
     return results
 
 
-# --- reduct-based checks ---------------------------------------------------
+# --- least model -----------------------------------------------------------
 
 
 def _require_boolean(g: GroundProgram, op: str) -> None:
@@ -860,18 +731,6 @@ def _require_boolean(g: GroundProgram, op: str) -> None:
                 raise ValueError(f"{op} expects a Boolean program, found {lit.atom}")
         if not is_ground(r):
             raise ValueError(f"{op} expects a ground program")
-
-
-def gl_reduct(g: GroundProgram, t) -> GroundProgram:
-    """Classical reduct: drop rules negated by t, strip remaining negation."""
-    _require_boolean(g, "gl_reduct")
-    t = frozenset(t)
-    kept = []
-    for r in g.rules:
-        if any((not lit.positive) and lit.atom in t for lit in r.body):
-            continue
-        kept.append(Rule(r.head, tuple(lit for lit in r.body if lit.positive)))
-    return GroundProgram(tuple(sorted(set(kept), key=str)), g.universe)
 
 
 def least_model(g: GroundProgram) -> frozenset:

@@ -11,21 +11,9 @@ incremental potentials.
 from itertools import chain, combinations, product
 
 from htsolve.core import Atom, Falsity, Literal, Rule, atoms_of, rule_variables
-from htsolve.grounder import (
-    GroundingOptions,
-    GroundProgram,
-    _subst_elem,
-    check_safety,
-    herbrand_universe,
-)
-from htsolve.semantics import (
-    AnswerSet,
-    Interpretation,
-    Valuation,
-    World,
-    _answer_sort_key,
-    is_ht_model,
-)
+from htsolve.grounder import GroundProgram, _subst_elem, check_safety, herbrand_universe
+from htsolve.ht import Interpretation, World, is_ht_model
+from htsolve.semantics import AnswerSet, Valuation
 
 
 def subsets(items):
@@ -91,12 +79,12 @@ def _simplify(rules: list) -> list:
         kept = surviving
 
 
-def naive_ground(p, opts: GroundingOptions = GroundingOptions(), simplify: bool = True) -> GroundProgram:
+def naive_ground(p, simplify: bool = True) -> GroundProgram:
     """Instantiate every rule over the universe; rejects unsafe programs."""
     diags = check_safety(p)
     if diags:
         raise ValueError("unsafe program: " + "; ".join(str(d) for d in diags))
-    universe = herbrand_universe(p, opts)
+    universe = herbrand_universe(p)
     ground_rules: list = []
     for r in p.rules:
         ground_rules.extend(instances(r, universe))
@@ -104,6 +92,16 @@ def naive_ground(p, opts: GroundingOptions = GroundingOptions(), simplify: bool 
         ground_rules = _simplify(ground_rules)
     unique = sorted(set(ground_rules), key=str)
     return GroundProgram(tuple(unique), universe)
+
+
+def answer_sort_key(ans: AnswerSet, variables) -> tuple:
+    """The order of the engines' answers: atom sets by their sorted atom
+    texts, then valuations by value per variable, undefined first."""
+    atom_key = tuple(sorted(str(a) for a in ans.atoms))
+    val_key = tuple(
+        (1, ans.val.get(v)) if ans.val.defined(v) else (0,) for v in variables
+    )
+    return (atom_key, val_key)
 
 
 def naive_equilibrium(g, mode: str, bounds) -> list:
@@ -135,7 +133,7 @@ def naive_equilibrium(g, mode: str, bounds) -> list:
                     break
             if not smaller:
                 answers.append(AnswerSet(tset, vt))
-    answers.sort(key=lambda a: _answer_sort_key(a, variables))
+    answers.sort(key=lambda a: answer_sort_key(a, variables))
     return answers
 
 

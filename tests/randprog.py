@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .core import (
+from htsolve.core import (
     COMPARATORS,
     FALSITY,
     AssignmentAtom,
@@ -23,19 +23,25 @@ from .core import (
     Rule,
     SymConst,
 )
-from .grounder import GroundProgram
-from .semantics import Interpretation, Valuation, World
+from htsolve.grounder import GroundProgram
+from htsolve.ht import Interpretation, World
+from htsolve.semantics import Valuation
 
 ATOM_NAMES = ("a", "b", "c", "d", "e", "f")
 VAR_NAMES = ("x", "y", "z")
 
 
+def _names(pool: tuple, fresh: str, n: int) -> list:
+    """The first n names of pool, then fresh + its index past the pool's end."""
+    return [*pool[:n], *(f"{fresh}{i}" for i in range(len(pool), n))]
+
+
 def _atoms(n: int) -> tuple:
-    return tuple(Atom(name) for name in ATOM_NAMES[:n])
+    return tuple(Atom(name) for name in _names(ATOM_NAMES, "a", n))
 
 
 def _vars(n: int) -> tuple:
-    return tuple(SymConst(name) for name in VAR_NAMES[:n])
+    return tuple(SymConst(name) for name in _names(VAR_NAMES, "x", n))
 
 
 def boolean_rule_pool(n_atoms: int, max_body: int = 2) -> tuple:

@@ -40,13 +40,14 @@ from htsolve import (
 from htsolve.cli import EXIT_SAT, run
 from htsolve.configkit import EMPTY_INSTANCE
 from htsolve.grounder import GroundProgram
-from htsolve.randprog import (
+from htsolve.ht import sat_rule
+from htsolve.semantics import enumerate_equilibrium
+from oracles import brute_force_dl
+from randprog import (
     random_dl_instance,
     random_hybrid_program,
     random_interpretation_and_rule,
 )
-from htsolve.semantics import enumerate_equilibrium, sat_rule
-from oracles import brute_force_dl
 
 # Pinned gate parameters.  Criterion 1 exhausts every program of up to
 # three rules over the full 88-rule pool and adds a fixed-seed sample of

@@ -15,7 +15,7 @@ from htsolve.cli import (
 )
 from htsolve.configkit import EMPTY_INSTANCE, load_model, translate
 from htsolve.parser import parse_program
-from htsolve.randprog import random_hybrid_program
+from randprog import random_hybrid_program
 
 BIKE_MODEL = """\
 ptype(bike). root(bike).

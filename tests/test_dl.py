@@ -5,9 +5,9 @@ import random
 import pytest
 
 from htsolve import Conflict, DiffGraph, Sat, negate_diff
-from htsolve.randprog import random_dl_instance
 
 from oracles import brute_force_dl
+from randprog import random_dl_instance
 
 X, Y, Z = "x", "y", "z"
 

@@ -11,7 +11,6 @@ import pytest
 from htsolve import (
     AspVar,
     Atom,
-    GroundingOptions,
     GroundProgram,
     IntConst,
     Literal,
@@ -41,11 +40,6 @@ def test_universe_of_plain_program():
     assert herbrand_universe(prog("p(a). q(X) :- p(X).")) == (SymConst("a"),)
 
 
-def test_universe_with_int_range():
-    u = herbrand_universe(prog("p(1)."), GroundingOptions(int_range=(1, 3)))
-    assert u == (IntConst(1), IntConst(2), IntConst(3))
-
-
 def test_universe_empty_program():
     assert herbrand_universe(prog("")) == ()
 
@@ -63,11 +57,6 @@ def test_universe_includes_function_terms_and_their_arguments():
 def test_universe_collects_constraint_atom_terms():
     u = herbrand_universe(prog("&in{0..4} =: w. &diff{x-y} <= 2."))
     assert [str(t) for t in u] == ["0", "4", "w", "x", "y"]
-
-
-def test_int_range_must_be_nonempty():
-    with pytest.raises(ValueError, match="empty int_range"):
-        GroundingOptions(int_range=(3, 1))
 
 
 # safety --------------------------------------------------------------------
@@ -331,8 +320,7 @@ def test_ground_matches_naive_reference():
         p = prog(src)
         if check_safety(p) or not any(rule_variables(r) for r in p.rules):
             continue
-        opts = rng.choice([GroundingOptions(), GroundingOptions(int_range=(0, 1))])
-        joined, naive = ground(p, opts), naive_ground(p, opts)
+        joined, naive = ground(p), naive_ground(p)
         assert joined.rules == naive.rules, f"program:\n{src}"
         assert joined.universe == naive.universe
         programs += 1

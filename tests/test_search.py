@@ -31,9 +31,9 @@ from htsolve import (
 )
 from htsolve.core import COMPARATORS, atoms_of, variable_names, walk_terms
 from htsolve.grounder import GroundProgram
-from htsolve.randprog import random_boolean_program, random_hybrid_program
-from htsolve.semantics import _elem_true
+from htsolve.ht import _elem_true
 from oracles import REPEATED_BODY, naive_equilibrium, rule_shapes
+from randprog import random_boolean_program, random_hybrid_program
 
 x, y = SymConst("x"), SymConst("y")
 a, b = Atom("a"), Atom("b")
@@ -330,6 +330,13 @@ def test_certify_rejects_empty_bounds():
         theory_certify({}, (2, 1))
 
 
+def test_certify_rejects_assignment_atoms():
+    assign = AssignmentAtom(IntConst(0), IntConst(1), x)
+    for sign in (True, False, None):
+        with pytest.raises(ValueError, match="assignment atoms have no Boolean abstraction"):
+            theory_certify({assign: sign}, (0, 1))
+
+
 def _brute_certify(signs: dict, bounds) -> list:
     """Reference: filter the whole domain^vars grid, in product order."""
     lo, hi = bounds
@@ -515,6 +522,23 @@ def test_solve_random_hybrid_differential():
         oracle = solve(g, "casp", (0, 2), engine="oracle")
         search = solve(g, "casp", (0, 2), engine="search")
         assert oracle == search, f"engines differ on:\n{g}"
+
+
+def test_random_programs_draw_names_past_the_first_pools():
+    """Above six atoms and three variables the generator makes fresh names,
+    a6, a7, ... and x3, x4, ..., and the engines agree on such programs."""
+    rng = random.Random(4008)
+    atoms: set = set()
+    variables: set = set()
+    for _ in range(100):
+        g = random_hybrid_program(rng, n_atoms=8, n_vars=4)
+        found, _, names = atoms_of(g)
+        atoms.update(map(str, found))
+        variables.update(map(str, names))
+        if "x3" in map(str, names):
+            assert solve(g, "casp", (0, 1), engine="search") == solve(g, "casp", (0, 1))
+    assert atoms == {"a", "b", "c", "d", "e", "f", "a6", "a7"}, atoms
+    assert variables == {"x", "y", "z", "x3"}, variables
 
 
 @pytest.mark.parametrize(

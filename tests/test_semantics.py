@@ -38,20 +38,22 @@ from htsolve import (
 from htsolve.configkit import EMPTY_INSTANCE
 from htsolve.core import atoms_of
 from htsolve.grounder import GroundProgram
-from htsolve.randprog import (
-    random_boolean_program,
-    random_hybrid_program,
-    random_interpretation_and_rule,
-    random_valuation_pair,
-)
-from htsolve.semantics import EMPTY_VALUATION, MODES, _answer_sort_key, sat_elem
+from htsolve.ht import sat_elem
+from htsolve.semantics import EMPTY_VALUATION, MODES
 
 from oracles import (
     REPEATED_BODY,
+    answer_sort_key,
     naive_equilibrium,
     partial_valuations,
     rule_shapes,
     total_valuations,
+)
+from randprog import (
+    random_boolean_program,
+    random_hybrid_program,
+    random_interpretation_and_rule,
+    random_valuation_pair,
 )
 
 x, y = SymConst("x"), SymConst("y")
@@ -529,7 +531,7 @@ def _naive_without_facts(g, mode, bounds) -> list:
     assert atoms_of(reduced)[2] == variables
     lifted = [AnswerSet(ans.atoms | facts, ans.val)
               for ans in naive_equilibrium(reduced, mode, bounds)]
-    return sorted(lifted, key=lambda ans: _answer_sort_key(ans, variables))
+    return sorted(lifted, key=lambda ans: answer_sort_key(ans, variables))
 
 
 def _gated_assignment_program(rng) -> tuple:
