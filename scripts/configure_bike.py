@@ -14,8 +14,10 @@ Usage:
 
 import argparse
 import sys
+from pathlib import Path
 
-from htsolve import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from htsolve import (  # noqa: E402
     ConfigInstance,
     check_instance,
     decode_instance,
@@ -26,7 +28,7 @@ from htsolve import (
     translate,
     value_bounds,
 )
-from htsolve.configkit import EMPTY_INSTANCE
+from htsolve.configkit import EMPTY_INSTANCE  # noqa: E402
 
 
 def bike_model(lo: int, hi: int):

@@ -30,9 +30,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from htsolve import is_equilibrium, solve
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+sys.path[:0] = [str(Path(__file__).resolve().parent.parent / d) for d in ("src", "tests")]
+from htsolve import is_equilibrium, solve  # noqa: E402
 from oracles import naive_equilibrium  # noqa: E402
 from randprog import random_hybrid_program  # noqa: E402
 

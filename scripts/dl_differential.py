@@ -17,9 +17,8 @@ import sys
 import time
 from pathlib import Path
 
-from htsolve import Conflict, DiffGraph
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+sys.path[:0] = [str(Path(__file__).resolve().parent.parent / d) for d in ("src", "tests")]
+from htsolve import Conflict, DiffGraph  # noqa: E402
 from randprog import random_dl_instance  # noqa: E402
 
 

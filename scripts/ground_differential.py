@@ -19,11 +19,10 @@ import sys
 import time
 from pathlib import Path
 
-from htsolve import ground, parse_program
-from htsolve.core import rule_variables
-from htsolve.grounder import check_safety
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+sys.path[:0] = [str(Path(__file__).resolve().parent.parent / d) for d in ("src", "tests")]
+from htsolve import ground, parse_program  # noqa: E402
+from htsolve.core import rule_variables  # noqa: E402
+from htsolve.grounder import check_safety  # noqa: E402
 from oracles import naive_ground  # noqa: E402
 from test_grounder import _POOL  # noqa: E402
 

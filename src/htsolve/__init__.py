@@ -29,8 +29,8 @@ from .core import (
 from .parser import Diagnostic as ParseDiagnostic
 from .parser import parse_program, parse_term
 from .grounder import GroundProgram, ground
-from .semantics import AnswerSet, Valuation, enumerate_equilibrium, is_equilibrium, least_model
-from .ht import Interpretation, World, gl_reduct, is_ht_model, sat_rule, total
+from .semantics import AnswerSet, Valuation, enumerate_equilibrium, is_equilibrium
+from .ht import Interpretation, World, gl_reduct, is_ht_model, least_model, sat_rule, total
 from .dl import Conflict, DiffGraph, Sat, negate_diff
 from .search import Abstraction, abstract, solve, stable_models_bool, theory_certify
 from .configkit import (

@@ -31,9 +31,6 @@ from .core import (
 from .grounder import GroundProgram, check_safety, ground
 from .search import stable_models_bool
 
-MODEL_PREDICATES = ("ptype", "root", "subpart", "attrdom")
-INSTANCE_PREDICATES = ("inst", "parentOf", "val")
-
 VIOLATION_KINDS = (
     "undeclared-type",
     "multiple-roots",
@@ -115,6 +112,33 @@ def _num(t):
     return t.value if isinstance(t, IntConst) else None
 
 
+# The reserved facts of each file kind: predicate -> (argument readers,
+# diagnostic for arguments of the wrong kind); an instance fact also has
+# the diagnostic for a value that conflicts with an earlier fact's.
+MODEL_FACTS = {
+    "ptype": ((_sym,), "ptype expects one part-type name"),
+    "root": ((_sym,), "root expects one part-type name"),
+    "subpart": ((_sym, _sym, _num, _num), "subpart expects (parent type, child type, min, max)"),
+    "attrdom": ((_sym, _sym, _num, _num), "attrdom expects (part type, attribute, lo, hi)"),
+}
+MODEL_PREDICATES = tuple(MODEL_FACTS)
+INSTANCE_FACTS = {
+    "inst": ((_sym, _sym), "inst expects (id, type)", "conflicting types for {0}"),
+    "parentOf": ((_sym, _sym), "parentOf expects (child id, parent id)",
+                 "{0} has more than one parent"),
+    "val": ((_sym, _sym, _num), "val expects (id, attribute, integer)",
+            "conflicting values for {0}.{1}"),
+}
+
+
+def _read(args: tuple, readers: tuple):
+    """The fact arguments args read through readers, or None on a mismatch."""
+    if len(args) != len(readers):
+        return None
+    values = tuple([read(a) for read, a in zip(readers, args)])
+    return None if None in values else values
+
+
 def load_model(facts: Program):
     """Structure a fact program into a ConfigModel, or return diagnostics."""
     diags: list = []
@@ -129,40 +153,23 @@ def load_model(facts: Program):
 
     for idx, r in enumerate(facts.rules):
         head = r.head
-        reserved_fact = (
-            isinstance(head, Atom)
-            and head.predicate in MODEL_PREDICATES
-        )
-        if reserved_fact and r.body:
-            bad(idx, f"reserved predicate '{head.predicate}' must be a fact")
-            continue
-        if not reserved_fact:
+        if not (isinstance(head, Atom) and head.predicate in MODEL_FACTS):
             constraints.append((idx, r))
             continue
-        args = head.args
-        if head.predicate == "ptype":
-            if len(args) != 1 or _sym(args[0]) is None:
-                bad(idx, "ptype expects one part-type name")
-                continue
-            ptypes.add(_sym(args[0]))
+        if r.body:
+            bad(idx, f"reserved predicate '{head.predicate}' must be a fact")
+            continue
+        readers, mismatch = MODEL_FACTS[head.predicate]
+        args = _read(head.args, readers)
+        if args is None:
+            bad(idx, mismatch)
+        elif head.predicate == "ptype":
+            ptypes.add(args[0])
         elif head.predicate == "root":
-            if len(args) != 1 or _sym(args[0]) is None:
-                bad(idx, "root expects one part-type name")
-                continue
-            if _sym(args[0]) not in roots:
-                roots.append(_sym(args[0]))
+            if args[0] not in roots:
+                roots.append(args[0])
         elif head.predicate == "subpart":
-            if (
-                len(args) != 4
-                or _sym(args[0]) is None
-                or _sym(args[1]) is None
-                or _num(args[2]) is None
-                or _num(args[3]) is None
-            ):
-                bad(idx, "subpart expects (parent type, child type, min, max)")
-                continue
-            parent, child = _sym(args[0]), _sym(args[1])
-            mn, mx = _num(args[2]), _num(args[3])
+            parent, child, mn, mx = args
             if mn < 0 or mx < 0:
                 bad(idx, f"subpart({parent},{child}): negative multiplicity")
             elif mn > mx:
@@ -171,18 +178,8 @@ def load_model(facts: Program):
                 bad(idx, f"duplicate partonomy edge {parent} -> {child}")
             else:
                 edges[(parent, child)] = (mn, mx)
-        elif head.predicate == "attrdom":
-            if (
-                len(args) != 4
-                or _sym(args[0]) is None
-                or _sym(args[1]) is None
-                or _num(args[2]) is None
-                or _num(args[3]) is None
-            ):
-                bad(idx, "attrdom expects (part type, attribute, lo, hi)")
-                continue
-            ptype, attr = _sym(args[0]), _sym(args[1])
-            lo, hi = _num(args[2]), _num(args[3])
+        else:
+            ptype, attr, lo, hi = args
             if lo > hi:
                 bad(idx, f"attrdom({ptype},{attr}): lo {lo} exceeds hi {hi}")
             elif (ptype, attr) in attrs:
@@ -219,13 +216,13 @@ def load_model(facts: Program):
                 bad(idx, "constraint rules must use plain atoms only")
                 ok = False
                 break
-            if e.predicate in MODEL_PREDICATES:
+            if e.predicate in MODEL_FACTS:
                 bad(idx, f"reserved predicate '{e.predicate}' in constraint rule")
                 ok = False
                 break
-            arity = dict(inst=2, parentOf=2, val=3).get(e.predicate)
-            if arity is not None and len(e.args) != arity:
-                bad(idx, f"'{e.predicate}' expects {arity} arguments")
+            shape = INSTANCE_FACTS.get(e.predicate)
+            if shape and len(e.args) != len(shape[0]):
+                bad(idx, f"'{e.predicate}' expects {len(shape[0])} arguments")
                 ok = False
                 break
         if ok:
@@ -273,50 +270,28 @@ def _find_cycle(edges: dict):
 def load_instance(facts: Program):
     """Structure a fact program into a ConfigInstance, or return diagnostics."""
     diags: list = []
-    individuals: dict = {}
-    parents: dict = {}
-    values: dict = {}
+    found: dict = {p: {} for p in INSTANCE_FACTS}  # predicate -> {key args: value}
     for idx, r in enumerate(facts.rules):
         head = r.head
         if r.body or not isinstance(head, Atom):
             diags.append(Diagnostic(idx, "instance files contain facts only"))
             continue
-        args = head.args
-        if head.predicate == "inst" and len(args) == 2:
-            ident, ptype = _sym(args[0]), _sym(args[1])
-            if ident is None or ptype is None:
-                diags.append(Diagnostic(idx, "inst expects (id, type)"))
-            elif individuals.get(ident, ptype) != ptype:
-                diags.append(Diagnostic(idx, f"conflicting types for {ident}"))
-            else:
-                individuals[ident] = ptype
-        elif head.predicate == "parentOf" and len(args) == 2:
-            child, parent = _sym(args[0]), _sym(args[1])
-            if child is None or parent is None:
-                diags.append(Diagnostic(idx, "parentOf expects (child id, parent id)"))
-            elif parents.get(child, parent) != parent:
-                diags.append(Diagnostic(idx, f"{child} has more than one parent"))
-            else:
-                parents[child] = parent
-        elif head.predicate == "val" and len(args) == 3:
-            ident, attr, value = _sym(args[0]), _sym(args[1]), _num(args[2])
-            if ident is None or attr is None or value is None:
-                diags.append(Diagnostic(idx, "val expects (id, attribute, integer)"))
-            elif values.get((ident, attr), value) != value:
-                diags.append(Diagnostic(idx, f"conflicting values for {ident}.{attr}"))
-            else:
-                values[(ident, attr)] = value
-        else:
+        shape = INSTANCE_FACTS.get(head.predicate)
+        if shape is None or len(head.args) != len(shape[0]):
             diags.append(
-                Diagnostic(idx, f"unknown instance fact '{head.predicate}/{len(args)}'")
+                Diagnostic(idx, f"unknown instance fact '{head.predicate}/{len(head.args)}'")
             )
+            continue
+        readers, mismatch, conflict = shape
+        args = _read(head.args, readers)
+        if args is None:
+            diags.append(Diagnostic(idx, mismatch))
+        elif found[head.predicate].setdefault(args[:-1], args[-1]) != args[-1]:
+            diags.append(Diagnostic(idx, conflict.format(*args)))
     if diags:
         return diags
-    return ConfigInstance(
-        individuals=tuple(sorted(individuals.items())),
-        parents=tuple(sorted(parents.items())),
-        values=tuple(sorted((i, a, v) for (i, a), v in values.items())),
-    )
+    rows = {p: tuple((*key, v) for key, v in f.items()) for p, f in found.items()}
+    return ConfigInstance(rows["inst"], rows["parentOf"], rows["val"])
 
 
 def instance_facts(inst: ConfigInstance) -> Program:
@@ -589,7 +564,7 @@ def _inject(m: ConfigModel, partial: ConfigInstance) -> dict:
     return mapping
 
 
-def translate(m: ConfigModel, partial: ConfigInstance, mode: str, bounds=None) -> Program:
+def translate(m: ConfigModel, partial: ConfigInstance, mode: str) -> Program:
     """Compile model + partial instance into a solver program.
 
     Slots are pre-enumerated per partonomy edge; inclusion is chosen by
@@ -606,13 +581,6 @@ def translate(m: ConfigModel, partial: ConfigInstance, mode: str, bounds=None) -
         raise ValueError(
             "partial instance rejected: " + "; ".join(str(v) for v in problems)
         )
-    if bounds is not None:
-        for _t, attr, lo, hi in m.attributes:
-            if not (bounds[0] <= lo and hi <= bounds[1]):
-                raise ValueError(
-                    f"attribute domain {lo}..{hi} of {_t}.{attr} exceeds "
-                    f"solver bounds {bounds[0]}..{bounds[1]}"
-                )
 
     nodes = _structure(m)
     root_id = nodes[0][0]

@@ -5,7 +5,8 @@ never exceeds the there world, in atoms or in defined values.  Negation is
 always checked at there.  A total interpretation (here equals there) is an
 answer set when no strictly smaller here world yields a model.  This is
 the definition the engines of semantics and search are held to; none of
-them calls it.
+them calls it.  For Boolean programs, gl_reduct and least_model give the
+classical reduct test of stability, over Rule objects as well.
 
 Constraint atoms referring to an undefined variable are false.  An &in
 assignment whose bounds reference an undefined variable is true: it imposes
@@ -28,7 +29,7 @@ from .core import (
     is_ground,
 )
 from .grounder import GroundProgram
-from .semantics import _CMP, EMPTY_VALUATION, Valuation, _require_boolean
+from .semantics import _CMP, EMPTY_VALUATION, Valuation
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,17 @@ def is_ht_model(i: Interpretation, g: GroundProgram) -> bool:
     return all(sat_rule(i, "here", r) for r in g.rules)
 
 
+def _require_boolean(g: GroundProgram, op: str) -> None:
+    for r in g.rules:
+        if not isinstance(r.head, (Atom, Falsity)):
+            raise ValueError(f"{op} expects a Boolean program, found head {r.head}")
+        for lit in r.body:
+            if not isinstance(lit.atom, Atom):
+                raise ValueError(f"{op} expects a Boolean program, found {lit.atom}")
+        if not is_ground(r):
+            raise ValueError(f"{op} expects a ground program")
+
+
 def gl_reduct(g: GroundProgram, t) -> GroundProgram:
     """Classical reduct: drop rules negated by t, strip remaining negation."""
     _require_boolean(g, "gl_reduct")
@@ -159,3 +171,24 @@ def gl_reduct(g: GroundProgram, t) -> GroundProgram:
             continue
         kept.append(Rule(r.head, tuple(lit for lit in r.body if lit.positive)))
     return GroundProgram(tuple(sorted(set(kept), key=str)), g.universe)
+
+
+def least_model(g: GroundProgram) -> frozenset:
+    """Least Horn model; integrity constraints are ignored here."""
+    for r in g.rules:
+        if any(not lit.positive for lit in r.body):
+            raise ValueError("least_model expects a negation-free program")
+    _require_boolean(g, "least_model")
+    model: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for r in g.rules:
+            if (
+                isinstance(r.head, Atom)
+                and r.head not in model
+                and all(lit.atom in model for lit in r.body)
+            ):
+                model.add(r.head)
+                changed = True
+    return frozenset(model)

@@ -38,7 +38,7 @@ reference an undefined variable is true.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -51,7 +51,6 @@ from .core import (
     IntConst,
     LinearConstraintAtom,
     atoms_of,  # noqa: F401  looked up here by the benchmark's tracer
-    is_ground,
     variable_names,
     variables_of,
 )
@@ -74,7 +73,6 @@ class Valuation:
     """Immutable partial mapping from variable-name terms to integers."""
 
     entries: tuple = ()
-    _map: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         pairs = tuple(sorted(self.entries, key=lambda kv: str(kv[0])))
@@ -82,7 +80,6 @@ class Valuation:
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable in valuation")
         object.__setattr__(self, "entries", pairs)
-        object.__setattr__(self, "_map", dict(pairs))
 
     @classmethod
     def of(cls, mapping) -> "Valuation":
@@ -94,19 +91,16 @@ class Valuation:
     def from_sorted(cls, pairs: tuple) -> "Valuation":
         """Valuation of pairs already sorted by name text, names distinct.
 
-        Nothing is checked, and the lookup table is built on first use.
+        Nothing is checked.
         """
         val = object.__new__(cls)
         object.__setattr__(val, "entries", pairs)
         return val
 
-    def __getattr__(self, name):
-        # Reached only for what an instance lacks: a from_sorted _map.
-        if name != "_map":
-            raise AttributeError(name)
-        table = dict(self.entries)
-        object.__setattr__(self, "_map", table)
-        return table
+    @cached_property
+    def _map(self) -> dict:
+        """The lookup table, built on first use."""
+        return dict(self.entries)
 
     def get(self, name):
         return self._map.get(name)
@@ -237,8 +231,8 @@ class _Compiled:
     The oracle reads a valuation as a value tuple (None: undefined) and each
     theory atom as an evaluator over such tuples; a truth vector tau holds
     every theory atom's truth at one valuation, and the stable models a
-    valuation allows depend only on its tau.  Founded mode and least_model
-    read ids as bits of a mask and each rule as a row of horn.
+    valuation allows depend only on its tau.  Founded mode reads ids as
+    bits of a mask and each rule as a row of horn.
     """
 
     def __init__(self, g: GroundProgram):
@@ -717,28 +711,3 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
             pairs = tuple((v, x) for v, x in zip(variables, vals) if x is not None)
             results.append(AnswerSet(chosen, Valuation.from_sorted(pairs)))
     return results
-
-
-# --- least model -----------------------------------------------------------
-
-
-def _require_boolean(g: GroundProgram, op: str) -> None:
-    for r in g.rules:
-        if not isinstance(r.head, (Atom, Falsity)):
-            raise ValueError(f"{op} expects a Boolean program, found head {r.head}")
-        for lit in r.body:
-            if not isinstance(lit.atom, Atom):
-                raise ValueError(f"{op} expects a Boolean program, found {lit.atom}")
-        if not is_ground(r):
-            raise ValueError(f"{op} expects a ground program")
-
-
-def least_model(g: GroundProgram) -> frozenset:
-    """Least Horn model; integrity constraints are ignored here."""
-    for r in g.rules:
-        if any(not lit.positive for lit in r.body):
-            raise ValueError("least_model expects a negation-free program")
-    _require_boolean(g, "least_model")
-    prog = _Compiled(g)
-    model = _least_model([(pm, hc) for pm, _, _, _, hc in prog.horn if hc > 0])
-    return prog.visible(i for i in range(model.bit_length()) if model >> i & 1)

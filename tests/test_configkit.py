@@ -215,6 +215,35 @@ def test_load_instance_rejects_rules_and_unknown_predicates():
     assert [d.message for d in out] == ["val expects (id, attribute, integer)"]
 
 
+@pytest.mark.parametrize(
+    "kind, fact, message",
+    [
+        ("model", "ptype(3).", "ptype expects one part-type name"),
+        ("model", "root(f(bike)).", "root expects one part-type name"),
+        ("model", "subpart(bike,wheel,one,2).",
+         "subpart expects (parent type, child type, min, max)"),
+        ("model", "attrdom(wheel,3,0,1).", "attrdom expects (part type, attribute, lo, hi)"),
+        ("model", "root(bike) :- inst(X,bike).", "reserved predicate 'root' must be a fact"),
+        ("model", ":- inst(X,wheel,extra).", "'inst' expects 2 arguments"),
+        ("model", ":- parentOf(X).", "'parentOf' expects 2 arguments"),
+        ("model", ":- val(X,diam).", "'val' expects 3 arguments"),
+        ("instance", "inst(w1,3).", "inst expects (id, type)"),
+        ("instance", "parentOf(w1,f(b1)).", "parentOf expects (child id, parent id)"),
+        ("instance", "val(w1,2,16).", "val expects (id, attribute, integer)"),
+        ("instance", "inst(w1).", "unknown instance fact 'inst/1'"),
+        ("instance", "parentOf(w1,b1,c1).", "unknown instance fact 'parentOf/3'"),
+        ("instance", "val(w1,diam).", "unknown instance fact 'val/2'"),
+        ("instance", "inst(w1,wheel) :- inst(b1,bike).", "instance files contain facts only"),
+    ],
+)
+def test_loader_diagnostics(kind, fact, message):
+    if kind == "model":
+        out, index = load_model(parse_program(BIKE_MODEL + fact)), 5
+    else:
+        out, index = load_instance(parse_program(fact)), 0
+    assert [(d.rule_index, d.message) for d in out] == [(index, message)]
+
+
 def test_instance_facts_round_trips():
     inst = bike_instance(26, 26)
     again = load_instance(instance_facts(inst))
@@ -496,10 +525,6 @@ def test_translate_argument_validation():
         translate(m, EMPTY_INSTANCE, "weird")
     with pytest.raises(ValueError, match="partial instance rejected"):
         translate(m, ConfigInstance(individuals=(("x1", "saddle"),)), "founded")
-    with pytest.raises(ValueError, match="exceeds solver bounds"):
-        translate(m, EMPTY_INSTANCE, "casp", bounds=(0, 5))
-    # wide-enough bounds are accepted
-    translate(m, EMPTY_INSTANCE, "casp", bounds=(0, 20))
 
 
 def test_injection_errors():
