@@ -10,14 +10,17 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from itertools import count, islice
 from pathlib import Path
 
 from . import configkit
-from .core import AssignmentAtom, Program, pretty_print, variables_of
+from .core import AssignmentAtom, Program, pretty_print
 from .core import atoms_of  # noqa: F401  looked up here by the benchmark's tracer
 from .grounder import ground
 from .parser import parse_program
-from .search import solve
+from .search import answer_groups
+from .search import solve  # noqa: F401  looked up here by the benchmark's tracer
+from .semantics import _Compiled
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -25,6 +28,8 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_USAGE = 64
 EXIT_INPUT = 65
+
+_CHUNK = 4096  # answers per write
 
 _DOMAIN_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 
@@ -172,31 +177,61 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"htsolve: {ns.file}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if ns.engine == "search" and any(isinstance(r.head, AssignmentAtom) for r in g.rules):
+    prog = _Compiled(g)
+    if ns.engine == "search" and any(isinstance(e, AssignmentAtom) for e in prog.theory):
         return _fail_usage("--engine search does not support &in assignments")
     bounds = ns.domain
     if bounds is None:
-        elems = (e for r in g.rules for e in (r.head, *[lit.atom for lit in r.body]))
-        variables = variables_of(elems)
-        if variables:
+        if prog.variables:
             return _fail_usage(
                 "--domain is required for programs with integer variables: "
-                + ", ".join(str(v) for v in variables)
+                + ", ".join(str(v) for v in prog.variables)
             )
         bounds = (0, 0)
-    answers = solve(g, ns.semantics, bounds, ns.engine, ns.models)
-    lines = []
-    atoms = atoms_line = None
-    for i, ans in enumerate(answers, start=1):
-        if ans.atoms is not atoms:  # consecutive answers often share one atom set
-            atoms, atoms_line = ans.atoms, " ".join(sorted(str(a) for a in ans.atoms))
-        lines.append(f"Answer: {i}\n{atoms_line}\n")
-        rendered = str(ans.val)
-        if rendered:
-            lines.append(f"val {rendered}\n")
-    lines.append("SATISFIABLE\n" if answers else "UNSATISFIABLE\n")
-    sys.stdout.write("".join(lines))
-    return EXIT_SAT if answers else EXIT_UNSAT
+    groups = answer_groups(prog, ns.semantics, bounds, ns.engine, ns.models)
+    n = _print_answers(groups, prog.variables)
+    sys.stdout.write("SATISFIABLE\n" if n else "UNSATISFIABLE\n")
+    return EXIT_SAT if n else EXIT_UNSAT
+
+
+def _print_answers(groups, variables: tuple) -> int:
+    """Write the answers of a group stream as they come; return their count.
+
+    One format string serves every answer: the answer number, the atoms
+    line (made once per group) and the values.  An answer with an undefined
+    variable (founded mode) lists only the defined ones.
+    """
+    names = [str(v) for v in variables]
+    fmt = "Answer: {}\n{}\n"
+    if names:
+        escaped = (n.replace("{", "{{").replace("}", "}}") for n in names)
+        fmt += "val " + " ".join(n + "={}" for n in escaped) + "\n"
+    fmt = fmt.format
+    prefixes = [n + "=" for n in names]
+
+    def partial(i: int, line: str, vals: tuple) -> str:
+        defined = " ".join([p + str(v) for p, v in zip(prefixes, vals) if v is not None])
+        return f"Answer: {i}\n{line}\nval {defined}\n" if defined else f"Answer: {i}\n{line}\n"
+
+    write = sys.stdout.write
+    buf: list = []
+    n = 0
+    for atoms, _, values in groups:
+        line = " ".join(sorted([str(a) for a in atoms]))
+        numbered = zip(count(n + 1), values)  # one iterator, also over a list
+        while True:
+            k = len(buf)
+            buf += [
+                partial(i, line, vals) if None in vals else fmt(i, line, *vals)
+                for i, vals in islice(numbered, _CHUNK - k)
+            ]
+            n += len(buf) - k
+            if len(buf) < _CHUNK:
+                break  # the group is done
+            write("".join(buf))
+            buf.clear()
+    write("".join(buf))
+    return n
 
 
 def _cmd_ground(ns: argparse.Namespace) -> int:

@@ -16,6 +16,7 @@ from itertools import combinations
 
 from .core import (
     FALSITY,
+    AspVar,
     AssignmentAtom,
     Atom,
     Diagnostic,
@@ -131,6 +132,10 @@ INSTANCE_FACTS = {
 }
 
 
+# the instance facts decode_instance reads from an answer's atoms
+_DECODED = ("inst", "parentOf")
+
+
 def _read(args: tuple, readers: tuple):
     """The fact arguments args read through readers, or None on a mismatch."""
     if len(args) != len(readers):
@@ -223,6 +228,12 @@ def load_model(facts: Program):
             shape = INSTANCE_FACTS.get(e.predicate)
             if shape and len(e.args) != len(shape[0]):
                 bad(idx, f"'{e.predicate}' expects {len(shape[0])} arguments")
+                ok = False
+                break
+            if e is r.head and e.predicate in _DECODED and any(
+                not isinstance(a, AspVar) and read(a) is None for read, a in zip(shape[0], e.args)
+            ):
+                bad(idx, shape[1])  # decode_instance could not read what it derives
                 ok = False
                 break
         if ok:
@@ -704,14 +715,19 @@ def translate(m: ConfigModel, partial: ConfigInstance, mode: str) -> Program:
 
 
 def decode_instance(answer) -> ConfigInstance:
-    """Read a solved answer set back into a ConfigInstance."""
+    """Read a solved answer set back into a ConfigInstance.
+
+    Raises ValueError on an inst/2 or parentOf/2 atom with an argument that
+    is not a symbol, which a constraint rule's variable can still bind.
+    """
     individuals = []
     parents = []
     for atom in answer.atoms:
-        if atom.predicate == "inst" and len(atom.args) == 2:
-            individuals.append((_sym(atom.args[0]), _sym(atom.args[1])))
-        elif atom.predicate == "parentOf" and len(atom.args) == 2:
-            parents.append((_sym(atom.args[0]), _sym(atom.args[1])))
+        if atom.predicate in _DECODED and len(atom.args) == 2:
+            pair = (_sym(atom.args[0]), _sym(atom.args[1]))
+            if None in pair:
+                raise ValueError(f"cannot decode {atom}: {INSTANCE_FACTS[atom.predicate][1]}")
+            (individuals if atom.predicate == "inst" else parents).append(pair)
     present = {i for i, _ in individuals}
     values = []
     for term, value in answer.val.as_dict().items():

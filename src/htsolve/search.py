@@ -11,28 +11,36 @@ any atom but needs no supporting rule, and a rule with one as head still
 forbids "body true, head false".  The oracle assumes each one's truth
 instead.  The names __t1, __t2, ... exist only in abstract()'s output.
 
-theory_certify() is the single place that decides valuations: a
+_grid_walk() is the single place that decides valuations: a
 difference-logic graph refutes inconsistent &diff signs outright, each
 atom becomes one linear row over the variables, and one backtracking pass
 over the bounded grid, pruned by the interval each row's unbound terms can
 still add (bounds propagation as in clingcon, Ostrowski and Schaub 2012),
-returns every valuation under which each atom has its sign, so the result
-set matches the exhaustive oracle.  solve() groups the Boolean models by
-their ids past t, the visible atoms, takes the groups in the order answers
-are printed, and can stop after N answers.  It splits each group's models
-into cubes, sets of models that agree on some theory atoms and take every
-sign pattern of the others, and certifies each cube in one pass: the atoms
-it agrees on keep their sign and the others get none.  A group whose
-models take every pattern of the atoms they differ on is one cube; the
-valuation lists of a group's cubes are disjoint and a merge orders them.
+generates, in grid order, the value tuple of every valuation under which
+each atom has its sign, so the result set matches the exhaustive oracle.
+theory_certify() is its list of Valuations.
+
+answer_groups() gives the answers of either engine as one ordered stream
+of groups, (atoms, variables, value tuples), which the CLI prints from and
+solve() materialises.  The search engine groups the Boolean models by
+their ids past t, the visible atoms, and takes the groups in the order
+answers are printed.  It splits each group's models into cubes, sets of
+models that agree on some theory atoms and take every sign pattern of the
+others, and walks each cube once: the atoms it agrees on keep their sign
+and the others get none.  A group whose models take every pattern of the
+atoms they differ on is one cube; the walks of a group's cubes are
+disjoint and heapq.merge orders their tuples lazily.  Nothing past the
+answers read is walked, so with models=N the stream stops after N
+answers.
 """
 
 from __future__ import annotations
 
 import heapq
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import count, islice, repeat
+from operator import itemgetter
 
 from .core import (
     AssignmentAtom,
@@ -41,18 +49,19 @@ from .core import (
     Literal,
     Rule,
     atoms_of,  # noqa: F401  looked up here by the benchmark's tracer
-    variable_names,
+    variables_of,
 )
 from .dl import Conflict, DiffGraph, negate_diff
 from .grounder import GroundProgram
 from .semantics import (
     _CMP,
-    AnswerSet,
     Valuation,
     _bounds_ok,
     _Compiled,
     _row,
-    enumerate_equilibrium,
+    answer_sets,
+    enumerate_equilibrium,  # noqa: F401  looked up here by the benchmark's tracer
+    equilibrium_groups,
 )
 
 
@@ -69,16 +78,11 @@ def _reject_assignments(atoms) -> None:
         raise ValueError("assignment atoms have no Boolean abstraction")
 
 
-def _compile(g: GroundProgram) -> _Compiled:
-    """g numbered once; &in atoms have no Boolean abstraction."""
-    prog = _Compiled(g)
-    _reject_assignments(prog.theory)
-    return prog
-
-
 def abstract(g: GroundProgram) -> Abstraction:
     """Replace constraint atoms by fresh propositions; rejects assignments."""
-    mapping = tuple((Atom(f"__t{k}"), e) for k, e in enumerate(_compile(g).theory, 1))
+    theory = _Compiled(g).theory
+    _reject_assignments(theory)
+    mapping = tuple((Atom(f"__t{k}"), e) for k, e in enumerate(theory, 1))
     prop_of = {e: prop for prop, e in mapping}
 
     def lift(e):
@@ -107,11 +111,6 @@ def stable_models_bool(b: GroundProgram, free=frozenset()) -> list:
     for a in extra:
         models += [m | {a} for m in models]
     return sorted(models, key=lambda m: sorted(map(str, m))) if extra else models
-
-
-# The valuations of one program pair the same variables, in the same order,
-# so their entries compare by value in grid order.
-_ENTRIES = operator.attrgetter("entries")
 
 
 def _schedule(rows: list, n: int, lo: int, hi: int) -> tuple:
@@ -167,22 +166,36 @@ def _schedule(rows: list, n: int, lo: int, hi: int) -> tuple:
 
 
 def theory_certify(signs: dict, bounds) -> list:
-    """Every total valuation within bounds under which each atom has its sign.
+    """Every total valuation within bounds under which each atom has its sign,
+    in grid order: the value tuples of _grid_walk as Valuations."""
+    variables = variables_of(signs)
+    return [
+        Valuation.from_sorted(tuple(zip(variables, vals)))
+        for vals in _grid_walk(signs, bounds, variables)
+    ]
+
+
+def _grid_walk(signs: dict, bounds, variables: tuple):
+    """Generate the value tuples over variables (in text order, a superset
+    of the signed atoms' variables) within bounds under which each atom has
+    its sign, in grid order: variables by text, values ascending, which is
+    the tuples' own order.
 
     A sign is True, False or None, "either": an atom signed None constrains
-    nothing, but its variables still join the grid, so the result is the
-    union, in grid order, of the results for each of its two signs.  The
-    signed &diff atoms, negated ones via negate_diff, are first asserted
-    into a DiffGraph; a negative cycle means no valuation exists.  Each
-    signed atom is then compiled into one linear row over the variables'
-    grid positions, and a row without variables is checked once.  One
-    backtracking pass binds the variables in grid order, variables sorted
-    by text, values ascending.  A row keeps a running sum of its bound
-    terms, and the interval its unbound terms can still add (c * lo or
-    c * hi each) bounds that sum at every position of the row; variable i
-    then takes only the values that keep each of its rows satisfiable, so a
-    subtree with no valuation is never entered, and a row is exact at its
-    last position.  &in atoms are rejected, signed or not.
+    nothing, but its variables still join the grid, so the tuples are the
+    union, in grid order, of those for each of its two signs.  The signed
+    &diff atoms, negated ones via negate_diff, are first asserted into a
+    DiffGraph; a negative cycle means no valuation exists.  Each signed
+    atom is then compiled into one linear row over the variables' grid
+    positions, and a row without variables is checked once.  One
+    backtracking pass binds the variables in grid order.  A row keeps a
+    running sum of its bound terms, and the interval its unbound terms can
+    still add (c * lo or c * hi each) bounds that sum at every position of
+    the row; variable i then takes only the values that keep each of its
+    rows satisfiable, so a subtree with no valuation is never entered, and
+    a row is exact at its last position.  The tuples of one prefix share
+    it, and the last variable's values are zipped onto it.  &in atoms are
+    rejected, signed or not.
     """
     lo, hi = _bounds_ok(bounds)
     _reject_assignments(signs)
@@ -196,9 +209,8 @@ def theory_certify(signs: dict, bounds) -> list:
             x, y, k = negate_diff(x, y, k)
         cid += 1
         if isinstance(graph.assert_diff(x, y, k, cid), Conflict):
-            return []
+            return
 
-    variables = sorted({v for atom in signs for v in variable_names(atom)}, key=str)
     position = {v: i for i, v in enumerate(variables)}
     rows = []
     for atom, sign in signs.items():
@@ -208,9 +220,10 @@ def theory_certify(signs: dict, bounds) -> list:
         if terms:
             rows.append((terms, cmp, rhs))
         elif not _CMP[cmp](0, rhs):
-            return []
+            return
     if not variables:
-        return [Valuation()]
+        yield ()
+        return
     windows, forbid, carry, slots = _schedule(rows, len(variables), lo, hi)
     sums = [0] * slots
 
@@ -228,7 +241,6 @@ def theory_certify(signs: dict, bounds) -> list:
             values = [v for v in values if v not in banned]
         return values
 
-    found: list = []
     last = len(variables) - 1
     values = [lo] * last  # of the variables before the last
     pending: list = []  # per bound variable before the last: its values left
@@ -236,15 +248,14 @@ def theory_certify(signs: dict, bounds) -> list:
         if len(pending) < last:
             pending.append(iter(allowed(len(pending))))
         else:
-            prefix, x = tuple(zip(variables, values)), variables[last]
-            found.extend(Valuation.from_sorted(prefix + ((x, v),)) for v in allowed(last))
+            yield from zip(*map(repeat, values), allowed(last))
         v = None
         while pending and v is None:
             v = next(pending[-1], None)
             if v is None:
                 pending.pop()
         if v is None:
-            return found
+            return
         i = len(pending) - 1
         values[i] = v
         for src, dst, c in carry[i]:
@@ -266,43 +277,74 @@ def _cubes(trues: list) -> list:
     return _cubes([s for s in trues if pivot in s]) + _cubes([s for s in trues if pivot not in s])
 
 
-def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: int = 0) -> list:
-    """Answer sets of g, via the exhaustive oracle or the search engine.
+def _search_groups(prog: _Compiled, bounds):
+    """Generate the search engine's answer groups in printed order.
 
-    Answers are sorted by their atoms' text, then by value in grid order;
-    with models > 0 only the first models answers are returned, and the
-    search engine certifies no Boolean model past them.  It groups the
-    Boolean models by visible atoms and takes the groups in text order.
-    The models of one group differ only in the signs of theory atoms; one
-    theory_certify call per cube of the group, its free atoms unsigned,
-    yields the union of its models' valuation lists in grid order, so every
-    call is pruned by each atom the cube's models agree on.
+    Every Boolean model is found first and grouped by its visible atoms.
+    One _grid_walk per cube of a group, its free atoms unsigned, yields the
+    union of the cube's models' value tuples in grid order.
+    """
+    t = len(prog.theory)  # the theory atoms' Boolean ids come first
+    groups: dict = {}  # visible atom ids -> true theory ids of each model
+    for m in prog.core().models():
+        k = bisect_left(m, t)
+        groups.setdefault(m[k:], []).append(set(m[:k]))
+    variables = prog.variables
+    for key in sorted(groups):
+        walks = [
+            _grid_walk({e: None if i in free else i in true for i, e in enumerate(prog.theory)},
+                       bounds, variables)
+            for true, free in _cubes(groups[key])
+        ]
+        yield prog.visible(key), variables, walks[0] if len(walks) == 1 else heapq.merge(*walks)
+
+
+def _first(groups, n: int):
+    """The groups cut after their first n value tuples in all.
+
+    A group's values must be read to the end before the next group is asked
+    for: the tally of the tuples read decides when to stop.
+    """
+    for atoms, variables, values in groups:
+        tally = count()  # zip advances it once per tuple read
+        yield atoms, variables, map(itemgetter(0), zip(islice(values, n), tally))
+        n -= next(tally)
+        if n <= 0:
+            return
+
+
+def answer_groups(prog: _Compiled, mode: str, bounds, engine: str = "oracle", models: int = 0):
+    """The answers of a numbered program as one ordered stream of groups.
+
+    A group is (atoms, variables, value tuples): one atom set, the
+    program's variables in text order, and an iterable of value tuples over
+    them, one per answer (None where a variable is undefined, founded mode
+    only), in the order answers are printed: groups by their sorted atom
+    texts, tuples in grid order.  With models > 0 the stream stops after
+    the first models answers; the search engine then finds no valuation
+    past them, while the oracle computes every answer first.  The arguments
+    are checked before the stream starts.
     """
     if engine not in ("oracle", "search"):
         raise ValueError(f"unknown engine {engine!r}")
     if models < 0:
         raise ValueError("models must be nonnegative")
     if engine == "oracle":
-        answers = enumerate_equilibrium(g, mode, bounds)
-        return answers[:models] if models else answers
-    if mode != "casp":
-        raise ValueError("engine 'search' supports casp mode only")
-    _bounds_ok(bounds)  # also when no Boolean model reaches theory_certify
-    prog = _compile(g)
-    t = len(prog.theory)  # the theory atoms' Boolean ids come first
-    groups: dict = {}  # visible atom ids -> true theory ids of each model
-    for m in prog.core().models():
-        k = bisect_left(m, t)
-        groups.setdefault(m[k:], []).append(set(m[:k]))
-    answers: list = []
-    for key in sorted(groups):
-        lists = []
-        for true, free in _cubes(groups[key]):
-            signs = {e: None if i in free else i in true for i, e in enumerate(prog.theory)}
-            lists.append(theory_certify(signs, bounds))
-        visible = prog.visible(key)
-        merged = lists[0] if len(lists) == 1 else heapq.merge(*lists, key=_ENTRIES)
-        answers.extend(AnswerSet(visible, val) for val in merged)
-        if models and len(answers) >= models:
-            return answers[:models]
-    return answers
+        groups = equilibrium_groups(prog, mode, bounds)
+    else:
+        if mode != "casp":
+            raise ValueError("engine 'search' supports casp mode only")
+        _bounds_ok(bounds)
+        _reject_assignments(prog.theory)
+        groups = _search_groups(prog, bounds)
+    return _first(groups, models) if models else groups
+
+
+def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: int = 0) -> list:
+    """Answer sets of g, via the exhaustive oracle or the search engine.
+
+    answer_groups materialised: answers are sorted by their atoms' text,
+    then by value in grid order; with models > 0 only the first models
+    answers are returned.
+    """
+    return answer_sets(answer_groups(_Compiled(g), mode, bounds, engine, models))

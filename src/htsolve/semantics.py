@@ -669,24 +669,26 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
     return mode == "casp" or not prog.smaller(key, tau, prog.sub_truths(vals), {})
 
 
-def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
-    """All answer sets over the program's atoms and variables, sorted.
+def equilibrium_groups(prog: _Compiled, mode: str, bounds):
+    """The oracle's answers as a stream of groups (atoms, variables, value tuples).
 
-    The program is compiled and its Boolean core built once.  Each grid
-    point (a total valuation in casp mode, a partial one in founded mode)
-    gives a truth vector tau, and the core solves each distinct tau once,
-    with the theory atoms assumed to their truth in tau.  Founded mode
-    rejects a candidate when a proper sub-valuation has a here world, a
-    Horn check cached per (atoms, tau, sub-valuation tau).
+    Every answer is computed before the stream starts.  The numbered
+    program's Boolean core is built once.  Each grid point (a total
+    valuation in casp mode, a partial one in founded mode) gives a truth
+    vector tau, and the core solves each distinct tau once, with the theory
+    atoms assumed to their truth in tau.  Founded mode rejects a candidate
+    when a proper sub-valuation has a here world, a Horn check cached per
+    (atoms, tau, sub-valuation tau).
 
-    Atom sets come in the order of their sorted atom texts (atom ids are in
-    text order), and each set's valuations in grid order: variables by text,
-    each undefined first, then ascending.
+    A group holds the answers of one atom set: its atoms, the program's
+    variables in text order, and one value tuple per answer (None where a
+    variable is undefined).  Groups come in the order of their sorted atom
+    texts (atom ids are in text order), and each group's tuples in grid
+    order: variables by text, each undefined first, then ascending.
     """
     _mode_ok(mode)
     lo, hi = _bounds_ok(bounds)
     founded = mode == "founded"
-    prog = _Compiled(g)
     core = prog.core()
     values = tuple(range(lo, hi + 1))
     options = (None,) + values if founded else values
@@ -704,10 +706,23 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
         for key in keys:
             found.setdefault(key, []).append(vals)
     variables = prog.variables
-    results = []
-    for key in sorted(found):
-        chosen = prog.visible(key)
-        for vals in found[key]:
-            pairs = tuple((v, x) for v, x in zip(variables, vals) if x is not None)
-            results.append(AnswerSet(chosen, Valuation.from_sorted(pairs)))
-    return results
+    return ((prog.visible(key), variables, found[key]) for key in sorted(found))
+
+
+def answer_sets(groups) -> list:
+    """The answers of a group stream as AnswerSets, in stream order."""
+    answers = []
+    for atoms, variables, values in groups:
+        for vals in values:
+            if None in vals:  # undefined variables are left out
+                pairs = tuple([(v, x) for v, x in zip(variables, vals) if x is not None])
+            else:
+                pairs = tuple(zip(variables, vals))
+            answers.append(AnswerSet(atoms, Valuation.from_sorted(pairs)))
+    return answers
+
+
+def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
+    """All answer sets over the program's atoms and variables, sorted:
+    equilibrium_groups materialised."""
+    return answer_sets(equilibrium_groups(_Compiled(g), mode, bounds))

@@ -104,6 +104,19 @@ def answer_sort_key(ans: AnswerSet, variables) -> tuple:
     return (atom_key, val_key)
 
 
+def cli_text(answers: list, models: int = 0) -> str:
+    """What `htsolve solve --models models` prints for answers, the full
+    sorted list, rendered field by field without the CLI's code."""
+    shown = answers[:models] if models else answers
+    out = []
+    for i, ans in enumerate(shown, 1):
+        out.append(f"Answer: {i}\n" + " ".join(sorted(str(a) for a in ans.atoms)) + "\n")
+        if ans.val.entries:
+            out.append("val " + " ".join(f"{k}={v}" for k, v in ans.val.entries) + "\n")
+    out.append("SATISFIABLE\n" if shown else "UNSATISFIABLE\n")
+    return "".join(out)
+
+
 def naive_equilibrium(g, mode: str, bounds) -> list:
     """Equilibrium enumeration straight from the definitions (slow)."""
     atoms, _, variables = atoms_of(g)

@@ -1,11 +1,16 @@
 """Command-line frontend tests: output goldens and exit codes."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from htsolve import Program, pretty_print, run
+from htsolve import Program, pretty_print, run, solve
 from htsolve.cli import (
+    _CHUNK,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_SAT,
@@ -14,7 +19,10 @@ from htsolve.cli import (
     EXIT_VIOLATIONS,
 )
 from htsolve.configkit import EMPTY_INSTANCE, load_model, translate
+from htsolve.core import atoms_of
+from htsolve.grounder import ground
 from htsolve.parser import parse_program
+from oracles import cli_text, naive_equilibrium
 from randprog import random_hybrid_program
 
 BIKE_MODEL = """\
@@ -278,6 +286,73 @@ def test_solve_models_prints_the_first_answers(lp, capsys, engine):
         seen["one answer"] += len(blocks) == 1
         seen["unsatisfiable"] += not blocks
     assert min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("mode", ["casp", "founded"])
+def test_solve_prints_the_definitional_answers(lp, capsys, mode):
+    # stdout against naive_equilibrium's list rendered field by field, on
+    # both engines where they apply, for the full list and the first 1-3;
+    # the founded answers of the fixed program define x and y but not z
+    rng = random.Random(1818)
+    founded = mode == "founded"
+    engines = ("oracle",) if founded else ("oracle", "search")
+    texts = [
+        f"{random_hybrid_program(rng, n_atoms=4, n_vars=2, max_rules=6, assignments=founded)}\n"
+        for _ in range(60)
+    ]
+    if founded:
+        texts.insert(0, "&in{0..1} =: x. &in{0..1} =: y. a :- &sum{1*z} >= 0, not b. b :- not a.")
+    seen = {"answers": 0, "partly defined": 0, "empty valuation": 0}
+    for n, text in enumerate(texts):
+        path = lp(text, f"p{n}.lp")
+        g = ground(parse_program(text))
+        want = naive_equilibrium(g, mode, (0, 2))
+        for engine in engines:
+            for models in (0, 1, 2, 3):
+                code = run(["solve", path, "--semantics", mode, "--engine", engine,
+                            "--domain=0..2", "--models", str(models)])
+                assert capsys.readouterr().out == cli_text(want, models), (text, engine, models)
+                assert code == (EXIT_SAT if want else EXIT_UNSAT)
+        n_vars = len(atoms_of(g)[2])
+        seen["answers"] += len(want)
+        seen["partly defined"] += sum(0 < len(ans.val) < n_vars for ans in want)
+        seen["empty valuation"] += sum(not ans.val.entries for ans in want)
+    assert seen["answers"] >= 40, seen
+    if founded:
+        assert seen["partly defined"] >= 5 and seen["empty valuation"] >= 5, seen
+
+
+@pytest.mark.parametrize("engine", ["oracle", "search"])
+def test_solve_writes_answers_across_chunks(lp, capsys, engine):
+    # over 8,000 answers in two groups: several writes, one numbering
+    text = "a :- &sum{1*x;1*y;1*z} >= 30, not b. b :- not a."
+    want = solve(ground(parse_program(text)), "casp", (0, 19), engine)
+    assert len(want) > 2 * _CHUNK
+    assert run(["solve", lp(text), "--engine", engine, "--domain", "0..19"]) == EXIT_SAT
+    assert capsys.readouterr().out == cli_text(want)
+
+
+@pytest.mark.parametrize(
+    "program, domain, out",
+    [
+        # 4^9 answers in one group; the first is the grid's first point
+        ("a :- &sum{" + ";".join(f"1*x{i}" for i in range(9)) + "} >= 0.", "0..3",
+         "Answer: 1\na\nval " + " ".join(f"x{i}=0" for i in range(9)) + "\nSATISFIABLE\n"),
+        # about 5 * 10^11 answers before the three with a
+        ("a :- &sum{1*x;1*y} >= 1999999.", "0..1000000",
+         "Answer: 1\n\nval x=0 y=0\nSATISFIABLE\n"),
+    ],
+    ids=["nine-variables", "wide-domain"],
+)
+def test_solve_first_model_of_a_huge_group_in_a_subprocess(lp, program, domain, out):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "htsolve", "solve", lp(program), "--engine", "search",
+         "--domain", domain, "--models", "1"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_SAT, out, "")
 
 
 def test_solve_rule_with_three_thousand_body_atoms(lp, capsys):

@@ -227,6 +227,8 @@ def test_load_instance_rejects_rules_and_unknown_predicates():
         ("model", ":- inst(X,wheel,extra).", "'inst' expects 2 arguments"),
         ("model", ":- parentOf(X).", "'parentOf' expects 2 arguments"),
         ("model", ":- val(X,diam).", "'val' expects 3 arguments"),
+        ("model", "inst(w9,3) :- inst(X,wheel).", "inst expects (id, type)"),
+        ("model", "parentOf(X,f(b1)) :- inst(X,wheel).", "parentOf expects (child id, parent id)"),
         ("instance", "inst(w1,3).", "inst expects (id, type)"),
         ("instance", "parentOf(w1,f(b1)).", "parentOf expects (child id, parent id)"),
         ("instance", "val(w1,2,16).", "val expects (id, attribute, integer)"),
@@ -639,6 +641,26 @@ def test_decode_ignores_values_of_excluded_slots():
     assert inst == ConfigInstance(
         individuals=(("b1", "bike"),), values=(("b1", "weight", 3),)
     )
+
+
+SINGLE_WHEEL = (
+    "ptype(bike). root(bike). ptype(wheel). subpart(bike,wheel,1,1). "
+    "attrdom(wheel,diam,16,16). "
+)
+
+
+def test_constraint_rule_deriving_an_undecodable_instance_fact_is_rejected():
+    # load_model used to accept this rule; decode_instance then read the
+    # individual ('w9', None) and check_instance crashed grounding it
+    out = model_diags(SINGLE_WHEEL + "inst(w9,3) :- inst(X,wheel).")
+    assert [(d.rule_index, d.message) for d in out] == [(5, "inst expects (id, type)")]
+
+
+def test_decode_names_an_atom_a_variable_made_undecodable():
+    m = model_of(SINGLE_WHEEL + "num(3). inst(w9,N) :- inst(X,wheel), num(N).")
+    (answer,) = solve(ground(translate(m, EMPTY_INSTANCE, "casp")), "casp", value_bounds(m))
+    with pytest.raises(ValueError, match=r"cannot decode inst\(w9,3\): inst expects \(id, type\)"):
+        decode_instance(answer)
 
 
 def test_model_predicates_are_stable():

@@ -557,11 +557,13 @@ def test_solve_certifies_each_cube_once(monkeypatch, src, calls):
     g = gprog(src)
     seen = []
 
-    def certify(signs, bounds):
-        seen.append(signs)
-        return theory_certify(signs, bounds)
+    walk = htsolve.search._grid_walk
 
-    monkeypatch.setattr(htsolve.search, "theory_certify", certify)
+    def certify(signs, bounds, variables):
+        seen.append(signs)
+        return walk(signs, bounds, variables)
+
+    monkeypatch.setattr(htsolve.search, "_grid_walk", certify)
     want = naive_equilibrium(g, "casp", (0, 2))
     assert solve(g, "casp", (0, 2), engine="search") == want
     assert len(seen) == calls
@@ -588,14 +590,14 @@ def test_solve_prunes_a_group_missing_a_sign_pattern(monkeypatch):
     total = "&sum{" + ";".join(f"1*x{i}" for i in range(12)) + "}"
     g = gprog(f":- not {total} >= 108, not {total} <= 0.")
     built = []
+    walk = htsolve.search._grid_walk
 
-    class Counted(Valuation):
-        @classmethod
-        def from_sorted(cls, pairs):
-            built.append(pairs)
+    def counted(signs, bounds, variables):
+        for vals in walk(signs, bounds, variables):
+            built.append(vals)
             assert len(built) <= 10, "certification walks the grid"
-            return Valuation.from_sorted(pairs)
+            yield vals
 
-    monkeypatch.setattr(htsolve.search, "Valuation", Counted)
+    monkeypatch.setattr(htsolve.search, "_grid_walk", counted)
     got = solve(g, "casp", (0, 9), engine="search")
     assert [sorted(v for _, v in ans.val.entries) for ans in got] == [[0] * 12, [9] * 12]
