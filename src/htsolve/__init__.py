@@ -29,7 +29,7 @@ from .core import (
 from .parser import Diagnostic as ParseDiagnostic
 from .parser import parse_program, parse_term
 from .grounder import GroundProgram, ground
-from .semantics import AnswerSet, Valuation, enumerate_equilibrium, is_equilibrium
+from .semantics import Answers, AnswerSet, Valuation, enumerate_equilibrium, is_equilibrium
 from .ht import Interpretation, World, gl_reduct, is_ht_model, least_model, sat_rule, total
 from .dl import Conflict, DiffGraph, Sat, negate_diff
 from .search import Abstraction, abstract, solve, stable_models_bool, theory_certify
@@ -71,6 +71,7 @@ __all__ = [
     "parse_term",
     "GroundProgram",
     "ground",
+    "Answers",
     "AnswerSet",
     "Interpretation",
     "Valuation",

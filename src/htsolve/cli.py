@@ -18,9 +18,8 @@ from .core import AssignmentAtom, Program, pretty_print
 from .core import atoms_of  # noqa: F401  looked up here by the benchmark's tracer
 from .grounder import ground
 from .parser import parse_program
-from .search import answer_groups
-from .search import solve  # noqa: F401  looked up here by the benchmark's tracer
-from .semantics import _Compiled
+from .search import solve
+from .semantics import Answers, numbered, valuation_text
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -29,7 +28,7 @@ EXIT_UNSAT = 20
 EXIT_USAGE = 64
 EXIT_INPUT = 65
 
-_CHUNK = 4096  # answers per write
+_CHUNK = 4096  # answers per write; 256 to 65,536 took the same time, and more memory past 4,096
 
 _DOMAIN_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 
@@ -177,7 +176,7 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"htsolve: {ns.file}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    prog = _Compiled(g)
+    prog = numbered(g)
     if ns.engine == "search" and any(isinstance(e, AssignmentAtom) for e in prog.theory):
         return _fail_usage("--engine search does not support &in assignments")
     bounds = ns.domain
@@ -188,42 +187,41 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
                 + ", ".join(str(v) for v in prog.variables)
             )
         bounds = (0, 0)
-    groups = answer_groups(prog, ns.semantics, bounds, ns.engine, ns.models)
-    n = _print_answers(groups, prog.variables)
-    sys.stdout.write("SATISFIABLE\n" if n else "UNSATISFIABLE\n")
-    return EXIT_SAT if n else EXIT_UNSAT
+    answers = solve(g, ns.semantics, bounds, ns.engine, ns.models)
+    _print_answers(answers)
+    sys.stdout.write("SATISFIABLE\n" if answers else "UNSATISFIABLE\n")
+    return EXIT_SAT if answers else EXIT_UNSAT
 
 
-def _print_answers(groups, variables: tuple) -> int:
-    """Write the answers of a group stream as they come; return their count.
+def _print_answers(answers: Answers) -> None:
+    """Write the answers from their value tuples, _CHUNK answers per write.
 
     One format string serves every answer: the answer number, the atoms
     line (made once per group) and the values.  An answer with an undefined
     variable (founded mode) lists only the defined ones.
     """
-    names = [str(v) for v in variables]
+    names = [str(v) for v in answers.variables]
     fmt = "Answer: {}\n{}\n"
     if names:
-        escaped = (n.replace("{", "{{").replace("}", "}}") for n in names)
-        fmt += "val " + " ".join(n + "={}" for n in escaped) + "\n"
+        escaped = [n.replace("{", "{{").replace("}", "}}") for n in names]
+        fmt += "val " + valuation_text(escaped, ["{}"] * len(names)) + "\n"
     fmt = fmt.format
-    prefixes = [n + "=" for n in names]
 
     def partial(i: int, line: str, vals: tuple) -> str:
-        defined = " ".join([p + str(v) for p, v in zip(prefixes, vals) if v is not None])
-        return f"Answer: {i}\n{line}\nval {defined}\n" if defined else f"Answer: {i}\n{line}\n"
+        text = valuation_text(names, vals)
+        return f"Answer: {i}\n{line}\nval {text}\n" if text else f"Answer: {i}\n{line}\n"
 
     write = sys.stdout.write
     buf: list = []
     n = 0
-    for atoms, _, values in groups:
+    for atoms, values in answers.groups:
         line = " ".join(sorted([str(a) for a in atoms]))
-        numbered = zip(count(n + 1), values)  # one iterator, also over a list
+        numbered_values = zip(count(n + 1), values)
         while True:
             k = len(buf)
             buf += [
                 partial(i, line, vals) if None in vals else fmt(i, line, *vals)
-                for i, vals in islice(numbered, _CHUNK - k)
+                for i, vals in islice(numbered_values, _CHUNK - k)
             ]
             n += len(buf) - k
             if len(buf) < _CHUNK:
@@ -231,7 +229,6 @@ def _print_answers(groups, variables: tuple) -> int:
             write("".join(buf))
             buf.clear()
     write("".join(buf))
-    return n
 
 
 def _cmd_ground(ns: argparse.Namespace) -> int:

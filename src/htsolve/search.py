@@ -1,6 +1,6 @@
 """Generate-and-certify solving for casp mode.
 
-solve() reads the ground program as semantics._Compiled numbers it, once,
+solve() reads the ground program as semantics.numbered numbers it, once,
 and finds its Boolean models with the core the oracle runs too,
 _Compiled.core(): Smodels-style propagation with chronological
 backtracking.  Constraint-atom truth is a function of the shared
@@ -16,22 +16,23 @@ difference-logic graph refutes inconsistent &diff signs outright, each
 atom becomes one linear row over the variables, and one backtracking pass
 over the bounded grid, pruned by the interval each row's unbound terms can
 still add (bounds propagation as in clingcon, Ostrowski and Schaub 2012),
-generates, in grid order, the value tuple of every valuation under which
-each atom has its sign, so the result set matches the exhaustive oracle.
-theory_certify() is its list of Valuations.
+generates, in grid order, every valuation under which each atom has its
+sign, so the result set matches the exhaustive oracle.  It generates them
+as runs: per binding of the variables before the last, the last one's
+allowed values.  theory_certify() keeps those runs (_Grid), up to a limit
+if one is given, and builds a Valuation only when one is read.
 
-answer_groups() gives the answers of either engine as one ordered stream
-of groups, (atoms, variables, value tuples), which the CLI prints from and
-solve() materialises.  The search engine groups the Boolean models by
-their ids past t, the visible atoms, and takes the groups in the order
-answers are printed.  It splits each group's models into cubes, sets of
-models that agree on some theory atoms and take every sign pattern of the
-others, and walks each cube once: the atoms it agrees on keep their sign
-and the others get none.  A group whose models take every pattern of the
-atoms they differ on is one cube; the walks of a group's cubes are
-disjoint and heapq.merge orders their tuples lazily.  Nothing past the
-answers read is walked, so with models=N the stream stops after N
-answers.
+solve() groups the Boolean models by their ids past t, the visible atoms,
+and takes the groups in the order answers are printed.  It splits each
+group's models into cubes, sets of models that agree on some theory atoms
+and take every sign pattern of the others, and certifies each cube once:
+the atoms it agrees on keep their sign and the others get none.  A group
+whose models take every pattern of the atoms they differ on is one cube;
+the runs of a group's cubes are disjoint and heapq.merge orders them.
+With models=N no cube is walked past its first N valuations, and no group
+past the Nth answer is certified.  Both engines return an Answers
+sequence: value tuples per atom set, in printed order, from which the CLI
+prints without building an AnswerSet.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 
 from .core import (
@@ -55,13 +56,14 @@ from .dl import Conflict, DiffGraph, negate_diff
 from .grounder import GroundProgram
 from .semantics import (
     _CMP,
+    Answers,
     Valuation,
     _bounds_ok,
+    _Built,
     _Compiled,
     _row,
-    answer_sets,
-    enumerate_equilibrium,  # noqa: F401  looked up here by the benchmark's tracer
-    equilibrium_groups,
+    enumerate_equilibrium,
+    numbered,
 )
 
 
@@ -78,11 +80,16 @@ def _reject_assignments(atoms) -> None:
         raise ValueError("assignment atoms have no Boolean abstraction")
 
 
+def _compile(g: GroundProgram) -> _Compiled:
+    """g numbered once; &in atoms have no Boolean abstraction."""
+    prog = numbered(g)
+    _reject_assignments(prog.theory)
+    return prog
+
+
 def abstract(g: GroundProgram) -> Abstraction:
     """Replace constraint atoms by fresh propositions; rejects assignments."""
-    theory = _Compiled(g).theory
-    _reject_assignments(theory)
-    mapping = tuple((Atom(f"__t{k}"), e) for k, e in enumerate(theory, 1))
+    mapping = tuple((Atom(f"__t{k}"), e) for k, e in enumerate(_compile(g).theory, 1))
     prop_of = {e: prop for prop, e in mapping}
 
     def lift(e):
@@ -165,37 +172,103 @@ def _schedule(rows: list, n: int, lo: int, hi: int) -> tuple:
     return windows, forbid, carry, slots
 
 
-def theory_certify(signs: dict, bounds) -> list:
+class Valuations(_Built):
+    """Total valuations over variables, one per value tuple of values, each
+    Valuation built only when read."""
+
+    def __init__(self, variables: tuple, values):
+        self.variables = variables
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        variables = self.variables
+        for vals in self.values:
+            yield Valuation.from_sorted(tuple(zip(variables, vals)))
+
+
+class _Grid:
+    """Value tuples in grid order, held as runs (prefix, lasts): the tuples
+    prefix + (v,) for v in lasts, or prefix alone where lasts is None (no
+    variables).  Runs are nonempty; with limit > 0 only the first limit
+    tuples are kept, and runs past them are never read."""
+
+    __slots__ = ("runs", "_len")
+
+    def __init__(self, runs, limit: int = 0):
+        self.runs = []
+        n = 0
+        for prefix, lasts in runs:
+            size = 1 if lasts is None else len(lasts)
+            if limit and n + size >= limit:
+                self.runs.append((prefix, lasts[: limit - n] if n + size > limit else lasts))
+                n = limit
+                break
+            self.runs.append((prefix, lasts))
+            n += size
+        self._len = n
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for prefix, lasts in self.runs:
+            if lasts is None:
+                yield prefix
+            else:
+                yield from zip(*map(repeat, prefix), lasts)
+
+
+def _merged(grids: list, limit: int) -> _Grid:
+    """One grid of the tuples of disjoint grids over the same variables:
+    their runs in prefix order, the runs of one prefix joined."""
+    runs = heapq.merge(*[grid.runs for grid in grids], key=itemgetter(0))
+    joined = (_joined(same) for _, same in groupby(runs, itemgetter(0)))
+    return _Grid(joined, limit)
+
+
+def _joined(runs) -> tuple:
+    """One run of runs with one prefix and disjoint sorted values."""
+    runs = list(runs)
+    if len(runs) == 1:
+        return runs[0]
+    return runs[0][0], sorted(chain(*[lasts for _, lasts in runs]))
+
+
+def theory_certify(signs: dict, bounds, limit: int = 0) -> Valuations:
     """Every total valuation within bounds under which each atom has its sign,
-    in grid order: the value tuples of _grid_walk as Valuations."""
+    in grid order; with limit > 0, only the first limit of them.
+
+    A sign is True, False or None, "either": an atom signed None constrains
+    nothing, but its variables still join the grid, so the result is the
+    union, in grid order, of the results for each of its two signs.  The
+    valuations are those of _grid_walk over the signed atoms' variables,
+    held as its runs.  &in atoms are rejected, signed or not.
+    """
     variables = variables_of(signs)
-    return [
-        Valuation.from_sorted(tuple(zip(variables, vals)))
-        for vals in _grid_walk(signs, bounds, variables)
-    ]
+    return Valuations(variables, _Grid(_grid_walk(signs, bounds, variables), limit))
 
 
 def _grid_walk(signs: dict, bounds, variables: tuple):
-    """Generate the value tuples over variables (in text order, a superset
-    of the signed atoms' variables) within bounds under which each atom has
-    its sign, in grid order: variables by text, values ascending, which is
-    the tuples' own order.
+    """Generate, in grid order, the runs (see _Grid) of the value tuples over
+    variables (in text order, a superset of the signed atoms' variables)
+    within bounds under which each atom has its sign.  Grid order is
+    variables by text, values ascending, which is the tuples' own order.
 
-    A sign is True, False or None, "either": an atom signed None constrains
-    nothing, but its variables still join the grid, so the tuples are the
-    union, in grid order, of those for each of its two signs.  The signed
-    &diff atoms, negated ones via negate_diff, are first asserted into a
-    DiffGraph; a negative cycle means no valuation exists.  Each signed
-    atom is then compiled into one linear row over the variables' grid
-    positions, and a row without variables is checked once.  One
-    backtracking pass binds the variables in grid order.  A row keeps a
-    running sum of its bound terms, and the interval its unbound terms can
-    still add (c * lo or c * hi each) bounds that sum at every position of
-    the row; variable i then takes only the values that keep each of its
-    rows satisfiable, so a subtree with no valuation is never entered, and
-    a row is exact at its last position.  The tuples of one prefix share
-    it, and the last variable's values are zipped onto it.  &in atoms are
-    rejected, signed or not.
+    The signed &diff atoms, negated ones via negate_diff, are first
+    asserted into a DiffGraph; a negative cycle means no valuation exists.
+    Each signed atom is then compiled into one linear row over the
+    variables' grid positions, and a row without variables is checked once.
+    One backtracking pass binds the variables before the last in grid
+    order.  A row keeps a running sum of its bound terms, and the interval
+    its unbound terms can still add (c * lo or c * hi each) bounds that sum
+    at every position of the row; variable i then takes only the values
+    that keep each of its rows satisfiable, so a subtree with no valuation
+    is never entered, and a row is exact at its last position.  Each
+    binding of the variables before the last gives one run: the last
+    variable's allowed values.
     """
     lo, hi = _bounds_ok(bounds)
     _reject_assignments(signs)
@@ -222,7 +295,7 @@ def _grid_walk(signs: dict, bounds, variables: tuple):
         elif not _CMP[cmp](0, rhs):
             return
     if not variables:
-        yield ()
+        yield (), None
         return
     windows, forbid, carry, slots = _schedule(rows, len(variables), lo, hi)
     sums = [0] * slots
@@ -248,7 +321,9 @@ def _grid_walk(signs: dict, bounds, variables: tuple):
         if len(pending) < last:
             pending.append(iter(allowed(len(pending))))
         else:
-            yield from zip(*map(repeat, values), allowed(last))
+            lasts = allowed(last)
+            if lasts:
+                yield tuple(values), lasts
         v = None
         while pending and v is None:
             v = next(pending[-1], None)
@@ -277,74 +352,46 @@ def _cubes(trues: list) -> list:
     return _cubes([s for s in trues if pivot in s]) + _cubes([s for s in trues if pivot not in s])
 
 
-def _search_groups(prog: _Compiled, bounds):
-    """Generate the search engine's answer groups in printed order.
+def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: int = 0) -> Answers:
+    """Answer sets of g, via the exhaustive oracle or the search engine.
 
-    Every Boolean model is found first and grouped by its visible atoms.
-    One _grid_walk per cube of a group, its free atoms unsigned, yields the
-    union of the cube's models' value tuples in grid order.
-    """
-    t = len(prog.theory)  # the theory atoms' Boolean ids come first
-    groups: dict = {}  # visible atom ids -> true theory ids of each model
-    for m in prog.core().models():
-        k = bisect_left(m, t)
-        groups.setdefault(m[k:], []).append(set(m[:k]))
-    variables = prog.variables
-    for key in sorted(groups):
-        walks = [
-            _grid_walk({e: None if i in free else i in true for i, e in enumerate(prog.theory)},
-                       bounds, variables)
-            for true, free in _cubes(groups[key])
-        ]
-        yield prog.visible(key), variables, walks[0] if len(walks) == 1 else heapq.merge(*walks)
-
-
-def _first(groups, n: int):
-    """The groups cut after their first n value tuples in all.
-
-    A group's values must be read to the end before the next group is asked
-    for: the tally of the tuples read decides when to stop.
-    """
-    for atoms, variables, values in groups:
-        tally = count()  # zip advances it once per tuple read
-        yield atoms, variables, map(itemgetter(0), zip(islice(values, n), tally))
-        n -= next(tally)
-        if n <= 0:
-            return
-
-
-def answer_groups(prog: _Compiled, mode: str, bounds, engine: str = "oracle", models: int = 0):
-    """The answers of a numbered program as one ordered stream of groups.
-
-    A group is (atoms, variables, value tuples): one atom set, the
-    program's variables in text order, and an iterable of value tuples over
-    them, one per answer (None where a variable is undefined, founded mode
-    only), in the order answers are printed: groups by their sorted atom
-    texts, tuples in grid order.  With models > 0 the stream stops after
-    the first models answers; the search engine then finds no valuation
-    past them, while the oracle computes every answer first.  The arguments
-    are checked before the stream starts.
+    Answers are sorted by their atoms' text, then by value in grid order;
+    with models > 0 only the first models answers are returned, and the
+    search engine walks no valuation past them.  It groups the Boolean
+    models by visible atoms and takes the groups in text order.  The
+    models of one group differ only in the signs of theory atoms; one
+    theory_certify call per cube of the group, its free atoms unsigned,
+    yields the union of its models' valuations in grid order, so every
+    call is pruned by each atom the cube's models agree on.
     """
     if engine not in ("oracle", "search"):
         raise ValueError(f"unknown engine {engine!r}")
     if models < 0:
         raise ValueError("models must be nonnegative")
     if engine == "oracle":
-        groups = equilibrium_groups(prog, mode, bounds)
-    else:
-        if mode != "casp":
-            raise ValueError("engine 'search' supports casp mode only")
-        _bounds_ok(bounds)
-        _reject_assignments(prog.theory)
-        groups = _search_groups(prog, bounds)
-    return _first(groups, models) if models else groups
-
-
-def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: int = 0) -> list:
-    """Answer sets of g, via the exhaustive oracle or the search engine.
-
-    answer_groups materialised: answers are sorted by their atoms' text,
-    then by value in grid order; with models > 0 only the first models
-    answers are returned.
-    """
-    return answer_sets(answer_groups(_Compiled(g), mode, bounds, engine, models))
+        answers = enumerate_equilibrium(g, mode, bounds)
+        return answers.head(models) if models else answers
+    if mode != "casp":
+        raise ValueError("engine 'search' supports casp mode only")
+    _bounds_ok(bounds)  # also when no Boolean model reaches theory_certify
+    prog = _compile(g)
+    t = len(prog.theory)  # the theory atoms' Boolean ids come first
+    groups: dict = {}  # visible atom ids -> true theory ids of each model
+    for m in prog.core().models():
+        k = bisect_left(m, t)
+        groups.setdefault(m[k:], []).append(set(m[:k]))
+    answers = []
+    left = models
+    for key in sorted(groups):
+        grids = []
+        for true, free in _cubes(groups[key]):
+            signs = {e: None if i in free else i in true for i, e in enumerate(prog.theory)}
+            grids.append(theory_certify(signs, bounds, left).values)
+        values = grids[0] if len(grids) == 1 else _merged(grids, left)
+        if values:
+            answers.append((prog.visible(key), values))
+        if models:
+            left -= len(values)
+            if not left:
+                break
+    return Answers(prog.variables, answers)

@@ -38,9 +38,10 @@ reference an undefined variable is true.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 
 from .core import (
     AspVar,
@@ -124,7 +125,13 @@ class Valuation:
         return name in self._map
 
     def __str__(self) -> str:
-        return " ".join(f"{k}={v}" for k, v in self.entries)
+        return valuation_text(self.names(), [v for _, v in self.entries])
+
+
+def valuation_text(names, values) -> str:
+    """How a valuation prints: name=value for each defined value (not None),
+    separated by spaces."""
+    return " ".join([f"{n}={v}" for n, v in zip(names, values) if v is not None])
 
 
 EMPTY_VALUATION = Valuation()
@@ -139,6 +146,79 @@ class AnswerSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", frozenset(self.atoms))
+
+
+class _Built(Sequence):
+    """A read-only sequence whose items are built from value tuples only when
+    read.  It compares equal to a list, tuple or _Built with equal items,
+    and + with one of those gives a list."""
+
+    _items = None
+
+    def __getitem__(self, i):
+        if self._items is None:
+            self._items = list(self)
+        return self._items[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Built, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __add__(self, other):
+        if not isinstance(other, (_Built, list, tuple)):
+            return NotImplemented
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        if not isinstance(other, (list, tuple)):
+            return NotImplemented
+        return list(other) + list(self)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class Answers(_Built):
+    """Answer sets in printed order, held as value tuples per atom set.
+
+    groups holds (atoms, values) pairs: an atom set and a sized iterable of
+    value tuples over variables (in text order; None where a variable is
+    undefined, founded mode only), in grid order.  An AnswerSet is built
+    only when read, so a printer reads groups instead.
+    """
+
+    def __init__(self, variables: tuple, groups: list):
+        self.variables = variables
+        self.groups = groups
+        self._len = sum(len(values) for _, values in groups)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        variables = self.variables
+        for atoms, values in self.groups:
+            for vals in values:
+                if None in vals:  # undefined variables are left out
+                    pairs = tuple([(v, x) for v, x in zip(variables, vals) if x is not None])
+                else:
+                    pairs = tuple(zip(variables, vals))
+                yield AnswerSet(atoms, Valuation.from_sorted(pairs))
+
+    def head(self, k: int) -> "Answers":
+        """The first k answers."""
+        groups = []
+        for atoms, values in self.groups:
+            if k <= 0:
+                break
+            if len(values) > k:
+                values = list(islice(values, k))
+            groups.append((atoms, values))
+            k -= len(values)
+        return Answers(self.variables, groups)
 
 
 # --- compiled fast paths ---------------------------------------------------
@@ -332,6 +412,15 @@ class _Compiled:
         subs = list(product(*[(None,) if v is None else (None, v) for v in vals]))
         subs.pop()  # the last one keeps every value: vals itself
         return {self.truth(s) for s in subs}
+
+
+def numbered(g: GroundProgram) -> _Compiled:
+    """g numbered (see _Compiled), once per program object: the numbering is
+    kept with g, which is immutable, so every engine and check reuses it."""
+    prog = vars(g).get("_numbered")
+    if prog is None:
+        prog = vars(g)["_numbered"] = _Compiled(g)
+    return prog
 
 
 def _blocked(pids, nids, pos_truth: tuple, neg_truth: tuple) -> bool:
@@ -639,7 +728,7 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
     """
     _mode_ok(mode)
     lo, hi = _bounds_ok(bounds)
-    prog = _Compiled(g)
+    prog = numbered(g)
     vd = m.val.as_dict()
     known = set(prog.variables)
     extra = [k for k in vd if k not in known]
@@ -669,26 +758,24 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
     return mode == "casp" or not prog.smaller(key, tau, prog.sub_truths(vals), {})
 
 
-def equilibrium_groups(prog: _Compiled, mode: str, bounds):
-    """The oracle's answers as a stream of groups (atoms, variables, value tuples).
+def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> Answers:
+    """All answer sets over the program's atoms and variables, sorted.
 
-    Every answer is computed before the stream starts.  The numbered
-    program's Boolean core is built once.  Each grid point (a total
-    valuation in casp mode, a partial one in founded mode) gives a truth
-    vector tau, and the core solves each distinct tau once, with the theory
-    atoms assumed to their truth in tau.  Founded mode rejects a candidate
-    when a proper sub-valuation has a here world, a Horn check cached per
-    (atoms, tau, sub-valuation tau).
+    The numbered program's Boolean core is built once.  Each grid point (a
+    total valuation in casp mode, a partial one in founded mode) gives a
+    truth vector tau, and the core solves each distinct tau once, with the
+    theory atoms assumed to their truth in tau.  Founded mode rejects a
+    candidate when a proper sub-valuation has a here world, a Horn check
+    cached per (atoms, tau, sub-valuation tau).
 
-    A group holds the answers of one atom set: its atoms, the program's
-    variables in text order, and one value tuple per answer (None where a
-    variable is undefined).  Groups come in the order of their sorted atom
-    texts (atom ids are in text order), and each group's tuples in grid
-    order: variables by text, each undefined first, then ascending.
+    Atom sets come in the order of their sorted atom texts (atom ids are in
+    text order), and each set's valuations, as value tuples, in grid order:
+    variables by text, each undefined first, then ascending.
     """
     _mode_ok(mode)
     lo, hi = _bounds_ok(bounds)
     founded = mode == "founded"
+    prog = numbered(g)
     core = prog.core()
     values = tuple(range(lo, hi + 1))
     options = (None,) + values if founded else values
@@ -705,24 +792,4 @@ def equilibrium_groups(prog: _Compiled, mode: str, bounds):
             keys = [key for key in keys if not prog.smaller(key, tau, subs, here_memo)]
         for key in keys:
             found.setdefault(key, []).append(vals)
-    variables = prog.variables
-    return ((prog.visible(key), variables, found[key]) for key in sorted(found))
-
-
-def answer_sets(groups) -> list:
-    """The answers of a group stream as AnswerSets, in stream order."""
-    answers = []
-    for atoms, variables, values in groups:
-        for vals in values:
-            if None in vals:  # undefined variables are left out
-                pairs = tuple([(v, x) for v, x in zip(variables, vals) if x is not None])
-            else:
-                pairs = tuple(zip(variables, vals))
-            answers.append(AnswerSet(atoms, Valuation.from_sorted(pairs)))
-    return answers
-
-
-def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> list:
-    """All answer sets over the program's atoms and variables, sorted:
-    equilibrium_groups materialised."""
-    return answer_sets(equilibrium_groups(_Compiled(g), mode, bounds))
+    return Answers(prog.variables, [(prog.visible(key), found[key]) for key in sorted(found)])

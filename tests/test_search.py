@@ -1,7 +1,7 @@
 """Search-engine tests: abstraction, Boolean stability, certification, solve."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 import pytest
 
@@ -381,6 +381,8 @@ def test_certify_matches_brute_force_grid():
         bounds = (lo, lo + rng.randint(0, 3))
         want = _brute_certify(signs, bounds)
         assert theory_certify(signs, bounds) == want, f"differs on {signs} {bounds}"
+        limit = rng.randint(1, 3)
+        assert theory_certify(signs, bounds, limit) == want[:limit], f"limit {limit}"
         seen["variable-free"] += any(not list(variable_names(t)) for t in signs)
         seen["negated diff"] += any(
             isinstance(t, DiffConstraintAtom) and not s for t, s in signs.items()
@@ -571,6 +573,22 @@ def test_solve_certifies_each_cube_once(monkeypatch, src, calls):
         assert solve(g, "casp", (0, 2), engine="search", models=k) == want[:k]
 
 
+def test_solve_answers_read_as_a_list_of_answer_sets():
+    # Answers holds value tuples per atom set and reads like naive_equilibrium's list
+    g = gprog("a :- &sum{1*x;1*y} >= 3, not b. b :- not a. c :- &diff{x-y} <= 0, b.")
+    want = naive_equilibrium(g, "casp", (0, 2))
+    groups = [(atoms, [tuple(v for _, v in ans.val.entries) for ans in same])
+              for atoms, same in groupby(want, lambda ans: ans.atoms)]
+    assert len(groups) == 3
+    for engine in ("oracle", "search"):
+        got = solve(g, "casp", (0, 2), engine)
+        assert len(got) == len(want) and got == want and want == got
+        assert (got[0], got[-1], got[2:5]) == (want[0], want[-1], want[2:5])
+        assert got + [] == want and [] + got == want
+        assert [(atoms, list(values)) for atoms, values in got.groups] == groups
+        assert got.variables == (x, y)
+
+
 def test_cubes_partition_the_sign_patterns():
     rng = random.Random(909)
     for _ in range(300):
@@ -593,10 +611,10 @@ def test_solve_prunes_a_group_missing_a_sign_pattern(monkeypatch):
     walk = htsolve.search._grid_walk
 
     def counted(signs, bounds, variables):
-        for vals in walk(signs, bounds, variables):
-            built.append(vals)
+        for prefix, lasts in walk(signs, bounds, variables):
+            built.extend((*prefix, v) for v in lasts)
             assert len(built) <= 10, "certification walks the grid"
-            yield vals
+            yield prefix, lasts
 
     monkeypatch.setattr(htsolve.search, "_grid_walk", counted)
     got = solve(g, "casp", (0, 9), engine="search")
