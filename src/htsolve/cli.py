@@ -112,6 +112,18 @@ def _parse_file(path: str):
     return result
 
 
+def _ground_file(path: str):
+    """The program in path, ground; None once its diagnostics are printed."""
+    program = _parse_file(path)
+    if program is None:
+        return None
+    try:
+        return ground(program)
+    except ValueError as exc:
+        print(f"htsolve: {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _load_config_file(path: str, loader):
     parsed = _parse_file(path)
     if parsed is None:
@@ -168,13 +180,8 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
         return _fail_usage("--models must be nonnegative")
     if ns.engine == "search" and ns.semantics == "founded":
         return _fail_usage("--engine search supports --semantics casp only")
-    program = _parse_file(ns.file)
-    if program is None:
-        return EXIT_INPUT
-    try:
-        g = ground(program)
-    except ValueError as exc:
-        print(f"htsolve: {ns.file}: {exc}", file=sys.stderr)
+    g = _ground_file(ns.file)
+    if g is None:
         return EXIT_INPUT
     prog = numbered(g)
     if ns.engine == "search" and any(isinstance(e, AssignmentAtom) for e in prog.theory):
@@ -232,13 +239,8 @@ def _print_answers(answers: Answers) -> None:
 
 
 def _cmd_ground(ns: argparse.Namespace) -> int:
-    program = _parse_file(ns.file)
-    if program is None:
-        return EXIT_INPUT
-    try:
-        g = ground(program)
-    except ValueError as exc:
-        print(f"htsolve: {ns.file}: {exc}", file=sys.stderr)
+    g = _ground_file(ns.file)
+    if g is None:
         return EXIT_INPUT
     if ns.text:
         text = str(g)

@@ -730,7 +730,7 @@ def decode_instance(answer) -> ConfigInstance:
             (individuals if atom.predicate == "inst" else parents).append(pair)
     present = {i for i, _ in individuals}
     values = []
-    for term, value in answer.val.as_dict().items():
+    for term, value in answer.val.entries:
         if (
             isinstance(term, FuncTerm)
             and term.name == "val"
@@ -738,8 +738,4 @@ def decode_instance(answer) -> ConfigInstance:
             and _sym(term.args[0]) in present
         ):
             values.append((_sym(term.args[0]), _sym(term.args[1]), value))
-    return ConfigInstance(
-        individuals=tuple(sorted(individuals)),
-        parents=tuple(sorted(parents)),
-        values=tuple(sorted(values)),
-    )
+    return ConfigInstance(individuals, parents, values)  # which sorts them

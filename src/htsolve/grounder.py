@@ -75,6 +75,7 @@ class GroundProgram:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "universe", tuple(self.universe))
+        object.__setattr__(self, "_numbered", None)  # semantics.numbered's; not a field
 
     def __str__(self) -> str:
         return "\n".join(str(r) for r in self.rules)

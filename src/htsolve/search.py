@@ -102,22 +102,13 @@ def abstract(g: GroundProgram) -> Abstraction:
     return Abstraction(rules, mapping)
 
 
-def stable_models_bool(b: GroundProgram, free=frozenset()) -> list:
-    """All reduct-stable atom sets of a Boolean program, sorted.
-
-    Atoms in free are choices: a model may hold or omit each of them with
-    no rule supporting it, as if the reduct had it as a fact whenever it
-    is true.  A rule with a free head still forbids a true body with that
-    head false.  Models range over the atoms of b together with free.
-    """
-    prog = _Compiled(b)
+def stable_models_bool(b: GroundProgram) -> list:
+    """All reduct-stable atom sets of a Boolean program, sorted by their
+    atoms' texts; b is numbered as semantics.numbered numbers it."""
+    prog = numbered(b)
     if prog.theory:
         raise ValueError(f"stable_models_bool expects a Boolean program, found {prog.theory[0]}")
-    extra = set(free).difference(prog.atoms)  # in no rule: each doubles the models
-    models = [prog.visible(m) for m in prog.core(free).models()]
-    for a in extra:
-        models += [m | {a} for m in models]
-    return sorted(models, key=lambda m: sorted(map(str, m))) if extra else models
+    return [prog.visible(m) for m in prog.core().models()]
 
 
 def _schedule(rows: list, n: int, lo: int, hi: int) -> tuple:
@@ -245,8 +236,11 @@ def theory_certify(signs: dict, bounds, limit: int = 0) -> Valuations:
     nothing, but its variables still join the grid, so the result is the
     union, in grid order, of the results for each of its two signs.  The
     valuations are those of _grid_walk over the signed atoms' variables,
-    held as its runs.  &in atoms are rejected, signed or not.
+    held as its runs.  &in atoms, signed or not, and a negative limit are
+    rejected.
     """
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
     variables = variables_of(signs)
     return Valuations(variables, _Grid(_grid_walk(signs, bounds, variables), limit))
 

@@ -21,14 +21,14 @@ The Boolean core (_Core; the search engine runs it too) runs Smodels'
 expand (Simons, Niemela, Soininen 2002) to a fixpoint after every
 assignment, on an explicit trail, in passes linear in the program.
 Atleast forces the head of a true body, makes false the last open literal
-of a rule whose head cannot hold, and sets false every non-free atom whose
-rules all have a false body.  Atmost derives, by a Horn least fixpoint,
-the atoms on positive cycles that the rules could still support, and sets
-the others false; off such cycles, support already implies stability
-(Fages 1994).  The search branches, false then true, only on atoms expand
-leaves open, in id order, and backtracks chronologically; a leaf without a
-conflict is a stable model, and facts, Horn and stratified programs need
-no decision.
+of a rule whose head cannot hold, and sets false every atom (theory atoms
+need no rule) whose rules all have a false body.  Atmost derives, by a
+Horn least fixpoint, the atoms on positive cycles that the rules could
+still support, and sets the others false; off such cycles, support
+already implies stability (Fages 1994).  The search branches, false then
+true, only on atoms expand leaves open, in id order, and backtracks
+chronologically; a leaf without a conflict is a stable model, and facts,
+Horn and stratified programs need no decision.
 
 Theory atoms are evaluated by ht's rules: a constraint atom referring to
 an undefined variable is false, and an &in assignment whose bounds
@@ -349,17 +349,20 @@ class _Compiled:
                 self.rules.append((h, p, list({*map(ids.__getitem__, neg), *nids})))
 
         self.variables = variables_of(theory)
+
+    @cached_property
+    def evaluators(self) -> list:
+        """Each theory atom's truth over a value tuple, built on first use."""
         position = {v: p for p, v in enumerate(self.variables)}
-        self.evaluators = [_evaluator(e, position) for e in theory]
+        return [_evaluator(e, position) for e in self.theory]
 
     def truth(self, vals: tuple) -> tuple:
         """tau: the truth of every theory atom under a value tuple."""
         return tuple([ev(vals) for ev in self.evaluators])
 
-    def core(self, free=()) -> "_Core":
-        """The Boolean core: the theory atoms and the atoms in free need no rule."""
-        t = len(self.theory)
-        return _Core(self, [*range(t), *(i for i, a in enumerate(self.atoms, t) if a in free)])
+    def core(self) -> "_Core":
+        """The Boolean core over this table (see _Core)."""
+        return _Core(self)
 
     def visible(self, ids) -> frozenset:
         """The atoms with the given ids, all past the theory atoms."""
@@ -415,11 +418,12 @@ class _Compiled:
 
 
 def numbered(g: GroundProgram) -> _Compiled:
-    """g numbered (see _Compiled), once per program object: the numbering is
-    kept with g, which is immutable, so every engine and check reuses it."""
-    prog = vars(g).get("_numbered")
+    """g numbered (see _Compiled), once per program object and kept in
+    g._numbered (g is immutable); the only maker of a _Compiled."""
+    prog = g._numbered
     if prog is None:
-        prog = vars(g)["_numbered"] = _Compiled(g)
+        prog = _Compiled(g)
+        object.__setattr__(g, "_numbered", prog)
     return prog
 
 
@@ -454,19 +458,20 @@ def _least_model(rows):
 class _Core:
     """Propagating search over the rules of a numbered program.
 
-    Its atoms are prog's Boolean ids 0..n-1, its rules prog.rules, and the
-    ids in free need no supporting rule.  Values live in val (None while
-    open) and, in assignment order, on the trail; the entries before qhead
-    have been propagated, and only those are counted in the per-rule
-    counters:
+    Its atoms are prog's Boolean ids 0..n-1, its rules prog.rules; the
+    theory atoms, ids 0..t-1, need no supporting rule.  Values live in val
+    (None while open) and, in assignment order, on the trail; the entries
+    before qhead have been propagated, and only those are counted in the
+    per-rule counters:
 
     - need[r]: body literals of r not yet true;
     - false_lits[r]: body literals of r that are false;
     - support[a]: rules with head a and no false body literal.
     """
 
-    def __init__(self, prog: _Compiled, free) -> None:
-        self.n = n = len(prog.theory) + len(prog.atoms)
+    def __init__(self, prog: _Compiled) -> None:
+        self.t = t = len(prog.theory)
+        self.n = n = t + len(prog.atoms)
         self.head, self.pos, self.neg, self.need = heads, pos, neg, need = [], [], [], []
         self.support = support = [0] * n
         self.pos_occ = pos_occ = [[] for _ in range(n)]
@@ -488,9 +493,6 @@ class _Core:
             for a in q:
                 neg_occ[a].append(r)
         self.false_lits = [0] * len(heads)
-        self.free = [False] * n
-        for a in free:
-            self.free[a] = True
         self.val: list = [None] * n
         self.trail: list = []
         self.qhead = 0
@@ -509,7 +511,7 @@ class _Core:
         in_loop = bytearray(n)
         for a in self.cyclic:
             in_loop[a] = 1
-        self.loop_seeds = [a for a in self.cyclic if self.free[a]]
+        self.loop_seeds = [a for a in self.cyclic if a < t]
         self.loop_rules = [r for r, h in enumerate(heads) if h >= 0 and in_loop[h]]
         self.loop_need = []  # per loop rule: body atoms on a positive cycle
         self.loop_occ: list = [[] for _ in range(n)]
@@ -545,8 +547,8 @@ class _Core:
     def _start(self) -> bool:
         """Propagate what holds before any decision: facts, rule-less atoms."""
         val = self.val
-        for a in range(self.n):
-            if not self.support[a] and not self.free[a]:
+        for a in range(self.t, self.n):
+            if not self.support[a]:
                 if val[a]:
                     return False  # assumed true, but no rule can support it
                 if val[a] is None:
@@ -564,7 +566,7 @@ class _Core:
     def _propagate(self) -> bool:
         """Atleast: forward and backward rule propagation over the trail."""
         val, trail, head = self.val, self.trail, self.head
-        need, false_lits, support, free = self.need, self.false_lits, self.support, self.free
+        need, false_lits, support, t = self.need, self.false_lits, self.support, self.t
         while self.qhead < len(trail):
             a = trail[self.qhead]
             self.qhead += 1
@@ -591,7 +593,7 @@ class _Core:
                     return False
             for r in made_false:
                 h = head[r]
-                if false_lits[r] == 1 and h >= 0 and not support[h] and not free[h]:
+                if false_lits[r] == 1 and h >= t and not support[h]:
                     if val[h]:
                         return False
                     if val[h] is None:
@@ -606,7 +608,7 @@ class _Core:
         """Set false every cyclic atom the open rules cannot derive.
 
         A Horn least fixpoint over the rules with a cyclic head and no false
-        body literal, seeded by the free cyclic atoms that are not false;
+        body literal, seeded by the cyclic theory atoms that are not false;
         body atoms off the cycles count as given.
         """
         val, head, false_lits = self.val, self.head, self.false_lits

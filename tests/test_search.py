@@ -199,9 +199,27 @@ def _even_loop_stable_sets(g: GroundProgram, free) -> list:
     return out
 
 
+def _free_atom_models(g: GroundProgram, free) -> list:
+    """The models of g with each atom p in free a choice, as the search
+    engine finds them: p becomes the theory atom &sum{1*v_p} >= 1 over 0..1,
+    a free proposition of the Boolean core, and a model is an answer's
+    atoms plus each p with v_p = 1.  Sorted as _even_loop_stable_sets."""
+    var = {p: SymConst(f"v_{p}") for p in free}
+    theory = {p: LinearConstraintAtom(((1, v),), ">=", 1) for p, v in var.items()}
+
+    def lift(e):
+        return theory.get(e, e)
+
+    rules = tuple(Rule(lift(r.head), tuple(Literal(lit.positive, lift(lit.atom)) for lit in r.body))
+                  for r in g.rules)
+    answers = solve(GroundProgram(rules, g.universe), "casp", (0, 1), engine="search")
+    models = [ans.atoms | {p for p, v in var.items() if ans.val.get(v) == 1} for ans in answers]
+    return sorted(models, key=lambda m: tuple(sorted(str(at) for at in m)))
+
+
 def test_stable_models_free_atoms_match_even_loop_encoding():
     rng = random.Random(43)
-    seen = {"free head": 0, "free body-only": 0, "free unused": 0, "models": 0,
+    seen = {"free head": 0, "free body-only": 0, "models": 0,
             "head in positive body": 0, "repeated literal": 0}
     for n in range(200):
         g = random_boolean_program(rng, n_atoms=3, max_rules=5)
@@ -209,13 +227,13 @@ def test_stable_models_free_atoms_match_even_loop_encoding():
             g = GroundProgram(g.rules + (REPEATED_BODY,), ())
         heads = {r.head for r in g.rules if not isinstance(r.head, Falsity)}
         pool = (a, b, Atom("c"), Atom("extra"))
-        free = frozenset(at for at in pool if rng.random() < 0.4)
+        used = set(atoms_of(g)[0])
+        free = frozenset(at for at in pool if rng.random() < 0.4) & used
         want = _even_loop_stable_sets(g, free)
-        assert stable_models_bool(g, free) == want, f"differs on {free}:\n{g}"
-        body_atoms = set(atoms_of(g)[0]) - heads
+        assert _free_atom_models(g, free) == want, f"differs on {free}:\n{g}"
+        body_atoms = used - heads
         seen["free head"] += bool(free & heads)
         seen["free body-only"] += bool(free & body_atoms)
-        seen["free unused"] += bool(free - set(atoms_of(g)[0]))
         seen["models"] += len(want) > 1
         for shape in rule_shapes(g):
             seen[shape] += 1
@@ -260,9 +278,9 @@ def test_stable_models_wider_programs_match_oracles():
     for _ in range(150):
         g = random_boolean_program(rng, n_atoms=rng.randint(5, 6), max_rules=10, max_body=3)
         pool = sorted(atoms_of(g)[0], key=str) + [Atom("extra")]
-        free = frozenset(at for at in pool if rng.random() < 0.15)
+        free = frozenset(at for at in pool if rng.random() < 0.15) & set(atoms_of(g)[0])
         want = _even_loop_stable_sets(g, free)
-        assert stable_models_bool(g, free) == want, f"differs on {free}:\n{g}"
+        assert _free_atom_models(g, free) == want, f"differs on {free}:\n{g}"
         positive, negative = _dependency_loops(g)
         seen["positive loop"] += positive
         seen["loop through negation"] += negative
@@ -391,6 +409,13 @@ def test_certify_matches_brute_force_grid():
         seen["empty"] += not want
         seen["some"] += bool(want)
     assert min(seen.values()) >= 20, seen
+
+
+def test_certify_rejects_a_negative_limit():
+    signs = {LinearConstraintAtom(((1, x),), ">=", 0): True}
+    with pytest.raises(ValueError, match="limit must be nonnegative"):
+        theory_certify(signs, (0, 5), -1)
+    assert len(theory_certify(signs, (0, 5), 0)) == 6
 
 
 def _wide_atom(rng: random.Random, names: list):

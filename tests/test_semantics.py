@@ -1,5 +1,6 @@
 """Semantics tests: worlds, element truth, rule satisfaction, stable points."""
 
+import dataclasses
 import random
 from collections import Counter
 from itertools import product
@@ -31,6 +32,7 @@ from htsolve import (
     load_model,
     parse_program,
     sat_rule,
+    solve,
     total,
     translate,
     value_bounds,
@@ -39,7 +41,7 @@ from htsolve.configkit import EMPTY_INSTANCE
 from htsolve.core import atoms_of
 from htsolve.grounder import GroundProgram
 from htsolve.ht import sat_elem
-from htsolve.semantics import EMPTY_VALUATION, MODES
+from htsolve.semantics import EMPTY_VALUATION, MODES, numbered
 
 from oracles import (
     REPEATED_BODY,
@@ -624,6 +626,26 @@ def test_cancelled_variable_must_still_be_defined_founded():
     assert enumerate_equilibrium(g, "founded", (0, 1)) == want
     assert naive_equilibrium(g, "founded", (0, 1)) == want
     assert not is_equilibrium(AnswerSet(frozenset({a, c})), g, "founded", (0, 1))
+
+
+def test_numbering_is_kept_with_the_program_and_ignored_by_its_value():
+    g = ground(parse_program("a :- &sum{1*x} >= 1. b :- not a."))
+    twin = ground(parse_program("a :- &sum{1*x} >= 1. b :- not a."))
+    text = (repr(g), hash(g))
+    prog = numbered(g)
+    assert numbered(g) is prog
+    assert g == twin and (repr(g), hash(g)) == text == (repr(twin), hash(twin))
+    copy = dataclasses.replace(g)
+    assert copy == g and copy._numbered is None
+    assert numbered(copy) is not prog and numbered(copy).rules == prog.rules
+
+
+def test_search_solve_builds_no_evaluators():
+    g = ground(parse_program("a :- &sum{1*x} >= 1. b :- not a."))
+    assert len(solve(g, "casp", (0, 2), engine="search")) == 3
+    assert "evaluators" not in vars(numbered(g))
+    assert len(solve(g, "casp", (0, 2))) == 3  # the oracle reads them
+    assert "evaluators" in vars(numbered(g))
 
 
 def test_modes_agree_on_boolean_programs():
