@@ -23,11 +23,10 @@ from .core import (
     Program,
     Rule,
     SymConst,
-    check_wellformed,
     pretty_print,
 )
 from .parser import Diagnostic as ParseDiagnostic
-from .parser import parse_program, parse_term
+from .parser import check_wellformed, parse_program, parse_term
 from .grounder import GroundProgram, ground
 from .semantics import Answers, AnswerSet, Valuation, enumerate_equilibrium, is_equilibrium
 from .ht import Interpretation, World, gl_reduct, is_ht_model, least_model, sat_rule, total

@@ -4,17 +4,15 @@ Three layers of atoms share one rule language: ordinary atoms over terms,
 constraint atoms (&sum, &diff) whose truth is a function of an integer
 valuation, and &in value assignments, which may only appear as rule heads.
 All nodes are immutable and hashable, and str() yields the canonical text
-form accepted by the parser module.
+form accepted by the parser module.  The parser's grammar is the one
+definition of the language: a node built here by hand is well formed when
+its text parses back to it (parser.check_wellformed).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterator, Union
-
-SYM_PATTERN = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
-VAR_PATTERN = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
 COMPARATORS = ("<=", "=", "!=", "<", ">", ">=")
 
@@ -274,79 +272,6 @@ def variable_names(e) -> Iterator[Term]:
         for t in (e.lo, e.hi, e.target):
             if not isinstance(t, IntConst):
                 yield t
-
-
-def _check_term(t: Term, where: str, rule_index: int, out: list, depth: int = 0) -> None:
-    if isinstance(t, IntConst):
-        return
-    if isinstance(t, SymConst):
-        if not SYM_PATTERN.match(t.name):
-            out.append(Diagnostic(rule_index, f"bad symbolic constant '{t.name}' in {where}"))
-    elif isinstance(t, AspVar):
-        if not VAR_PATTERN.match(t.name):
-            out.append(Diagnostic(rule_index, f"bad variable name '{t.name}' in {where}"))
-    elif isinstance(t, FuncTerm):
-        if not SYM_PATTERN.match(t.name):
-            out.append(Diagnostic(rule_index, f"bad function name '{t.name}' in {where}"))
-        if not t.args:
-            out.append(Diagnostic(rule_index, f"function term '{t.name}' without arguments in {where}"))
-        if depth > 0:
-            out.append(Diagnostic(rule_index, f"nested function term '{t}' in {where}"))
-        for a in t.args:
-            _check_term(a, where, rule_index, out, depth + 1)
-    else:
-        out.append(Diagnostic(rule_index, f"unknown term {t!r} in {where}"))
-
-
-def _check_elem(e, rule_index: int, out: list) -> None:
-    if isinstance(e, Atom):
-        if not SYM_PATTERN.match(e.predicate):
-            out.append(Diagnostic(rule_index, f"bad predicate name '{e.predicate}'"))
-        for a in e.args:
-            _check_term(a, f"atom {e.predicate}", rule_index, out)
-    elif isinstance(e, LinearConstraintAtom):
-        if not e.terms:
-            out.append(Diagnostic(rule_index, "&sum atom with no elements"))
-        if e.cmp not in COMPARATORS:
-            out.append(Diagnostic(rule_index, f"bad comparator '{e.cmp}'"))
-        if not isinstance(e.rhs, int):
-            out.append(Diagnostic(rule_index, "&sum right-hand side must be an integer"))
-        for k, t in e.terms:
-            if not isinstance(k, int):
-                out.append(Diagnostic(rule_index, f"non-integer coefficient {k!r}"))
-            _check_term(t, "&sum element", rule_index, out)
-    elif isinstance(e, DiffConstraintAtom):
-        if not isinstance(e.bound, int):
-            out.append(Diagnostic(rule_index, "&diff bound must be an integer"))
-        _check_term(e.lhs_var, "&diff", rule_index, out)
-        _check_term(e.rhs_var, "&diff", rule_index, out)
-    elif isinstance(e, AssignmentAtom):
-        if isinstance(e.target, IntConst):
-            out.append(Diagnostic(rule_index, "assignment target must be a variable name, not a constant"))
-        for t in (e.lo, e.hi, e.target):
-            _check_term(t, "&in", rule_index, out)
-    else:
-        out.append(Diagnostic(rule_index, f"unknown element {e!r}"))
-
-
-def check_wellformed(p) -> list:
-    """Validate type invariants rule by rule; empty list means well-formed."""
-    out: list = []
-    for i, r in enumerate(p.rules):
-        if isinstance(r.head, Falsity):
-            if not r.body:
-                out.append(Diagnostic(i, "integrity constraint with empty body"))
-        else:
-            _check_elem(r.head, i, out)
-        for lit in r.body:
-            if isinstance(lit.atom, AssignmentAtom):
-                out.append(Diagnostic(i, "assignment in body"))
-                continue
-            if isinstance(lit.atom, Falsity):
-                out.append(Diagnostic(i, "falsity cannot occur in a rule body"))
-                continue
-            _check_elem(lit.atom, i, out)
-    return out
 
 
 def atoms_of(g) -> tuple:

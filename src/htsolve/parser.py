@@ -21,7 +21,8 @@ optionally negated ASCII [0-9]+; any other word (a run of word characters
 not starting with an ASCII digit) is an invalid name.  Function terms take
 only simple arguments; nesting them is rejected.  parse_program never
 raises on bad input: it returns the program or a list of positioned
-diagnostics.
+diagnostics.  check_wellformed holds a hand-built program to this same
+grammar, by parsing each rule's text back.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .core import (
     Rule,
     SymConst,
 )
+from .core import Diagnostic as RuleDiagnostic
 
 
 @dataclass(frozen=True)
@@ -348,3 +350,21 @@ def parse_term(src: str):
     if trailing.kind != "eof":
         return Diagnostic(trailing.line, trailing.column, f"trailing input {trailing.text!r} after term")
     return term
+
+
+def check_wellformed(p) -> list:
+    """Rule diagnostics of p (anything with .rules); empty means well formed.
+
+    A rule is well formed when its text, str(r), parses back to that same
+    rule.  Each parse diagnostic of a rule's text is reported at the rule's
+    index, and so is a rule that reads back as something else.
+    """
+    out: list = []
+    for i, r in enumerate(p.rules):
+        back = parse_program(str(r))
+        if isinstance(back, list):
+            out.extend(RuleDiagnostic(i, d.message) for d in back)
+        elif back.rules != (r,):
+            read = " ".join(map(repr, back.rules)) or "no rule"
+            out.append(RuleDiagnostic(i, f"reads back as {read}"))
+    return out

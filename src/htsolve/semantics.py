@@ -266,9 +266,6 @@ def _operand(t, position: dict):
 
 def _evaluator(e, position: dict):
     """Truth of theory atom e over a value tuple, by ht._elem_true's rules."""
-    for t in variable_names(e):
-        if isinstance(t, AspVar):
-            raise ValueError(f"non-ground element: variable {t}")
     if isinstance(e, AssignmentAtom):
         lo, hi, target = (_operand(t, position) for t in (e.lo, e.hi, e.target))
 
@@ -349,6 +346,9 @@ class _Compiled:
                 self.rules.append((h, p, list({*map(ids.__getitem__, neg), *nids})))
 
         self.variables = variables_of(theory)
+        for v in self.variables:
+            if isinstance(v, AspVar):
+                raise ValueError(f"non-ground element: variable {v}")
 
     @cached_property
     def evaluators(self) -> list:
@@ -779,7 +779,8 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> Answers:
     founded = mode == "founded"
     prog = numbered(g)
     core = prog.core()
-    values = tuple(range(lo, hi + 1))
+    # with no variables the grid is one empty valuation: build no options
+    values = tuple(range(lo, hi + 1)) if prog.variables else ()
     options = (None,) + values if founded else values
     solved: dict = {}  # tau -> each stable model's ids past its sum(tau) theory ids
     here_memo: dict = {}

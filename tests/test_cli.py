@@ -2,6 +2,7 @@
 
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -353,6 +354,21 @@ def test_solve_first_model_of_a_huge_group_in_a_subprocess(lp, program, domain, 
         env=env, capture_output=True, text=True, timeout=20,
     )
     assert (done.returncode, done.stdout, done.stderr) == (EXIT_SAT, out, "")
+
+
+@pytest.mark.parametrize("semantics", ["casp", "founded"])
+def test_solve_program_without_variables_over_a_huge_domain_in_a_subprocess(lp, semantics):
+    # the grid is one empty valuation, whatever the domain: no value is built
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    gib = 1 << 30
+    done = subprocess.run(
+        [sys.executable, "-m", "htsolve", "solve", lp("a. b :- not c."),
+         "--semantics", semantics, "--domain", "0..1000000000000"],
+        env=env, capture_output=True, text=True, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_SAT, "Answer: 1\na b\nSATISFIABLE\n", "")
 
 
 def test_solve_rule_with_three_thousand_body_atoms(lp, capsys):

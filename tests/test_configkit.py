@@ -9,6 +9,7 @@ from htsolve import (
     Program,
     Violation,
     check_instance,
+    check_wellformed,
     decode_instance,
     ground,
     instance_facts,
@@ -501,6 +502,13 @@ def test_translate_emits_val_bridge_only_with_constraints():
         "&sum{1*val(bike1_wheel_1,diam)} = 16." in text.split("\n")
     )
     assert text.rstrip().endswith(":- inst(X,wheel), val(X,diam,16).")
+
+
+@pytest.mark.parametrize("mode", ["casp", "founded"])
+def test_translate_output_is_wellformed(mode):
+    constrained = model_of(MINI_BIKE + ":- inst(X,wheel), val(X,diam,16).")
+    program = translate(constrained, bike_instance(16), mode)
+    assert check_wellformed(program) == []
 
 
 def test_translate_solves_no_constraint_rules(monkeypatch):

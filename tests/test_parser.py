@@ -17,6 +17,7 @@ from htsolve import (
     Program,
     Rule,
     SymConst,
+    check_wellformed,
     parse_program,
     parse_term,
     pretty_print,
@@ -321,3 +322,4 @@ _programs = st.builds(Program, st.lists(_rules, max_size=5).map(tuple))
 @given(_programs)
 def test_print_parse_round_trip(program):
     assert parse_program(pretty_print(program)) == program
+    assert check_wellformed(program) == []

@@ -190,6 +190,20 @@ def test_non_ground_elements_are_rejected():
         sat_elem(_single(), "there", LinearConstraintAtom(((1, AspVar("X")),), "<=", 0))
 
 
+def test_engines_reject_a_rule_variable_in_a_theory_atom():
+    # a hand-built GroundProgram; ground() never leaves a rule variable
+    at_least_one = LinearConstraintAtom(((1, AspVar("X")),), ">=", 1)
+    g = GroundProgram((Rule(Atom("a"), (Literal(True, at_least_one),)),), ())
+    calls = [
+        lambda: solve(g, "casp", (0, 1), "oracle"),
+        lambda: solve(g, "casp", (0, 1), "search"),
+        lambda: is_equilibrium(AnswerSet(), g, "founded", (0, 1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^non-ground element: variable X$"):
+            call()
+
+
 # rule satisfaction --------------------------------------------------------------
 
 
