@@ -12,7 +12,6 @@ completions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import (
     FALSITY,
@@ -579,11 +578,11 @@ def translate(m: ConfigModel, partial: ConfigInstance, mode: str) -> Program:
     """Compile model + partial instance into a solver program.
 
     Slots are pre-enumerated per partonomy edge; inclusion is chosen by
-    in/out even loops; multiplicity minima become integrity constraints
-    over slot combinations (maxima are capped by construction); attribute
-    values become founded assignments or casp bound pairs; the partial
-    instance pins its slots and values; constraint rules ride along
-    verbatim.
+    in/out even loops; an edge's slots fill in order, so its minimum is one
+    integrity constraint per parent slot, that slot min is in whenever the
+    parent is (maxima are capped by construction); attribute values become
+    founded assignments or casp bound pairs; the partial instance pins its
+    slots and values; constraint rules ride along verbatim.
     """
     if mode not in ("casp", "founded"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -609,9 +608,15 @@ def translate(m: ConfigModel, partial: ConfigInstance, mode: str) -> Program:
     def val_term(ident, attr):
         return FuncTerm("val", sym(ident, attr))
 
+    def never(*atoms):
+        return Rule(FALSITY, tuple(Literal(True, a) for a in atoms))
+
     rules.append(Rule(Atom("inst", sym(root_id, m.root)), ()))
     rules.append(Rule(in_atom(root_id), ()))
 
+    # an edge's slots fill in order, so its minimum holds when slot min is in
+    types = {ident: ptype for ident, ptype, _parent, _k in nodes}
+    least = {(p, c): mn for p, c, mn, _mx in m.edges}
     for sid, child_type, parent, k in nodes[1:]:
         rules.append(
             Rule(Atom("slot", sym(parent, child_type) + (IntConst(k),)), ())
@@ -625,37 +630,17 @@ def translate(m: ConfigModel, partial: ConfigInstance, mode: str) -> Program:
         rules.append(Rule(in_atom(sid), (Literal(False, out_atom(sid)),)))
         rules.append(Rule(out_atom(sid), (Literal(False, in_atom(sid)),)))
         if parent != root_id:
-            rules.append(
-                Rule(
-                    FALSITY,
-                    (Literal(True, in_atom(sid)), Literal(True, out_atom(parent))),
-                )
-            )
+            rules.append(never(in_atom(sid), out_atom(parent)))
+        if k > 1:
+            rules.append(never(in_atom(sid), out_atom(_mint(parent, child_type, k - 1))))
+        if k == least[types[parent], child_type]:
+            rules.append(never(out_atom(sid), in_atom(parent)))
         rules.append(
             Rule(Atom("inst", sym(sid, child_type)), (Literal(True, in_atom(sid)),))
         )
         rules.append(
             Rule(Atom("parentOf", sym(sid, parent)), (Literal(True, in_atom(sid)),))
         )
-
-    for ident, ptype, _parent, _k in nodes:
-        for _, child_type, mn, mx in m.edges_from(ptype):
-            slots = [_mint(ident, child_type, k) for k in range(1, mx + 1)]
-            if mn > 0:
-                for combo in combinations(slots, mx - mn + 1):
-                    body = tuple(Literal(True, out_atom(s)) for s in combo)
-                    body += (Literal(True, in_atom(ident)),)
-                    rules.append(Rule(FALSITY, body))
-            for k in range(2, mx + 1):
-                rules.append(
-                    Rule(
-                        FALSITY,
-                        (
-                            Literal(True, in_atom(slots[k - 1])),
-                            Literal(True, out_atom(slots[k - 2])),
-                        ),
-                    )
-                )
 
     for ident, ptype, _parent, _k in nodes:
         for _, attr, lo, hi in m.attrs_of(ptype):
@@ -695,7 +680,7 @@ def translate(m: ConfigModel, partial: ConfigInstance, mode: str) -> Program:
     for pid in sorted(mapping):
         mid = mapping[pid]
         if mid != root_id:
-            rules.append(Rule(FALSITY, (Literal(True, out_atom(mid)),)))
+            rules.append(never(out_atom(mid)))
     for pid, attr, v in partial.values:
         mid = mapping[pid]
         rules.append(

@@ -216,6 +216,17 @@ def pretty_print(p) -> str:
     return "\n".join(str(r) for r in p.rules)
 
 
+def theory_terms(e) -> tuple:
+    """The terms of a constraint or assignment atom in text order; () for any other."""
+    if isinstance(e, LinearConstraintAtom):
+        return tuple(t for _, t in e.terms)
+    if isinstance(e, DiffConstraintAtom):
+        return (e.lhs_var, e.rhs_var)
+    if isinstance(e, AssignmentAtom):
+        return (e.lo, e.hi, e.target)
+    return ()
+
+
 def walk_terms(obj) -> Iterator[Term]:
     """Yield every term node reachable from a rule, atom, or term."""
     if isinstance(obj, (IntConst, SymConst, AspVar)):
@@ -227,16 +238,6 @@ def walk_terms(obj) -> Iterator[Term]:
     elif isinstance(obj, Atom):
         for a in obj.args:
             yield from walk_terms(a)
-    elif isinstance(obj, LinearConstraintAtom):
-        for _, t in obj.terms:
-            yield from walk_terms(t)
-    elif isinstance(obj, DiffConstraintAtom):
-        yield from walk_terms(obj.lhs_var)
-        yield from walk_terms(obj.rhs_var)
-    elif isinstance(obj, AssignmentAtom):
-        yield from walk_terms(obj.lo)
-        yield from walk_terms(obj.hi)
-        yield from walk_terms(obj.target)
     elif isinstance(obj, Literal):
         yield from walk_terms(obj.atom)
     elif isinstance(obj, Rule):
@@ -244,6 +245,9 @@ def walk_terms(obj) -> Iterator[Term]:
             yield from walk_terms(obj.head)
         for lit in obj.body:
             yield from walk_terms(lit)
+    else:
+        for t in theory_terms(obj):
+            yield from walk_terms(t)
 
 
 def rule_variables(r: Rule) -> set:
@@ -260,18 +264,7 @@ def variable_names(e) -> Iterator[Term]:
 
     Integer constants in variable positions denote themselves and are skipped.
     """
-    if isinstance(e, LinearConstraintAtom):
-        for _, t in e.terms:
-            if not isinstance(t, IntConst):
-                yield t
-    elif isinstance(e, DiffConstraintAtom):
-        for t in (e.lhs_var, e.rhs_var):
-            if not isinstance(t, IntConst):
-                yield t
-    elif isinstance(e, AssignmentAtom):
-        for t in (e.lo, e.hi, e.target):
-            if not isinstance(t, IntConst):
-                yield t
+    return (t for t in theory_terms(e) if not isinstance(t, IntConst))
 
 
 def atoms_of(g) -> tuple:

@@ -62,6 +62,7 @@ from .core import (
     LinearConstraintAtom,
     Literal,
     Rule,
+    theory_terms,
 )
 
 
@@ -126,16 +127,6 @@ def _subst_elem(e, env: dict):
             _subst_term(e.lo, env), _subst_term(e.hi, env), _subst_term(e.target, env)
         )
     return e
-
-
-def _theory_terms(e) -> tuple:
-    if isinstance(e, LinearConstraintAtom):
-        return tuple(t for _, t in e.terms)
-    if isinstance(e, DiffConstraintAtom):
-        return (e.lhs_var, e.rhs_var)
-    if isinstance(e, AssignmentAtom):
-        return (e.lo, e.hi, e.target)
-    return ()
 
 
 def _walk(t, found: list, terms: set):
@@ -330,7 +321,7 @@ class _RuleCode:
         if isinstance(e, Atom):
             codes = tuple([_walk(t, found, terms) for t in e.args])
             return (e.predicate, codes, found[start:])
-        for t in _theory_terms(e):
+        for t in theory_terms(e):
             _walk(t, found, terms)
         return e
 

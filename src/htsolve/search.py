@@ -19,8 +19,9 @@ still add (bounds propagation as in clingcon, Ostrowski and Schaub 2012),
 generates, in grid order, every valuation under which each atom has its
 sign, so the result set matches the exhaustive oracle.  It generates them
 as runs: per binding of the variables before the last, the last one's
-allowed values.  theory_certify() keeps those runs (_Grid), up to a limit
-if one is given, and builds a Valuation only when one is read.
+allowed values, split where a != row bans one.  theory_certify() keeps
+those runs (_Grid), up to a limit if one is given, and builds a Valuation
+only when one is read.
 
 solve() groups the Boolean models by their ids past t, the visible atoms,
 and takes the groups in the order answers are printed.  It splits each
@@ -260,9 +261,10 @@ def _grid_walk(signs: dict, bounds, variables: tuple):
     its unbound terms can still add (c * lo or c * hi each) bounds that sum
     at every position of the row; variable i then takes only the values
     that keep each of its rows satisfiable, so a subtree with no valuation
-    is never entered, and a row is exact at its last position.  Each
-    binding of the variables before the last gives one run: the last
-    variable's allowed values.
+    is never entered, and a row is exact at its last position.  A != row
+    bans at most one value, so a variable's allowed values are a few
+    ranges, never listed.  Each binding of the variables before the last
+    gives one run per range of the last variable's allowed values.
     """
     lo, hi = _bounds_ok(bounds)
     _reject_assignments(signs)
@@ -295,25 +297,33 @@ def _grid_walk(signs: dict, bounds, variables: tuple):
     sums = [0] * slots
 
     def allowed(i: int):
-        """Values of variable i that keep each of its rows satisfiable."""
+        """Values of variable i that keep each of its rows satisfiable: a
+        range, or where i has a != row, the list of nonempty ranges between
+        the values those rows ban (at most one each)."""
         vlo, vhi = lo, hi
         for src, c, lb, ub in windows[i]:
             low, high = lb - sums[src], ub - sums[src]
             if c < 0:
                 low, high = high, low
             vlo, vhi = max(vlo, -(-low // c)), min(vhi, high // c)
-        values = range(vlo, vhi + 1)
-        if forbid[i]:
-            banned = {(t - sums[src]) // c for src, c, t in forbid[i] if not (t - sums[src]) % c}
-            values = [v for v in values if v not in banned]
-        return values
+        if not forbid[i]:
+            return range(vlo, vhi + 1)
+        banned = {(t - sums[src]) // c for src, c, t in forbid[i] if not (t - sums[src]) % c}
+        cuts = sorted(v for v in banned if vlo <= v <= vhi)
+        ends = zip([vlo] + [v + 1 for v in cuts], cuts + [vhi + 1])
+        return [range(a, b) for a, b in ends if a < b]
 
     last = len(variables) - 1
     values = [lo] * last  # of the variables before the last
     pending: list = []  # per bound variable before the last: its values left
     while True:
-        if len(pending) < last:
-            pending.append(iter(allowed(len(pending))))
+        i = len(pending)
+        if i < last:
+            pending.append(chain.from_iterable(allowed(i)) if forbid[i] else iter(allowed(i)))
+        elif forbid[last]:
+            prefix = tuple(values)
+            for lasts in allowed(last):
+                yield prefix, lasts
         else:
             lasts = allowed(last)
             if lasts:

@@ -342,16 +342,23 @@ def test_solve_writes_answers_across_chunks(lp, capsys, engine):
         # about 5 * 10^11 answers before the three with a
         ("a :- &sum{1*x;1*y} >= 1999999.", "0..1000000",
          "Answer: 1\n\nval x=0 y=0\nSATISFIABLE\n"),
+        # a != row bans one value of a 10^12-value range
+        ("a :- &sum{1*x} != 5. :- not a.", "0..1000000000000",
+         "Answer: 1\na\nval x=0\nSATISFIABLE\n"),
+        ("a :- &sum{1*x;1*y} != 5. :- not a.", "0..1000000000000",
+         "Answer: 1\na\nval x=0 y=0\nSATISFIABLE\n"),
     ],
-    ids=["nine-variables", "wide-domain"],
+    ids=["nine-variables", "wide-domain", "not-equal-one-variable", "not-equal-two-variables"],
 )
 def test_solve_first_model_of_a_huge_group_in_a_subprocess(lp, program, domain, out):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
+    gib = 1 << 30
     done = subprocess.run(
         [sys.executable, "-m", "htsolve", "solve", lp(program), "--engine", "search",
          "--domain", domain, "--models", "1"],
         env=env, capture_output=True, text=True, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)),
     )
     assert (done.returncode, done.stdout, done.stderr) == (EXIT_SAT, out, "")
 
