@@ -521,7 +521,9 @@ def _structure(m: ConfigModel):
     frontier = [(root_id, m.root)]
     while frontier:
         ident, ptype = frontier.pop(0)
-        for _, child_type, _mn, mx in m.edges_from(ptype):
+        for _, child_type, mn, mx in m.edges_from(ptype):
+            if mn > mx:
+                raise ValueError(f"subpart({ptype},{child_type}): min {mn} exceeds max {mx}")
             for k in range(1, mx + 1):
                 sid = _mint(ident, child_type, k)
                 nodes.append((sid, child_type, ident, k))

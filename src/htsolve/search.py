@@ -296,22 +296,24 @@ def _grid_walk(signs: dict, bounds, variables: tuple):
     windows, forbid, carry, slots = _schedule(rows, len(variables), lo, hi)
     sums = [0] * slots
 
-    def allowed(i: int):
-        """Values of variable i that keep each of its rows satisfiable: a
-        range, or where i has a != row, the list of nonempty ranges between
-        the values those rows ban (at most one each)."""
+    def allowed(i: int) -> list:
+        """Values of variable i that keep each of its rows satisfiable, as
+        nonempty ranges: its window, cut at the value each of its != rows
+        bans (at most one each)."""
         vlo, vhi = lo, hi
         for src, c, lb, ub in windows[i]:
             low, high = lb - sums[src], ub - sums[src]
             if c < 0:
                 low, high = high, low
             vlo, vhi = max(vlo, -(-low // c)), min(vhi, high // c)
-        if not forbid[i]:
-            return range(vlo, vhi + 1)
-        banned = {(t - sums[src]) // c for src, c, t in forbid[i] if not (t - sums[src]) % c}
-        cuts = sorted(v for v in banned if vlo <= v <= vhi)
-        ends = zip([vlo] + [v + 1 for v in cuts], cuts + [vhi + 1])
-        return [range(a, b) for a, b in ends if a < b]
+        runs = [range(vlo, vhi + 1)] if vlo <= vhi else []
+        for src, c, t in forbid[i]:
+            v, rest = divmod(t - sums[src], c)
+            for j, run in enumerate(runs):
+                if not rest and v in run:
+                    runs[j : j + 1] = [r for r in (range(run.start, v), range(v + 1, run.stop)) if r]
+                    break
+        return runs
 
     last = len(variables) - 1
     values = [lo] * last  # of the variables before the last
@@ -319,15 +321,11 @@ def _grid_walk(signs: dict, bounds, variables: tuple):
     while True:
         i = len(pending)
         if i < last:
-            pending.append(chain.from_iterable(allowed(i)) if forbid[i] else iter(allowed(i)))
-        elif forbid[last]:
+            pending.append(chain.from_iterable(allowed(i)))
+        else:
             prefix = tuple(values)
             for lasts in allowed(last):
                 yield prefix, lasts
-        else:
-            lasts = allowed(last)
-            if lasts:
-                yield tuple(values), lasts
         v = None
         while pending and v is None:
             v = next(pending[-1], None)

@@ -779,6 +779,9 @@ def test_translate_emits_one_minimum_constraint_per_parent_slot_and_edge():
     assert len(program.rules) <= 120
     assert _minimum_rules(program) == [":- out(bike1_wheel_8), in(bike1)."]
     assert len(solve(ground(program), "founded", value_bounds(wide))) == 9
+    backwards = ConfigModel(("bike", "wheel"), "bike", (("bike", "wheel", 3, 2),), ())
+    with pytest.raises(ValueError, match=r"subpart\(bike,wheel\): min 3 exceeds max 2"):
+        translate(backwards, EMPTY_INSTANCE, "founded")
 
 
 def _solved(m: ConfigModel, mode: str, engine: str = "oracle") -> tuple:
