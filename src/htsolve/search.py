@@ -29,7 +29,8 @@ group's models into cubes, sets of models that agree on some theory atoms
 and take every sign pattern of the others, and certifies each cube once:
 the atoms it agrees on keep their sign and the others get none.  A group
 whose models take every pattern of the atoms they differ on is one cube;
-the runs of a group's cubes are disjoint and heapq.merge orders them.
+the runs of a group's cubes are disjoint ranges, so ordering them by
+prefix, then first value, puts the group's valuations in grid order.
 With models=N no cube is walked past its first N valuations, and no group
 past the Nth answer is certified.  Both engines return an Answers
 sequence: value tuples per atom set, in printed order, from which the CLI
@@ -41,8 +42,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
-from operator import itemgetter
+from itertools import chain, repeat
 
 from .core import (
     AssignmentAtom,
@@ -109,7 +109,7 @@ def stable_models_bool(b: GroundProgram) -> list:
     prog = numbered(b)
     if prog.theory:
         raise ValueError(f"stable_models_bool expects a Boolean program, found {prog.theory[0]}")
-    return [prog.visible(m) for m in prog.core().models()]
+    return [prog.visible(m) for m in sorted(prog.core().models())]  # ids in text order
 
 
 def _schedule(rows: list, n: int, lo: int, hi: int) -> tuple:
@@ -211,22 +211,6 @@ class _Grid:
                 yield prefix
             else:
                 yield from zip(*map(repeat, prefix), lasts)
-
-
-def _merged(grids: list, limit: int) -> _Grid:
-    """One grid of the tuples of disjoint grids over the same variables:
-    their runs in prefix order, the runs of one prefix joined."""
-    runs = heapq.merge(*[grid.runs for grid in grids], key=itemgetter(0))
-    joined = (_joined(same) for _, same in groupby(runs, itemgetter(0)))
-    return _Grid(joined, limit)
-
-
-def _joined(runs) -> tuple:
-    """One run of runs with one prefix and disjoint sorted values."""
-    runs = list(runs)
-    if len(runs) == 1:
-        return runs[0]
-    return runs[0][0], sorted(chain(*[lasts for _, lasts in runs]))
 
 
 def theory_certify(signs: dict, bounds, limit: int = 0) -> Valuations:
@@ -364,7 +348,11 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
     models of one group differ only in the signs of theory atoms; one
     theory_certify call per cube of the group, its free atoms unsigned,
     yields the union of its models' valuations in grid order, so every
-    call is pruned by each atom the cube's models agree on.
+    call is pruned by each atom the cube's models agree on.  The cubes
+    hold disjoint sign patterns, so their runs never overlap, and the
+    group's values are their runs by prefix, then first value.  Without
+    variables every atom's truth is fixed, so of cubes that differ on a
+    signed atom only one yields the run ((), None).
     """
     if engine not in ("oracle", "search"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -385,11 +373,11 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
     answers = []
     left = models
     for key in sorted(groups):
-        grids = []
+        runs = []
         for true, free in _cubes(groups[key]):
             signs = {e: None if i in free else i in true for i, e in enumerate(prog.theory)}
-            grids.append(theory_certify(signs, bounds, left).values)
-        values = grids[0] if len(grids) == 1 else _merged(grids, left)
+            runs.append(theory_certify(signs, bounds, left).values.runs)
+        values = _Grid(heapq.merge(*runs, key=lambda run: (run[0], run[1] and run[1][0])), left)
         if values:
             answers.append((prog.visible(key), values))
         if models:

@@ -667,7 +667,8 @@ class _Core:
         self.qhead = mark
 
     def models(self, assume=()) -> list:
-        """Every stable model, each as the ascending tuple of its true ids, sorted.
+        """Every stable model, each as the ascending tuple of its true ids, in
+        the order the search finds them.
 
         Ids 0..len(assume)-1 are first set to the values in assume, and a
         model must keep them.  Chronological backtracking over the open atoms
@@ -701,7 +702,7 @@ class _Core:
             while stack and stack[-1][2]:
                 stack.pop()
             if not stack:
-                return sorted(found)  # by atom texts, where ids are in text order
+                return found
             mark, nxt, _ = stack.pop()
             self._undo(mark)
             stack.append((mark, nxt, True))

@@ -1,7 +1,12 @@
 """Search-engine tests: abstraction, Boolean stability, certification, solve."""
 
+import os
 import random
+import resource
+import subprocess
+import sys
 from itertools import combinations, groupby, product
+from pathlib import Path
 
 import pytest
 
@@ -569,18 +574,21 @@ def test_random_programs_draw_names_past_the_first_pools():
 
 
 @pytest.mark.parametrize(
-    "src, calls",
+    "src, bounds, calls",
     [
         # groups {on}, {off} and {near, off} hold 4, 2 and 1 Boolean models,
         # every sign pattern of their varying theory atoms, so one cube each
         ("on :- not off. off :- not on. near :- &diff{x-y} <= 0, off. "
-         ":- near, &sum{1*x;1*y} >= 3.", 3),
+         ":- near, &sum{1*x;1*y} >= 3.", (0, 2), 3),
         # one group with 3 of the 4 sign patterns: a cube of 2 and one of 1
-        (":- &diff{x-y} <= 0, &sum{1*x;1*y} >= 2.", 2),
+        (":- &diff{x-y} <= 0, &sum{1*x;1*y} >= 2.", (0, 2), 2),
+        # groups {} and {a} hold 3 and 5 of the 8 patterns, 2 and 3 cubes; in
+        # {a}, the cube x != 3, x != 4 yields 0..2 and 5..7, and another 3
+        ("a :- &sum{1*x} != 3, &sum{1*x} != 4. a :- &sum{1*x} = 3.", (0, 7), 5),
     ],
-    ids=["every-pattern", "3-of-4-patterns"],
+    ids=["every-pattern", "3-of-4-patterns", "interleaved-runs"],
 )
-def test_solve_certifies_each_cube_once(monkeypatch, src, calls):
+def test_solve_certifies_each_cube_once(monkeypatch, src, bounds, calls):
     g = gprog(src)
     seen = []
 
@@ -591,11 +599,34 @@ def test_solve_certifies_each_cube_once(monkeypatch, src, calls):
         return walk(signs, bounds, variables)
 
     monkeypatch.setattr(htsolve.search, "_grid_walk", certify)
-    want = naive_equilibrium(g, "casp", (0, 2))
-    assert solve(g, "casp", (0, 2), engine="search") == want
+    want = naive_equilibrium(g, "casp", bounds)
+    assert solve(g, "casp", bounds, engine="search") == want
     assert len(seen) == calls
-    for k in (1, 2, 3):
-        assert solve(g, "casp", (0, 2), engine="search", models=k) == want[:k]
+    for k in range(1, len(want) + 1):
+        assert solve(g, "casp", bounds, engine="search", models=k) == want[:k]
+
+
+def test_solve_streams_a_group_of_two_cubes_over_a_huge_domain():
+    # group a is two cubes, x >= 5 and x <= 3, over 10^12 values: its runs
+    # are merged, never listed, so 1 GiB of address space is plenty
+    script = "\n".join([
+        "from itertools import islice",
+        "from htsolve import ground, parse_program, solve",
+        "g = ground(parse_program('a :- &sum{1*x} >= 5. a :- &sum{1*x} <= 3.'))",
+        "answers = solve(g, 'casp', (0, 10**12), engine='search')",
+        "(empty, fours), (a, values) = answers.groups",
+        "print(len(answers), sorted(map(str, empty)), list(fours),",
+        "      sorted(map(str, a)), list(islice(values, 5)))",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    gib = 1 << 30
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)),
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"{10**12 + 1} [] [(4,)] ['a'] [(0,), (1,), (2,), (3,), (5,)]\n"
 
 
 def test_solve_answers_read_as_a_list_of_answer_sets():
