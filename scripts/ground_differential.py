@@ -6,8 +6,10 @@ Draws random safe programs of 2 to 7 rules from the rule pool of
 positive loops, function terms, theory atoms with rule variables, &in
 heads, integrity constraints), grounds each with ``htsolve.ground`` and
 with ``naive_ground`` of ``tests/oracles.py``, and requires the same rules
-in the same order and the same universe.  Exits nonzero on the first mismatch, printing the program
-so it can be pasted into a regression test.
+in the same order, the same universe, and one object per distinct atom
+and per distinct literal in ``ground``'s result.  Variable-free programs
+count too.  Exits nonzero on the first mismatch, printing the program so
+it can be pasted into a regression test.
 
 Usage:
     python3 scripts/ground_differential.py --count 2000 --seed 808
@@ -21,10 +23,9 @@ from pathlib import Path
 
 sys.path[:0] = [str(Path(__file__).resolve().parent.parent / d) for d in ("src", "tests")]
 from htsolve import ground, parse_program  # noqa: E402
-from htsolve.core import rule_variables  # noqa: E402
 from htsolve.grounder import check_safety  # noqa: E402
 from oracles import naive_ground  # noqa: E402
-from test_grounder import _POOL  # noqa: E402
+from test_grounder import _POOL, _one_object_each  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -39,7 +40,7 @@ def main(argv=None) -> int:
     while programs < args.count:
         src = "\n".join(rng.choice(_POOL) for _ in range(rng.randint(2, 7)))
         p = parse_program(src)
-        if check_safety(p) or not any(rule_variables(r) for r in p.rules):
+        if check_safety(p):
             continue
         t0 = time.perf_counter()
         joined = ground(p)
@@ -52,6 +53,10 @@ def main(argv=None) -> int:
             print(f"MISMATCH on program {programs}:")
             print(src)
             print(f"ground kept {len(joined.rules)} rules, naive_ground {len(naive.rules)}")
+            return 1
+        if not _one_object_each(joined):
+            print(f"SHARING on program {programs}: an atom or literal has two objects:")
+            print(src)
             return 1
         rules += len(joined.rules)
 

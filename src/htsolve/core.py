@@ -70,11 +70,14 @@ class Atom:
     """Ordinary atom: predicate name plus ground or non-ground arguments.
 
     The hash is computed once, since engines look atoms up in dicts again
-    and again; it is not a field, so ==, repr and fields() ignore it.
+    and again.  The text of a ground atom is built once too: the grounder
+    sets it as it formats the atom, and str() returns it.  Neither is a
+    field, so ==, repr and fields() ignore them.
     """
 
     predicate: str
     args: tuple = ()
+    _text = None  # set by the grounder; not a field: no annotation
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
@@ -88,6 +91,8 @@ class Atom:
         return (Atom, (self.predicate, self.args))
 
     def __str__(self) -> str:
+        if self._text is not None:
+            return self._text
         if not self.args:
             return self.predicate
         return f"{self.predicate}({','.join(str(a) for a in self.args)})"

@@ -30,11 +30,18 @@ product over all rule variables:
 3. Integrity constraints and theory-atom heads are joined last, against
    every kept atom.
 
+A variable-free rule is not planned and has no frame: its walk's ground
+terms give its atoms' id tuples directly (``_RuleCode.fix``).  It is a
+candidate when each of its positive body atoms from a lower component is
+already kept, and its same-component body atoms enter the greatest
+fixpoint like any instance's.
+
 Only the surviving instances become ``Rule`` objects.  Each distinct ground
 atom is one ``Atom`` and each (sign, atom) one ``Literal``; rules are
 deduplicated on their id keys and sorted by their text, built from each
-atom's string, computed once.  Theory atoms with rule variables are
-substituted per surviving instance.
+atom's string, computed once and kept on the ``Atom``, whose str() returns
+it.  Theory atoms with rule variables are substituted per surviving
+instance.
 
 The greatest fixpoint keeps positive loops that nothing derives, such as
 q(x) :- p(x) and p(x) :- q(x), not s(x).  This shows in casp mode, where
@@ -288,7 +295,8 @@ class _Kept:
 
 
 class _RuleCode:
-    """A rule walked once, then planned once its universe and component are known.
+    """A rule walked once, then planned, or fixed if it has no variables,
+    once its universe and component are known.
 
     The walk keeps each ordinary atom as (predicate, raw codes, variables);
     planning lays out the frame: the constants of the atoms with variables,
@@ -325,6 +333,23 @@ class _RuleCode:
             _walk(t, found, terms)
         return e
 
+    def fix(self, ids: dict) -> None:
+        """A variable-free rule's keys, in place of a plan: hkey is the head's
+        (predicate, id tuple), None for #false, or the theory atom itself;
+        lits holds (positive, key, predicate key) per literal, where key is
+        an ordinary atom's (predicate, id tuple) or a theory atom itself,
+        whose predicate key is None."""
+        head = self.raw_head
+        if type(head) is tuple:
+            self.hkey = (head[0], tuple([ids[t] for t in head[1]]))
+        else:
+            self.hkey = None if head is FALSITY else head
+        self.lits = [
+            (pos, (e[0], tuple([ids[t] for t in e[1]])), (e[0], len(e[1])))
+            if type(e) is tuple else (pos, e, None)
+            for pos, e, _ in self.raw_body
+        ]
+
     def plan(self, terms: _Terms, inner: set) -> None:
         """Lay out the frame and the join; inner: predicate keys of the rule's own component."""
         slot: dict = {}
@@ -352,7 +377,18 @@ class _RuleCode:
         self.lower = [e for e in positive if e.pkey not in inner]
         self.inner = [e for e in positive if e.pkey in inner]
 
-    def frames(self, kept: _Kept, terms: _Terms) -> list:
+    def frames(self, kept: _Kept, terms: _Terms, inner) -> list:
+        """The frames of the rule's candidate instances: its positive body
+        atoms from lower components joined against kept, inner holding the
+        predicate keys of its own component.  A variable-free rule is fixed,
+        not planned: its one frame is None, if those atoms are all kept."""
+        if not self.variables:
+            self.fix(terms.ids)
+            for pos, k, pkey in self.lits:
+                if pos and pkey and pkey not in inner and k not in kept.keys:
+                    return []
+            return [None]
+        self.plan(terms, inner)
         envs = [self.start]
         for atom in self.lower:
             envs = kept.join(envs, atom, terms)
@@ -420,13 +456,14 @@ def _components(plain: list) -> list:
     return strongly_connected(succ)
 
 
-def _greatest_fixpoint(cands: list) -> tuple:
-    """The (code, frame) candidates left once every instance with an
-    unsupported same-component atom is gone, and their heads."""
-    heads = [(c.head.name, c.head.ids(f)) for c, f in cands]
-    inner = [(n, (a.name, a.ids(f))) for n, (c, f) in enumerate(cands) for a in c.inner]
+def _greatest_fixpoint(heads: list, inner: list) -> list:
+    """Which candidates are left once every instance with an unsupported
+    same-component atom is gone: one flag per candidate, given its head
+    key in heads, and inner holding (candidate number, atom key) per
+    same-component positive body atom."""
+    alive = [True] * len(heads)
     if not inner:
-        return cands, heads
+        return alive
     support = Counter(heads)
     watchers = defaultdict(list)
     doomed = []
@@ -434,18 +471,16 @@ def _greatest_fixpoint(cands: list) -> tuple:
         watchers[atom].append(n)
         if atom not in support:
             doomed.append(n)
-    dead = [False] * len(cands)
     while doomed:
         n = doomed.pop()
-        if dead[n]:
+        if not alive[n]:
             continue
-        dead[n] = True
+        alive[n] = False
         head = heads[n]
         support[head] -= 1
         if not support[head]:
             doomed.extend(watchers.get(head, ()))
-    alive = [not d for d in dead]
-    return list(compress(cands, alive)), list(compress(heads, alive))
+    return alive
 
 
 class _Builder:
@@ -474,6 +509,7 @@ class _Builder:
             texts = self.terms.texts
             text = f"{name}({','.join([texts[i] for i in ids])})" if ids else name
             atom = Atom(name, tuple([self.terms.objs[i] for i in ids]))
+            object.__setattr__(atom, "_text", text)
             entry = self.atoms[key] = (atom, text)
         return entry
 
@@ -490,23 +526,30 @@ class _Builder:
         entry = self.literals[key] = (Literal(positive, atom), text if positive else "not " + text)
         return entry
 
-    def add(self, c: _RuleCode, frame: tuple) -> None:
-        env = None
-        if c.open:
-            objs = self.terms.objs
-            env = {v: objs[frame[c.slot[v]]] for v in c.variables}
-        head = c.head
-        if head is FALSITY:
-            hkey = None
-        elif type(head) is _AtomCode:
-            hkey = (head.name, head.ids(frame))
+    def add(self, c: _RuleCode, frame) -> None:
+        """The rule of c at frame, or of the variable-free c at frame None."""
+        if frame is None:
+            hkey = c.hkey
+            if hkey is not None and type(hkey) is not tuple:
+                hkey = self._theory_key(hkey)
+            lkeys = tuple([(pos, k if pkey else self._theory_key(k)) for pos, k, pkey in c.lits])
         else:
-            hkey = self._theory_key(_subst_elem(head, env) if env else head)
-        lkeys = tuple([
-            (pos, (e.name, e.ids(frame)) if type(e) is _AtomCode
-             else self._theory_key(_subst_elem(e, env) if open_ else e))
-            for pos, e, open_ in c.body
-        ])
+            env = None
+            if c.open:
+                objs = self.terms.objs
+                env = {v: objs[frame[c.slot[v]]] for v in c.variables}
+            head = c.head
+            if head is FALSITY:
+                hkey = None
+            elif type(head) is _AtomCode:
+                hkey = (head.name, head.ids(frame))
+            else:
+                hkey = self._theory_key(_subst_elem(head, env) if env else head)
+            lkeys = tuple([
+                (pos, (e.name, e.ids(frame)) if type(e) is _AtomCode
+                 else self._theory_key(_subst_elem(e, env) if open_ else e))
+                for pos, e, open_ in c.body
+            ])
         rkey = (hkey, lkeys)
         if rkey in self.rules:
             return
@@ -543,17 +586,24 @@ def ground(p) -> GroundProgram:
     kept = _Kept()
     builder = _Builder(terms)
     for i, keys in enumerate(components):
-        candidates: list = []
+        candidates: list = []  # (code, frame)
+        heads: list = []
+        inner: list = []
         for c in by_component[i]:
-            c.plan(terms, keys)
-            candidates += [(c, f) for f in c.frames(kept, terms)]
-        live, heads = _greatest_fixpoint(candidates)
-        kept.add(heads)
-        for c, f in live:
+            for f in c.frames(kept, terms, keys):
+                if f is None:
+                    inner += [(len(heads), k) for pos, k, pkey in c.lits if pos and pkey in keys]
+                    heads.append(c.hkey)
+                else:
+                    inner += [(len(heads), (a.name, a.ids(f))) for a in c.inner]
+                    heads.append((c.head.name, c.head.ids(f)))
+                candidates.append((c, f))
+        alive = _greatest_fixpoint(heads, inner)
+        kept.add(compress(heads, alive))
+        for c, f in compress(candidates, alive):
             builder.add(c, f)
     for c in codes:
         if not c.head_pkey:
-            c.plan(terms, ())
-            for f in c.frames(kept, terms):
+            for f in c.frames(kept, terms, ()):
                 builder.add(c, f)
     return GroundProgram(builder.sorted_rules(), universe)

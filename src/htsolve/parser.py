@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     FALSITY,
@@ -59,8 +60,7 @@ class Diagnostic:
         return f"{self.line}:{self.column}: {self.message}"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -69,24 +69,29 @@ class _Token:
 
 # One alternative per token kind, tried in order; the group name is the
 # kind, and the unnamed alternatives (blanks, comments) are skipped.  A
-# theory word is "&" and the letters after it.
+# theory word is "&" and the letters after it.  The commonest tokens come
+# first.  Where two alternatives can match at one place, the one that must
+# win comes first: not before sym, sym and var before name, dots before
+# dot, assign before cmp, the three theory words before theory.
 _SCANNER = re.compile(
     r"""
-    [ \t\r]+ | %[^\n]*
-  | (?P<newline>\n)
-  | (?P<int>[0-9]+)
-  | (?P<not>not(?!\w))
+    (?P<not>not(?!\w))
   | (?P<sym>[a-z][A-Za-z0-9_]*(?!\w))
+  | (?P<lparen>\() | (?P<rparen>\)) | (?P<comma>,)
+  | (?P<dots>\.\.) | (?P<dot>\.)
+  | (?P<newline>\n)
+  | [ \t\r]+ | %[^\n]*
+  | (?P<if>:-)
+  | (?P<int>[0-9]+)
   | (?P<var>[A-Z][A-Za-z0-9_]*(?!\w))
   | (?P<name>[^\W0-9]\w*)
   | (?P<sum>&sum(?![^\W\d_]))
   | (?P<diff>&diff(?![^\W\d_]))
   | (?P<in>&in(?![^\W\d_]))
   | (?P<theory>&[^\W\d_]*)
-  | (?P<dots>\.\.) | (?P<dot>\.)
-  | (?P<if>:-) | (?P<assign>=:) | (?P<cmp>[<>!]=|[<>=])
-  | (?P<comma>,) | (?P<semi>;) | (?P<lbrace>\{) | (?P<rbrace>\})
-  | (?P<lparen>\() | (?P<rparen>\)) | (?P<star>\*) | (?P<minus>-)
+  | (?P<assign>=:) | (?P<cmp>[<>!]=|[<>=])
+  | (?P<semi>;) | (?P<lbrace>\{) | (?P<rbrace>\})
+  | (?P<star>\*) | (?P<minus>-)
   | (?P<bad>.)
     """,
     re.X,

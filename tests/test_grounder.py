@@ -9,6 +9,7 @@ import random
 import pytest
 
 from htsolve import (
+    FALSITY,
     AspVar,
     Atom,
     GroundProgram,
@@ -326,6 +327,71 @@ def test_ground_matches_naive_reference():
         programs += 1
         beyond_least_fixpoint += _least_fixpoint_drops(joined)
     assert beyond_least_fixpoint >= 50, beyond_least_fixpoint
+
+
+def _one_object_each(g) -> bool:
+    """Does g hold one object per distinct atom, theory atoms included, and
+    one per distinct literal?"""
+    atoms: dict = {}
+    literals: dict = {}
+    for r in g.rules:
+        elems = [lit.atom for lit in r.body]
+        if r.head is not FALSITY:
+            elems.append(r.head)
+        if any(atoms.setdefault(e, e) is not e for e in elems):
+            return False
+        if any(literals.setdefault(lit, lit) is not lit for lit in r.body):
+            return False
+    return True
+
+
+# Variable-free rules only: ground keeps them without a join.
+_GROUND_POOL = [
+    # facts, one of them twice, with a function term and an integer
+    "p(a).", "p(a).", "p(b).", "q(b).", "e(a,b).", "w(f(a)).", "m(0).", "r.",
+    # bodies with an atom nothing derives, a loop nothing founds, negation
+    "q(a) :- p(a).",
+    "s :- p(a), not q(a).",
+    "s :- u.",
+    "p(c) :- q(c).",
+    "q(c) :- p(c), not r.",
+    "g :- h.",
+    "h :- g, not r.",
+    "k :- k, r.",
+    "t(a,b) :- e(a,b).",
+    "v(f(a)) :- w(f(a)), m(0).",
+    "u :- t(b,a).",
+    # ground theory atoms in bodies and heads
+    "a :- &diff{x-y} <= 0, q(b).",
+    "b :- &sum{1*x; 2*y} >= 1, not p(c).",
+    "&sum{1*x} <= 1 :- m(0).",
+    "&diff{x-y} <= 1 :- t(a,b).",
+    "&sum{1*z} >= 2 :- u.",
+    # &in heads
+    "&in{0..1} =: z :- q(b).",
+    "&in{x..2} =: y :- r, not s.",
+    "&in{1..1} =: x :- g.",
+    # integrity constraints
+    ":- s, q(b).",
+    ":- p(c).",
+    ":- r, not g.",
+    ":- &diff{x-y} <= -1, p(a).",
+]
+
+
+def test_ground_matches_naive_reference_on_variable_free_programs():
+    rng = random.Random(20261019)
+    dropped = 0
+    for _ in range(400):
+        src = "\n".join(rng.choice(_GROUND_POOL) for _ in range(rng.randint(2, 8)))
+        p = prog(src)
+        joined, naive = ground(p), naive_ground(p)
+        assert joined.rules == naive.rules, f"program:\n{src}"
+        assert joined.universe == naive.universe
+        assert str(joined) == str(naive), f"program:\n{src}"
+        assert _one_object_each(joined), f"program:\n{src}"
+        dropped += len(joined.rules) < len(set(p.rules))
+    assert dropped >= 100, dropped
 
 
 # scale ------------------------------------------------------------------------

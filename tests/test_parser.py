@@ -1,5 +1,6 @@
 """Parser tests: golden ASTs, byte-identical round trips, positioned errors."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from htsolve import (
     parse_term,
     pretty_print,
 )
+from htsolve.parser import _lex
 
 x, y = SymConst("x"), SymConst("y")
 
@@ -191,6 +193,67 @@ def test_lexer_non_ascii_digits_and_numerals_are_names():
     assert (d.line, d.column, d.message) == (1, 4, "invalid name '\u0663'")
     (d,) = diags("p(\u00bd).")  # vulgar fraction one half
     assert (d.line, d.column, d.message) == (1, 3, "invalid name '\u00bd'")
+
+
+# Each case: source, then its tokens as (kind, text, line, column) and the
+# lexer's diagnostics.  Pins which scanner alternative wins where two could
+# match, and the positions after blanks, newlines and comments.
+_LEX_CASES = [
+    (
+        "nota not_b not1 not(b) Not",
+        [("sym", "nota", 1, 1), ("sym", "not_b", 1, 6), ("sym", "not1", 1, 12),
+         ("not", "not", 1, 17), ("lparen", "(", 1, 20), ("sym", "b", 1, 21),
+         ("rparen", ")", 1, 22), ("var", "Not", 1, 24), ("eof", "", 1, 27)],
+        [],
+    ),
+    (
+        "p(1..3). q.",
+        [("sym", "p", 1, 1), ("lparen", "(", 1, 2), ("int", "1", 1, 3), ("dots", "..", 1, 4),
+         ("int", "3", 1, 6), ("rparen", ")", 1, 7), ("dot", ".", 1, 8), ("sym", "q", 1, 10),
+         ("dot", ".", 1, 11), ("eof", "", 1, 12)],
+        [],
+    ),
+    (
+        "&in{X..2} =: x = 1 := 2",
+        [("in", "&in", 1, 1), ("lbrace", "{", 1, 4), ("var", "X", 1, 5), ("dots", "..", 1, 6),
+         ("int", "2", 1, 8), ("rbrace", "}", 1, 9), ("assign", "=:", 1, 11), ("sym", "x", 1, 14),
+         ("cmp", "=", 1, 16), ("int", "1", 1, 18), ("cmp", "=", 1, 21), ("int", "2", 1, 23),
+         ("eof", "", 1, 24)],
+        ["1:20: unexpected character ':'"],
+    ),
+    (
+        ":- a, b :-c",
+        [("if", ":-", 1, 1), ("sym", "a", 1, 4), ("comma", ",", 1, 5), ("sym", "b", 1, 7),
+         ("if", ":-", 1, 9), ("sym", "c", 1, 11), ("eof", "", 1, 12)],
+        [],
+    ),
+    (
+        "&sum{1*x} &summary &in1 &inx",
+        [("sum", "&sum", 1, 1), ("lbrace", "{", 1, 5), ("int", "1", 1, 6), ("star", "*", 1, 7),
+         ("sym", "x", 1, 8), ("rbrace", "}", 1, 9), ("in", "&in", 1, 20), ("int", "1", 1, 23),
+         ("eof", "", 1, 29)],
+        ["1:11: unknown constraint atom '&summary'", "1:25: unknown constraint atom '&inx'"],
+    ),
+    (
+        "<= >= != < > =<",
+        [("cmp", "<=", 1, 1), ("cmp", ">=", 1, 4), ("cmp", "!=", 1, 7), ("cmp", "<", 1, 10),
+         ("cmp", ">", 1, 12), ("cmp", "=", 1, 14), ("cmp", "<", 1, 15), ("eof", "", 1, 16)],
+        [],
+    ),
+    (
+        "a % c\n  b. % x:-\nc%\n",
+        [("sym", "a", 1, 1), ("sym", "b", 2, 3), ("dot", ".", 2, 4), ("sym", "c", 3, 1),
+         ("eof", "", 4, 1)],
+        [],
+    ),
+]
+
+
+@pytest.mark.parametrize("src, tokens, errors", _LEX_CASES)
+def test_lexer_token_kinds_and_positions(src, tokens, errors):
+    got, diagnostics = _lex(src)
+    assert [(t.kind, t.text, t.line, t.column) for t in got] == tokens
+    assert [str(d) for d in diagnostics] == errors
 
 
 def test_integers_too_long_to_convert_are_positioned_errors():
