@@ -70,14 +70,22 @@ class Atom:
     """Ordinary atom: predicate name plus ground or non-ground arguments.
 
     The hash is computed once, since engines look atoms up in dicts again
-    and again.  The text of a ground atom is built once too: the grounder
-    sets it as it formats the atom, and str() returns it.  Neither is a
-    field, so ==, repr and fields() ignore them.
+    and again.  An atom built by with_text keeps the text it is given, and
+    str() returns it.  Neither is a field, so ==, repr and fields() ignore
+    them.
     """
 
     predicate: str
     args: tuple = ()
-    _text = None  # set by the grounder; not a field: no annotation
+    _text = None  # set only by with_text; not a field: no annotation
+
+    @classmethod
+    def with_text(cls, predicate: str, args: tuple, text: str) -> "Atom":
+        """The atom predicate(args), whose str() is text: text must be what
+        __str__ would build, so a caller that formats it anyway pays once."""
+        atom = cls(predicate, args)
+        object.__setattr__(atom, "_text", text)
+        return atom
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))

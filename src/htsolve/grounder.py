@@ -351,19 +351,19 @@ class _RuleCode:
         ]
 
     def plan(self, terms: _Terms, inner: set) -> None:
-        """Lay out the frame and the join; inner: predicate keys of the rule's own component."""
+        """Lay out the frame and the join of a rule with variables (a
+        variable-free rule is fixed instead); inner: predicate keys of the
+        rule's own component."""
         slot: dict = {}
         consts: list = []
-        free: list = []
-        if self.variables:
-            for e in [self.raw_head, *(e for _, e, _ in self.raw_body)]:
-                if isinstance(e, tuple) and e[2]:
-                    _place_constants(e[1], slot, consts, terms.ids)
-            for positive, e, _ in self.raw_body:
-                if positive and isinstance(e, tuple) and (e[0], len(e[1])) not in inner:
-                    for v in e[2]:
-                        slot.setdefault(v, len(slot))
-            free = [v for v in self.variables if v not in slot]
+        for e in [self.raw_head, *(e for _, e, _ in self.raw_body)]:
+            if isinstance(e, tuple) and e[2]:
+                _place_constants(e[1], slot, consts, terms.ids)
+        for positive, e, _ in self.raw_body:
+            if positive and isinstance(e, tuple) and (e[0], len(e[1])) not in inner:
+                for v in e[2]:
+                    slot.setdefault(v, len(slot))
+        free = [v for v in self.variables if v not in slot]
         self.start = consts + [None] * (len(slot) - len(consts))
         for v in free:
             slot[v] = len(slot)
@@ -507,9 +507,9 @@ class _Builder:
         if entry is None:
             name, ids = key
             texts = self.terms.texts
+            # the format of Atom.__str__, which Atom.with_text must be given
             text = f"{name}({','.join([texts[i] for i in ids])})" if ids else name
-            atom = Atom(name, tuple([self.terms.objs[i] for i in ids]))
-            object.__setattr__(atom, "_text", text)
+            atom = Atom.with_text(name, tuple([self.terms.objs[i] for i in ids]), text)
             entry = self.atoms[key] = (atom, text)
         return entry
 

@@ -350,8 +350,7 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
     yields the union of its models' valuations in grid order, so every
     call is pruned by each atom the cube's models agree on.  The cubes
     hold disjoint sign patterns, so their runs never overlap, and the
-    values of a group of several cubes are their runs by prefix, then
-    first value; a group of one cube keeps that cube's values.  Without
+    group's values are their runs by prefix, then first value.  Without
     variables every atom's truth is fixed, so of cubes that differ on a
     signed atom only one yields the run ((), None).
     """
@@ -374,14 +373,11 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
     answers = []
     left = models
     for key in sorted(groups):
-        grids = []
+        runs = []
         for true, free in _cubes(groups[key]):
             signs = {e: None if i in free else i in true for i, e in enumerate(prog.theory)}
-            grids.append(theory_certify(signs, bounds, left).values)
-        values = grids[0]
-        if len(grids) > 1:
-            runs = heapq.merge(*[v.runs for v in grids], key=lambda run: (run[0], run[1] and run[1][0]))
-            values = _Grid(runs, left)
+            runs.append(theory_certify(signs, bounds, left).values.runs)
+        values = _Grid(heapq.merge(*runs, key=lambda run: (run[0], run[1] and run[1][0])), left)
         if values:
             answers.append((prog.visible(key), values))
         if models:

@@ -204,6 +204,18 @@ def test_ground_shares_one_object_per_ground_atom_and_literal():
     assert len(atoms) == 11 and len(literals) == 7
 
 
+def test_ground_atom_text_is_the_atom_format():
+    # the builder hands Atom.with_text the text it formats; it must be Atom.__str__'s
+    gp = ground(prog("r. p(a). p(-3). n(10). e(a,f(b,1)). q(X,Y) :- p(X), n(Y). s :- q(a,10), not r."))
+    atoms = {lit.atom for r in gp.rules for lit in r.body} | {r.head for r in gp.rules if isinstance(r.head, Atom)}
+    assert len(atoms) == 8
+    for a in atoms:
+        plain = Atom(a.predicate, a.args)
+        assert str(a) == str(plain) and a == plain and hash(a) == hash(plain) and repr(a) == repr(plain)
+    kept = Atom.with_text("p", (SymConst("a"),), "p(a)")
+    assert str(kept) == "p(a)" and kept == Atom("p", (SymConst("a"),))
+
+
 def test_ground_program_contains_no_variables():
     gp = naive_ground(prog("p(a). p(b). s(X,Y) :- p(X), p(Y), not q(X)."), simplify=False)
     assert all(not rule_variables(r) for r in gp.rules)
