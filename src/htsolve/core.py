@@ -17,6 +17,13 @@ from typing import Iterator, Union
 COMPARATORS = ("<=", "=", "!=", "<", ">", ">=")
 
 
+# Sets a field of a frozen node built by object.__new__, as the dataclass
+# __init__ does.  That keeps the node's compact shared-key attribute storage;
+# filling node.__dict__ directly would make it a full dict, about 150 bytes
+# more per node.
+_set = object.__setattr__
+
+
 @dataclass(frozen=True)
 class IntConst:
     """Integer constant.  In a constraint-variable position it denotes itself."""
@@ -81,10 +88,14 @@ class Atom:
 
     @classmethod
     def with_text(cls, predicate: str, args: tuple, text: str) -> "Atom":
-        """The atom predicate(args), whose str() is text: text must be what
-        __str__ would build, so a caller that formats it anyway pays once."""
-        atom = cls(predicate, args)
-        object.__setattr__(atom, "_text", text)
+        """The atom predicate(args), args a tuple, whose str() is text: text
+        must be what __str__ would build, so a caller that formats it anyway
+        pays once.  Filled in as __post_init__ would, without __init__."""
+        atom = object.__new__(cls)
+        _set(atom, "predicate", predicate)
+        _set(atom, "args", args)
+        _set(atom, "_hash", hash((predicate, args)))
+        _set(atom, "_text", text)
         return atom
 
     def __post_init__(self) -> None:
@@ -177,6 +188,14 @@ class Literal:
     positive: bool
     atom: BodyElem
 
+    @classmethod
+    def new(cls, positive: bool, atom: BodyElem) -> "Literal":
+        """Literal(positive, atom), filled in without the dataclass __init__."""
+        lit = object.__new__(cls)
+        _set(lit, "positive", positive)
+        _set(lit, "atom", atom)
+        return lit
+
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"not {self.atom}"
 
@@ -187,6 +206,15 @@ class Rule:
 
     head: Head
     body: tuple = ()
+
+    @classmethod
+    def new(cls, head: Head, body: tuple) -> "Rule":
+        """Rule(head, body), body a tuple, filled in without the dataclass
+        __init__ and __post_init__."""
+        rule = object.__new__(cls)
+        _set(rule, "head", head)
+        _set(rule, "body", body)
+        return rule
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "body", tuple(self.body))

@@ -498,7 +498,7 @@ class _Builder:
         self.theory: dict = {}  # theory atom -> key
         self.theory_atoms: list = []  # key -> (theory atom, text)
         self.literals: dict = {}  # key -> (Literal, text)
-        self.rules: dict = {}  # key -> (text, Rule)
+        self.rules: dict = {}  # key -> [text, Rule]
 
     def _atom(self, key) -> tuple:
         if type(key) is int:
@@ -523,7 +523,7 @@ class _Builder:
     def _literal(self, key: tuple) -> tuple:
         positive, akey = key
         atom, text = self._atom(akey)
-        entry = self.literals[key] = (Literal(positive, atom), text if positive else "not " + text)
+        entry = self.literals[key] = (Literal.new(positive, atom), text if positive else "not " + text)
         return entry
 
     def add(self, c: _RuleCode, frame) -> None:
@@ -550,8 +550,8 @@ class _Builder:
                  else self._theory_key(_subst_elem(e, env) if open_ else e))
                 for pos, e, open_ in c.body
             ])
-        rkey = (hkey, lkeys)
-        if rkey in self.rules:
+        entry: list = []  # [text, Rule] when the rule is new
+        if self.rules.setdefault((hkey, lkeys), entry) is not entry:
             return
         get = self.literals.get
         entries = [get(k) or self._literal(k) for k in lkeys]
@@ -562,7 +562,7 @@ class _Builder:
         else:
             head, text = self.atoms.get(hkey) or self._atom(hkey)
             text = f"{text} :- {body}." if lits else f"{text}."
-        self.rules[rkey] = (text, Rule(head, lits))
+        entry += (text, Rule.new(head, lits))
 
     def sorted_rules(self) -> tuple:
         return tuple(r for _, r in sorted(self.rules.values(), key=itemgetter(0)))

@@ -5,14 +5,17 @@ substitutes every tuple of universe terms into every rule and then prunes
 to a fixpoint, equilibrium enumeration walks every interpretation through
 the definitional satisfaction functions, and difference-logic
 satisfiability is decided by windowed interval narrowing instead of
-incremental potentials.
+incremental potentials, and the reference scanner tries one named
+alternative per token kind with a per-token loop that tracks positions.
 """
 
+import re
 from itertools import chain, combinations, product
 
 from htsolve.core import Atom, Falsity, Literal, Rule, atoms_of, rule_variables
 from htsolve.grounder import GroundProgram, _subst_elem, check_safety, herbrand_universe
 from htsolve.ht import Interpretation, World, is_ht_model
+from htsolve.parser import Diagnostic, _lex, _scan, _Token
 from htsolve.semantics import AnswerSet, Valuation
 
 
@@ -193,3 +196,80 @@ def brute_force_dl(constraints, window=(-30, 30)):
                 changed = True
     assert all(upper[x] - upper[y] <= k for x, y, k in constraints)
     return upper
+
+
+# One alternative per token kind, tried in order; the group name is the
+# kind, and the unnamed alternatives (blanks, comments) are skipped.  A
+# theory word is "&" and the letters after it.  The commonest tokens come
+# first.  Where two alternatives can match at one place, the one that must
+# win comes first: not before sym, sym and var before name, dots before
+# dot, assign before cmp, the three theory words before theory.
+_SCANNER = re.compile(
+    r"""
+    (?P<not>not(?!\w))
+  | (?P<sym>[a-z][A-Za-z0-9_]*(?!\w))
+  | (?P<lparen>\() | (?P<rparen>\)) | (?P<comma>,)
+  | (?P<dots>\.\.) | (?P<dot>\.)
+  | (?P<newline>\n)
+  | [ \t\r]+ | %[^\n]*
+  | (?P<if>:-)
+  | (?P<int>[0-9]+)
+  | (?P<var>[A-Z][A-Za-z0-9_]*(?!\w))
+  | (?P<name>[^\W0-9]\w*)
+  | (?P<sum>&sum(?![^\W\d_]))
+  | (?P<diff>&diff(?![^\W\d_]))
+  | (?P<in>&in(?![^\W\d_]))
+  | (?P<theory>&[^\W\d_]*)
+  | (?P<assign>=:) | (?P<cmp>[<>!]=|[<>=])
+  | (?P<semi>;) | (?P<lbrace>\{) | (?P<rbrace>\})
+  | (?P<star>\*) | (?P<minus>-)
+  | (?P<bad>.)
+    """,
+    re.X,
+)
+
+_LEX_ERRORS = {
+    "name": "invalid name '{}'",
+    "theory": "unknown constraint atom '{}'",
+    "bad": "unexpected character {!r}",
+}
+
+
+def reference_lex(src: str):
+    """(tokens, diagnostics) of src, as parser._lex must give them."""
+    tokens: list = []
+    diags: list = []
+    line, line_start = 1, 0  # line_start: offset just past the last newline
+    for m in _SCANNER.finditer(src):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "newline":
+            line += 1
+            line_start = m.end()
+            continue
+        col = m.start() - line_start + 1
+        if kind in _LEX_ERRORS:
+            diags.append(Diagnostic(line, col, _LEX_ERRORS[kind].format(m.group())))
+        else:
+            tokens.append(_Token(kind, m.group(), line, col))
+    tokens.append(_Token("eof", "", line, len(src) - line_start + 1))
+    return tokens, diags
+
+
+def scanner_differences(src: str) -> list:
+    """Where parser._lex and the parse path's token pass differ from
+    reference_lex on src: the names of the parts that differ, or []."""
+    tokens, diags = reference_lex(src)
+    got_tokens, got_diags = _lex(src)
+    out = []
+    if got_tokens != tokens:
+        out.append("tokens")
+    if got_diags != diags:
+        out.append("diagnostics")
+    scanned = _scan(src)
+    if (scanned is None) != bool(diags):
+        out.append("error detection")
+    elif scanned is not None and scanned != ([t.kind for t in tokens], [t.text for t in tokens]):
+        out.append("kinds and texts")
+    return out

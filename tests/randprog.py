@@ -207,3 +207,38 @@ def random_interpretation_and_rule(rng: random.Random) -> tuple:
     atoms = _atoms(4)
     variables = _vars(3)
     return random_interpretation(rng, atoms, variables), random_rule(rng, atoms, variables)
+
+
+# Pieces of random parser input: whole rules (some malformed), tokens of the
+# language with words next to its keywords, blanks and comments, and texts
+# the lexer rejects.
+RULE_PIECES = (
+    "a :- not b.", "p(X,1) :- q(f(X),-2), not r.", ":- a, b.", "&sum{2*x;-1*y;(-3)*z} <= 3.",
+    "&diff{x-y} <= -1 :- a.", "&in{1..Y} =: w(Y).", "q(a,b,c).", "p(f(g(a))).", "a :- not not b.",
+    "&in{1..2} =: 3.", "a :- &in{0..1} =: x.", "&diff{x-y} < 1.",
+)
+TOKEN_PIECES = (
+    "a", "b", "p", "X", "Y_1", "Not", "not", "not1", "nota", "not_b", "w1", "&in1",
+    "(", ")", ",", ".", "..", ":-", "=:", "=", "<", "<=", ">", ">=", "!=", "=<",
+    "&sum", "&diff", "&in", "{", "}", ";", "*", "-", "0", "12", "-7",
+    " ", "  ", "\n", "\t", "\r", "% note\n", "%", "%:- x.\n",
+)
+ODD_PIECES = ("&summary", "&inx", "&", "&_", "_x", "\u00b2", "\u0663", "1\u0663", "\u00e9",
+              "a\u00e9", "$", "\u00bd", "\f", ":", "!")
+
+
+def random_source(rng: random.Random, pieces: int = 12) -> str:
+    """Up to `pieces` pieces of parser input, each followed by nothing, a
+    blank or a newline.  One source in four is whole rules only, one in
+    four may hold texts the lexer rejects, and one in 200 holds a
+    5,000-digit integer."""
+    mode = rng.randrange(4)
+    out = []
+    for _ in range(rng.randint(0, pieces)):
+        r = 0.0 if mode == 0 else rng.random()
+        pool = RULE_PIECES if r < 0.4 else ODD_PIECES if mode == 1 and r > 0.9 else TOKEN_PIECES
+        out.append(rng.choice(pool))
+        out.append(rng.choice(("", "", " ", "\n")))
+    if rng.random() < 0.005:
+        out.insert(rng.randint(0, len(out)), "9" * 5000)
+    return "".join(out)

@@ -1,5 +1,8 @@
 """AST construction, printing, well-formedness checks, and collectors."""
 
+import pickle
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 
 from htsolve import check_wellformed
@@ -210,6 +213,23 @@ def test_ast_nodes_are_hashable_and_comparable():
     assert Atom("a") == Atom("a")
     assert len({Atom("a"), Atom("a"), Atom("b")}) == 2
     assert DiffConstraintAtom(X, Y, 1) != DiffConstraintAtom(Y, X, 1)
+
+
+def test_direct_constructors_build_what_the_dataclass_builds():
+    # Atom.with_text, Literal.new and Rule.new skip the dataclass __init__
+    args = (SymConst("a"), IntConst(2))
+    pairs = [
+        (Atom.with_text("p", args, "p(a,2)"), Atom("p", args)),
+        (Literal.new(False, Atom("p", args)), Literal(False, Atom("p", args))),
+        (Rule.new(A, (Literal(True, Atom("r")),)), Rule(A, [Literal(True, Atom("r"))])),
+    ]
+    for fast, plain in pairs:
+        assert fast == plain and hash(fast) == hash(plain)
+        assert repr(fast) == repr(plain) and str(fast) == str(plain)
+        assert [getattr(fast, f.name) for f in fields(fast)] == [getattr(plain, f.name) for f in fields(plain)]
+        assert pickle.loads(pickle.dumps(fast)) == plain
+        with pytest.raises(FrozenInstanceError):
+            setattr(fast, fields(fast)[0].name, None)
 
 
 def test_comparator_validation():

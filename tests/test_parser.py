@@ -1,5 +1,8 @@
 """Parser tests: golden ASTs, byte-identical round trips, positioned errors."""
 
+import random
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,6 +27,8 @@ from htsolve import (
     pretty_print,
 )
 from htsolve.parser import _lex
+from oracles import scanner_differences
+from randprog import random_source
 
 x, y = SymConst("x"), SymConst("y")
 
@@ -70,6 +75,16 @@ def test_function_terms_and_variables():
     body_atom = p.rules[0].body[0].atom
     assert p.rules[0].head == Atom("q", (AspVar("X"),))
     assert body_atom == Atom("p", (FuncTerm("f", (AspVar("X"), SymConst("a"))), IntConst(-2)))
+
+
+def test_one_term_object_per_name_in_a_parse():
+    p = parsed("p(a,X) :- q(f(a,X)), &sum{2*a} >= 1. &diff{a-X} <= 0 :- r(X).")
+    first, second = p.rules
+    a, var = first.head.args
+    fa, fx = first.body[0].atom.args[0].args
+    assert fa is a and fx is var and first.body[1].atom.terms[0][1] is a
+    assert second.head.lhs_var is a and second.head.rhs_var is var and second.body[0].atom.args[0] is var
+    assert a == SymConst("a") and var == AspVar("X")
 
 
 def test_empty_program_and_comments():
@@ -254,6 +269,53 @@ def test_lexer_token_kinds_and_positions(src, tokens, errors):
     got, diagnostics = _lex(src)
     assert [(t.kind, t.text, t.line, t.column) for t in got] == tokens
     assert [str(d) for d in diagnostics] == errors
+
+
+def test_lexer_and_token_pass_match_the_reference_scanner():
+    # _lex against the one-alternative-per-kind reference scanner of
+    # tests/oracles.py, and the parse path's kinds and texts against its
+    # tokens where it reports no diagnostic
+    rng = random.Random(2424)
+    for _ in range(3000):
+        src = random_source(rng)
+        assert scanner_differences(src) == [], repr(src)
+
+
+# One case per place the parser rejects its input, each on line 2 after a
+# comment: (parse function, source, 1-based line, column, message).
+_HEAD = "p(a). % a comment\n  "
+_PARSE_ERRORS = {
+    "expected": (parse_program, _HEAD + "a :- b c.", 2, 10, "expected '.', found 'c'"),
+    "end of input": (parse_program, _HEAD + "a :- b", 2, 9, "expected '.', found end of input"),
+    "nested function": (parse_program, _HEAD + "p(f(g(a))).", 2, 7,
+                        "nested function term 'g(...)' is not supported"),
+    "long integer": (parse_program, _HEAD + f"a({'1' * 5000}).", 2, 5, "integer of 5000 digits is too long"),
+    "diff comparator": (parse_program, _HEAD + "&diff{x-y} < 5.", 2, 14,
+                        "difference constraints support only '<='"),
+    "constant target": (parse_program, _HEAD + "&in{1..2} =: -3.", 2, 16,
+                        "assignment target must be a variable name, not a constant"),
+    "double negation": (parse_program, _HEAD + "a :- not not b.", 2, 12, "double negation is not supported"),
+    "assignment in body": (parse_program, _HEAD + "a :- &in{1..2} =: x.", 2, 8, "assignment atom in rule body"),
+    "trailing input": (parse_term, "% a comment\n  foo bar", 2, 7, "trailing input 'bar' after term"),
+}
+
+
+@pytest.mark.parametrize("parse, src, line, column, message", _PARSE_ERRORS.values(), ids=_PARSE_ERRORS)
+def test_parse_errors_are_positioned_after_comments(parse, src, line, column, message):
+    out = parse(src)
+    (d,) = out if isinstance(out, list) else [out]
+    assert (d.line, d.column, d.message) == (line, column, message)
+
+
+def test_many_malformed_rules_are_placed_in_one_pass():
+    bad = ["a :- b c.", "p(f(g(a))).", "&diff{x-y} < 5.", "a :- not not b."]
+    src = "% header\n" + "\n".join(bad[i % 4] for i in range(2000))
+    start = time.perf_counter()
+    found = diags(src)
+    assert time.perf_counter() - start < 1.0
+    assert len(found) == 2000
+    assert [(d.line, d.column) for d in found[:4]] == [(2, 8), (3, 5), (4, 12), (5, 10)]
+    assert (found[-1].line, found[-1].message) == (2001, "double negation is not supported")
 
 
 def test_integers_too_long_to_convert_are_positioned_errors():
