@@ -19,7 +19,7 @@ from .core import atoms_of  # noqa: F401  looked up here by the benchmark's trac
 from .grounder import ground
 from .parser import parse_program
 from .search import solve
-from .semantics import Answers, numbered, valuation_text
+from .semantics import MODES, Answers, numbered, valuation_text
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -60,7 +60,7 @@ def _build() -> _Parser:
 
     ps = sub.add_parser("solve", help="enumerate answer sets of a program file")
     ps.add_argument("file")
-    ps.add_argument("--semantics", choices=("casp", "founded"), default="casp")
+    ps.add_argument("--semantics", choices=MODES, default="casp")
     ps.add_argument("--engine", choices=("oracle", "search"), default="oracle")
     ps.add_argument("--domain", type=_domain, default=None, metavar="LO..HI")
     ps.add_argument("--models", type=int, default=0, metavar="N",
@@ -79,7 +79,7 @@ def _build() -> _Parser:
                         help="compile a model and optional partial instance")
     pt.add_argument("--model", required=True)
     pt.add_argument("--instance", default=None)
-    pt.add_argument("--semantics", choices=("casp", "founded"), required=True)
+    pt.add_argument("--semantics", choices=MODES, required=True)
     pt.add_argument("-o", "--output", required=True)
     return top
 

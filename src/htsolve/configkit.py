@@ -30,6 +30,7 @@ from .core import (
 )
 from .grounder import GroundProgram, check_safety, ground
 from .search import stable_models_bool
+from .semantics import _mode_ok
 
 VIOLATION_KINDS = (
     "undeclared-type",
@@ -586,8 +587,7 @@ def translate(m: ConfigModel, partial: ConfigInstance, mode: str) -> Program:
     founded assignments or casp bound pairs; the partial instance pins its
     slots and values; constraint rules ride along verbatim.
     """
-    if mode not in ("casp", "founded"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _mode_ok(mode)
     problems = relaxed_violations(m, partial)
     if problems:
         raise ValueError(

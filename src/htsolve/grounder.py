@@ -170,8 +170,6 @@ def _getter(positions) -> itemgetter:
     """A C-level callable giving the items at positions, always as a tuple."""
     if len(positions) == 1:
         return itemgetter(slice(positions[0], positions[0] + 1))
-    if not positions:
-        return itemgetter(slice(0, 0))
     return itemgetter(*positions)
 
 

@@ -2,7 +2,7 @@
 
 solve() reads the ground program as semantics.numbered numbers it, once,
 and finds its Boolean models with the core the oracle runs too,
-_Compiled.core(): Smodels-style propagation with chronological
+_Compiled.models(): Smodels-style propagation with chronological
 backtracking.  Constraint-atom truth is a function of the shared
 valuation, not something rules derive, so the core takes the t distinct
 constraint atoms, ids 0..t-1 of the table, as free propositions; the atoms
@@ -109,7 +109,7 @@ def stable_models_bool(b: GroundProgram) -> list:
     prog = numbered(b)
     if prog.theory:
         raise ValueError(f"stable_models_bool expects a Boolean program, found {prog.theory[0]}")
-    return [prog.visible(m) for m in sorted(prog.core().models())]  # ids in text order
+    return [prog.visible(m) for m in sorted(prog.models())]  # ids in text order
 
 
 def _schedule(rows: list, n: int, lo: int, hi: int) -> tuple:
@@ -350,7 +350,7 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
     prog = _compile(g)
     t = len(prog.theory)  # the theory atoms' Boolean ids come first
     groups: dict = {}  # visible atom ids -> true theory ids of each model
-    for m in prog.core().models():
+    for m in prog.models():
         k = bisect_left(m, t)
         groups.setdefault(m[k:], []).append(set(m[:k]))
     answers = []

@@ -9,16 +9,16 @@ modes differ in what "smaller" means:
 * founded: valuations may be partial, and sub-valuations (dropping defined
   pairs) take part in minimization alongside atom subsets.
 
-The reference enumerator numbers the program once, into the rule table the
-Boolean core reads (_Compiled), and walks every valuation within bounds.
-A valuation matters to the Boolean part only through its truth vector,
-the truth of each distinct theory atom, so the core solves once per
-distinct truth vector, with the theory atoms assumed to their truth.
-Founded mode adds a Horn check per proper sub-valuation, cached by (atoms,
-truth vector, sub-valuation's truth vector).
+The reference enumerator numbers the program once, into the rule table
+and the Boolean core's arrays (_Compiled), and walks every valuation
+within bounds.  A valuation matters to the Boolean part only through its
+truth vector, the truth of each distinct theory atom, so the core solves
+once per distinct truth vector, with the theory atoms assumed to their
+truth.  Founded mode adds a Horn check per proper sub-valuation, cached
+by (atoms, truth vector, sub-valuation's truth vector).
 
-The Boolean core (_Core; the search engine runs it too) runs Smodels'
-expand (Simons, Niemela, Soininen 2002) to a fixpoint after every
+The Boolean core (_Compiled.models; the search engine runs it too) runs
+Smodels' expand (Simons, Niemela, Soininen 2002) to a fixpoint after every
 assignment, on an explicit trail, in passes linear in the program.
 Atleast forces the head of a true body, makes false the last open literal
 of a rule whose head cannot hold, and sets false every atom (theory atoms
@@ -148,12 +148,23 @@ class AnswerSet:
         object.__setattr__(self, "atoms", frozenset(self.atoms))
 
 
-class _Built(Sequence):
-    """A read-only sequence whose items are built from value tuples only when
-    read.  It compares equal to a list, tuple or _Built with equal items,
-    and + with one of those gives a list."""
+class Answers(Sequence):
+    """Answer sets in printed order, held as value tuples per atom set.
+
+    groups holds (atoms, values) pairs: an atom set and a sized iterable of
+    value tuples over variables (in text order; None where a variable is
+    undefined, founded mode only), in grid order.  An AnswerSet is built
+    only when read, so a printer reads groups instead.  Answers compares
+    equal to a list, tuple or Answers with equal items, and + with one of
+    those gives a list.
+    """
 
     _items = None
+
+    def __init__(self, variables: tuple, groups: list):
+        self.variables = variables
+        self.groups = groups
+        self._len = sum(len(values) for _, values in groups)
 
     def __getitem__(self, i):
         if self._items is None:
@@ -161,12 +172,12 @@ class _Built(Sequence):
         return self._items[i]
 
     def __eq__(self, other):
-        if not isinstance(other, (_Built, list, tuple)):
+        if not isinstance(other, (Answers, list, tuple)):
             return NotImplemented
         return list(self) == list(other)
 
     def __add__(self, other):
-        if not isinstance(other, (_Built, list, tuple)):
+        if not isinstance(other, (Answers, list, tuple)):
             return NotImplemented
         return list(self) + list(other)
 
@@ -179,21 +190,6 @@ class _Built(Sequence):
 
     def __repr__(self) -> str:
         return repr(list(self))
-
-
-class Answers(_Built):
-    """Answer sets in printed order, held as value tuples per atom set.
-
-    groups holds (atoms, values) pairs: an atom set and a sized iterable of
-    value tuples over variables (in text order; None where a variable is
-    undefined, founded mode only), in grid order.  An AnswerSet is built
-    only when read, so a printer reads groups instead.
-    """
-
-    def __init__(self, variables: tuple, groups: list):
-        self.variables = variables
-        self.groups = groups
-        self._len = sum(len(values) for _, values in groups)
 
     def __len__(self) -> int:
         return self._len
@@ -297,19 +293,26 @@ def _evaluator(e, position: dict):
 
 
 class _Compiled:
-    """A ground program numbered once: the rule table every engine reads.
+    """A ground program numbered once, and the Boolean core over it.
 
     Boolean ids put the t distinct theory atoms first, by first occurrence
     with a rule's head before its body, so theory[k] is id k and abstract()'s
-    __t{k+1}; the atoms follow in text order, atoms[i] as id t + i.  rules
-    holds each rule as (head, pos, neg) of ids, head -1 for a constraint,
-    bodies without repeats, and no rule with its head in its positive body
-    (it always holds and supports nothing).  variables are in text order.
+    __t{k+1}; the atoms follow in text order, atoms[i] as id t + i.  Rule r
+    is (head[r], pos[r], neg[r]) of ids, head -1 for a constraint, bodies
+    without repeats, and no rule has its head in its positive body (it
+    always holds and supports nothing).  variables are in text order.
     The oracle reads a valuation as a value tuple (None: undefined) and each
     theory atom as an evaluator over such tuples; a truth vector tau holds
     every theory atom's truth at one valuation, and the stable models a
     valuation allows depend only on its tau.  Founded mode reads ids as
     bits of a mask and each rule as a row of horn.
+
+    The core's search (models) keeps values in val (None while open) and,
+    in assignment order, on the trail; the entries before qhead have been
+    propagated, and only those are counted in need[r] (body literals of r
+    not yet true), false_lits[r] (those that are false) and support[a]
+    (rules with head a and no false body literal).  Each search starts
+    from fresh copies of them, so a program runs one search at a time.
     """
 
     def __init__(self, g: GroundProgram):
@@ -335,59 +338,104 @@ class _Compiled:
 
         self.theory = tuple(theory)
         self.atoms = tuple(sorted(index, key=str))
+        self.t = t = len(theory)
+        self.n = n = t + len(index)
         ids = [0] * len(index)  # first-occurrence number -> Boolean id
-        for i, a in enumerate(self.atoms, len(theory)):
+        for i, a in enumerate(self.atoms, t):
             ids[index[a]] = i
-        self.rules = []
-        for h, pos, neg, pids, nids in raw:
-            p = list({*map(ids.__getitem__, pos), *pids})
+        self.head, self.pos, self.neg, self.base_need = heads, pos, neg, need = [], [], [], []
+        self.base_support = support = [0] * n
+        self.pos_occ = pos_occ = [[] for _ in range(n)]
+        self.neg_occ = neg_occ = [[] for _ in range(n)]
+        self.head_occ = head_occ = [[] for _ in range(n)]
+        succ: dict = {}  # positive dependency graph of the heads with a positive body
+        for k, (h, ps, ns, pids, nids) in enumerate(raw):
+            raw[k] = None  # freed as the arrays grow, which keeps the peak down
+            p = list({*map(ids.__getitem__, ps), *pids})
             h = -1 if h is None else ids[h] if h >= 0 else ~h
-            if h not in p:
-                self.rules.append((h, p, list({*map(ids.__getitem__, neg), *nids})))
+            if h in p:
+                continue
+            q = list({*map(ids.__getitem__, ns), *nids})
+            r = len(heads)
+            heads.append(h)
+            pos.append(p)
+            neg.append(q)
+            need.append(len(p) + len(q))
+            if h >= 0:
+                support[h] += 1
+                head_occ[h].append(r)
+                if p:
+                    succ.setdefault(h, []).extend(p)
+            for a in p:
+                pos_occ[a].append(r)
+            for a in q:
+                neg_occ[a].append(r)
 
         self.variables = variables_of(theory)
         for v in self.variables:
             if isinstance(v, AspVar):
                 raise ValueError(f"non-ground element: variable {v}")
+        # Set on first use, but declared here: every instance then has one
+        # attribute layout, whichever of these methods runs first.
+        self.evaluators = self.horn = None  # by truth() and here_world()
+        self.val = self.trail = self.need = self.false_lits = self.support = None  # by models()
+        self.qhead = 0
 
-    @cached_property
-    def evaluators(self) -> list:
-        """Each theory atom's truth over a value tuple, built on first use."""
-        position = {v: p for p, v in enumerate(self.variables)}
-        return [_evaluator(e, position) for e in self.theory]
+        # Unfounded-set check: only atoms on a positive cycle need it; for
+        # the rest, support (a rule whose body is not false) is enough.  No
+        # rule is left with its head in its positive body, so a cycle has
+        # two atoms at least.
+        for h, body in succ.items():
+            succ[h] = [a for a in body if a in succ]
+        self.cyclic = []
+        if any(succ.values()):
+            self.cyclic = [a for c in strongly_connected(succ) if len(c) > 1 for a in c]
+        self.loop_seeds, self.loop_rules, self.loop_need, self.loop_occ = [], [], [], []
+        if not self.cyclic:
+            return  # _expand never runs _atmost
+        in_loop = bytearray(n)
+        for a in self.cyclic:
+            in_loop[a] = 1
+        self.loop_seeds = [a for a in self.cyclic if a < t]
+        self.loop_rules = [r for r, h in enumerate(heads) if h >= 0 and in_loop[h]]
+        self.loop_occ = [[] for _ in range(n)]
+        for j, r in enumerate(self.loop_rules):
+            inner = [a for a in pos[r] if in_loop[a]]
+            self.loop_need.append(len(inner))  # its body atoms on a positive cycle
+            for a in inner:
+                self.loop_occ[a].append(j)
 
     def truth(self, vals: tuple) -> tuple:
         """tau: the truth of every theory atom under a value tuple."""
-        return tuple([ev(vals) for ev in self.evaluators])
-
-    def core(self) -> "_Core":
-        """The Boolean core over this table (see _Core)."""
-        return _Core(self)
+        evaluators = self.evaluators
+        if evaluators is None:
+            position = {v: p for p, v in enumerate(self.variables)}
+            evaluators = self.evaluators = [_evaluator(e, position) for e in self.theory]
+        return tuple([ev(vals) for ev in evaluators])
 
     def visible(self, ids) -> frozenset:
         """The atoms with the given ids, all past the theory atoms."""
-        t = len(self.theory)
+        t = self.t
         return frozenset([self.atoms[i - t] for i in ids])
-
-    @cached_property
-    def horn(self) -> list:
-        """Each rule as (pos_mask, neg_mask, pids, nids, head code): its body
-        atoms' bits, its theory literals' ids, and as head an atom's bit,
-        ~k for theory atom k or _FAIL."""
-        t = len(self.theory)
-        return [
-            (sum([1 << a for a in p if a >= t]), sum([1 << a for a in q if a >= t]),
-             [a for a in p if a < t], [a for a in q if a < t],
-             _FAIL if h < 0 else 1 << h if h >= t else ~h)
-            for h, p, q in self.rules
-        ]
 
     def here_world(self, mask: int, tau: tuple, sub: tuple) -> bool:
         """Is there a here world with atoms within mask and a valuation whose
         truth vector is sub, below the there world (mask, tau)?  Its rows
-        are Horn, so one exists iff their least model fires no _FAIL row."""
+        are Horn, so one exists iff their least model fires no _FAIL row.
+
+        horn holds each rule as (pos_mask, neg_mask, pids, nids, head code):
+        its body atoms' bits, its theory literals' ids, and as head an
+        atom's bit, ~k for theory atom k or _FAIL."""
+        horn, t = self.horn, self.t
+        if horn is None:
+            horn = self.horn = [
+                (sum([1 << a for a in p if a >= t]), sum([1 << a for a in q if a >= t]),
+                 [a for a in p if a < t], [a for a in q if a < t],
+                 _FAIL if h < 0 else 1 << h if h >= t else ~h)
+                for h, p, q in zip(self.head, self.pos, self.neg)
+            ]
         rows = []
-        for pm, nm, pids, nids, hc in self.horn:
+        for pm, nm, pids, nids, hc in horn:
             if pm & ~mask or nm & mask or _blocked(pids, nids, sub, tau):
                 continue
             if hc < 0 and sub[~hc]:
@@ -415,111 +463,6 @@ class _Compiled:
         subs = list(product(*[(None,) if v is None else (None, v) for v in vals]))
         subs.pop()  # the last one keeps every value: vals itself
         return {self.truth(s) for s in subs}
-
-
-def numbered(g: GroundProgram) -> _Compiled:
-    """g numbered (see _Compiled), once per program object and kept in
-    g._numbered (g is immutable); the only maker of a _Compiled."""
-    prog = g._numbered
-    if prog is None:
-        prog = _Compiled(g)
-        object.__setattr__(g, "_numbered", prog)
-    return prog
-
-
-def _blocked(pids, nids, pos_truth: tuple, neg_truth: tuple) -> bool:
-    """Does a theory literal make the body false?  Positive ones are read
-    in pos_truth, negative ones in neg_truth."""
-    for i in pids:
-        if not pos_truth[i]:
-            return True
-    for i in nids:
-        if neg_truth[i]:
-            return True
-    return False
-
-
-def _least_model(rows):
-    """Least model of Horn rows (pos_mask, head_code); None once a _FAIL row fires."""
-    model = 0
-    changed = True
-    while changed:
-        changed = False
-        for pos_mask, hc in rows:
-            if (model & pos_mask) == pos_mask:
-                if hc == _FAIL:
-                    return None
-                if not (model & hc):
-                    model |= hc
-                    changed = True
-    return model
-
-
-class _Core:
-    """Propagating search over the rules of a numbered program.
-
-    Its atoms are prog's Boolean ids 0..n-1, its rules prog.rules; the
-    theory atoms, ids 0..t-1, need no supporting rule.  Values live in val
-    (None while open) and, in assignment order, on the trail; the entries
-    before qhead have been propagated, and only those are counted in the
-    per-rule counters:
-
-    - need[r]: body literals of r not yet true;
-    - false_lits[r]: body literals of r that are false;
-    - support[a]: rules with head a and no false body literal.
-    """
-
-    def __init__(self, prog: _Compiled) -> None:
-        self.t = t = len(prog.theory)
-        self.n = n = t + len(prog.atoms)
-        self.head, self.pos, self.neg, self.need = heads, pos, neg, need = [], [], [], []
-        self.support = support = [0] * n
-        self.pos_occ = pos_occ = [[] for _ in range(n)]
-        self.neg_occ = neg_occ = [[] for _ in range(n)]
-        self.head_occ = head_occ = [[] for _ in range(n)]
-        succ: dict = {}  # positive dependency graph of the heads with a positive body
-        for r, (h, p, q) in enumerate(prog.rules):
-            heads.append(h)
-            pos.append(p)
-            neg.append(q)
-            need.append(len(p) + len(q))
-            if h >= 0:
-                support[h] += 1
-                head_occ[h].append(r)
-                if p:
-                    succ.setdefault(h, []).extend(p)
-            for a in p:
-                pos_occ[a].append(r)
-            for a in q:
-                neg_occ[a].append(r)
-        self.false_lits = [0] * len(heads)
-        self.val: list = [None] * n
-        self.trail: list = []
-        self.qhead = 0
-
-        # Unfounded-set check: only atoms on a positive cycle need it; for
-        # the rest, support (a rule whose body is not false) is enough.  No
-        # rule is left with its head in its positive body, so a cycle has
-        # two atoms at least.
-        for h, body in succ.items():
-            succ[h] = [a for a in body if a in succ]
-        self.cyclic = []
-        if any(succ.values()):
-            self.cyclic = [a for c in strongly_connected(succ) if len(c) > 1 for a in c]
-        if not self.cyclic:
-            return  # _expand never runs _atmost
-        in_loop = bytearray(n)
-        for a in self.cyclic:
-            in_loop[a] = 1
-        self.loop_seeds = [a for a in self.cyclic if a < t]
-        self.loop_rules = [r for r, h in enumerate(heads) if h >= 0 and in_loop[h]]
-        self.loop_need = []  # per loop rule: body atoms on a positive cycle
-        self.loop_occ: list = [[] for _ in range(n)]
-        for j, r in enumerate(self.loop_rules):
-            inner = [a for a in pos[r] if in_loop[a]]
-            self.loop_need.append(len(inner))
-            for a in inner:
-                self.loop_occ[a].append(j)
 
     def _set(self, a: int, value: bool) -> None:
         self.val[a] = value
@@ -674,10 +617,12 @@ class _Core:
         model must keep them.  Chronological backtracking over the open atoms
         in index order, each tried false, then true; expand runs to a
         fixpoint after each assignment, so a leaf without a conflict is a
-        stable model.  Each call starts from an empty trail, so one core
-        serves any number of calls.
+        stable model.  Each call starts from fresh counters and an empty
+        trail, so a call that raised leaves nothing for the next to read.
         """
-        self._undo(0)
+        self.val, self.trail, self.qhead = [None] * self.n, [], 0
+        self.need, self.support = self.base_need[:], self.base_support[:]
+        self.false_lits = [0] * len(self.head)
         for a, value in enumerate(assume):
             self._set(a, value)
         found: list = []
@@ -708,6 +653,44 @@ class _Core:
             stack.append((mark, nxt, True))
             self._set(nxt, True)
             ok = self._expand()
+
+
+def numbered(g: GroundProgram) -> _Compiled:
+    """g numbered (see _Compiled), once per program object and kept in
+    g._numbered (g is immutable); the only maker of a _Compiled."""
+    prog = g._numbered
+    if prog is None:
+        prog = _Compiled(g)
+        object.__setattr__(g, "_numbered", prog)
+    return prog
+
+
+def _blocked(pids, nids, pos_truth: tuple, neg_truth: tuple) -> bool:
+    """Does a theory literal make the body false?  Positive ones are read
+    in pos_truth, negative ones in neg_truth."""
+    for i in pids:
+        if not pos_truth[i]:
+            return True
+    for i in nids:
+        if neg_truth[i]:
+            return True
+    return False
+
+
+def _least_model(rows):
+    """Least model of Horn rows (pos_mask, head_code); None once a _FAIL row fires."""
+    model = 0
+    changed = True
+    while changed:
+        changed = False
+        for pos_mask, hc in rows:
+            if (model & pos_mask) == pos_mask:
+                if hc == _FAIL:
+                    return None
+                if not (model & hc):
+                    model |= hc
+                    changed = True
+    return model
 
 
 def _bounds_ok(bounds) -> tuple:
@@ -755,7 +738,7 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
     vals = tuple(vd.get(v) for v in prog.variables)
     tau = prog.truth(vals)
     # m's truth on every Boolean id: the theory atoms', then the atoms'
-    if not prog.core().models(tau + tuple(a in m.atoms for a in prog.atoms)):
+    if not prog.models(tau + tuple(a in m.atoms for a in prog.atoms)):
         return False
     key = tuple(i for i, a in enumerate(prog.atoms, len(tau)) if a in m.atoms)
     return mode == "casp" or not prog.smaller(key, tau, prog.sub_truths(vals), {})
@@ -764,7 +747,7 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
 def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> Answers:
     """All answer sets over the program's atoms and variables, sorted.
 
-    The numbered program's Boolean core is built once.  Each grid point (a
+    The program is numbered once, with its Boolean core.  Each grid point (a
     total valuation in casp mode, a partial one in founded mode) gives a
     truth vector tau, and the core solves each distinct tau once, with the
     theory atoms assumed to their truth in tau.  Founded mode rejects a
@@ -779,7 +762,6 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> Answers:
     lo, hi = _bounds_ok(bounds)
     founded = mode == "founded"
     prog = numbered(g)
-    core = prog.core()
     # with no variables the grid is one empty valuation: build no options
     values = tuple(range(lo, hi + 1)) if prog.variables else ()
     options = (None,) + values if founded else values
@@ -790,7 +772,7 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> Answers:
         tau = prog.truth(vals)
         keys = solved.get(tau)
         if keys is None:
-            keys = solved[tau] = [m[sum(tau):] for m in core.models(tau)]
+            keys = solved[tau] = [m[sum(tau):] for m in prog.models(tau)]
         if founded and keys:
             subs = prog.sub_truths(vals)
             keys = [key for key in keys if not prog.smaller(key, tau, subs, here_memo)]

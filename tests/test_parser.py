@@ -287,6 +287,7 @@ _HEAD = "p(a). % a comment\n  "
 _PARSE_ERRORS = {
     "expected": (parse_program, _HEAD + "a :- b c.", 2, 10, "expected '.', found 'c'"),
     "end of input": (parse_program, _HEAD + "a :- b", 2, 9, "expected '.', found end of input"),
+    "argument list": (parse_program, _HEAD + "p(a b).", 2, 7, "expected ')', found 'b'"),
     "nested function": (parse_program, _HEAD + "p(f(g(a))).", 2, 7,
                         "nested function term 'g(...)' is not supported"),
     "long integer": (parse_program, _HEAD + f"a({'1' * 5000}).", 2, 5, "integer of 5000 digits is too long"),
