@@ -620,15 +620,6 @@ def translate(m: ConfigModel, partial: ConfigInstance, mode: str) -> Program:
     types = {ident: ptype for ident, ptype, _parent, _k in nodes}
     least = {(p, c): mn for p, c, mn, _mx in m.edges}
     for sid, child_type, parent, k in nodes[1:]:
-        rules.append(
-            Rule(Atom("slot", sym(parent, child_type) + (IntConst(k),)), ())
-        )
-        rules.append(
-            Rule(
-                Atom("slotname", sym(sid, parent, child_type) + (IntConst(k),)),
-                (),
-            )
-        )
         rules.append(Rule(in_atom(sid), (Literal(False, out_atom(sid)),)))
         rules.append(Rule(out_atom(sid), (Literal(False, in_atom(sid)),)))
         if parent != root_id:

@@ -17,10 +17,11 @@ from typing import Iterator, Union
 COMPARATORS = ("<=", "=", "!=", "<", ">", ">=")
 
 
-# Sets a field of a frozen node built by object.__new__, as the dataclass
-# __init__ does.  That keeps the node's compact shared-key attribute storage;
-# filling node.__dict__ directly would make it a full dict, about 150 bytes
-# more per node.
+# The nodes built by the million (FuncTerm, Atom, Literal, Rule) have a
+# hand-written __init__ that sets each field with _set, one by one, as the
+# dataclass __init__ of a frozen class does.  That keeps the node's compact
+# shared-key attribute storage; filling node.__dict__ in one go would make it
+# a full dict, about 150 bytes more per node.
 _set = object.__setattr__
 
 
@@ -54,16 +55,16 @@ class AspVar:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FuncTerm:
     """Applied symbol such as w(a).  Arguments must themselves be flat terms."""
 
     name: str
     args: tuple
 
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, name: str, args) -> None:
+        _set(self, "name", name)
+        _set(self, "args", tuple(args))
 
     def __str__(self) -> str:
         return f"{self.name}({','.join(str(a) for a in self.args)})"
@@ -72,35 +73,28 @@ class FuncTerm:
 Term = Union[IntConst, SymConst, AspVar, FuncTerm]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Atom:
     """Ordinary atom: predicate name plus ground or non-ground arguments.
 
     The hash is computed once, since engines look atoms up in dicts again
-    and again.  An atom built by with_text keeps the text it is given, and
-    str() returns it.  Neither is a field, so ==, repr and fields() ignore
-    them.
+    and again.  An atom built with a text keeps it, and str() returns it: the
+    text must be what __str__ would build, so a caller that formats it anyway
+    pays once.  Neither is a field, so ==, repr, fields() and
+    dataclasses.replace ignore them.
     """
 
     predicate: str
     args: tuple = ()
-    _text = None  # set only by with_text; not a field: no annotation
+    _text = None  # set only when a text is given; not a field: no annotation
 
-    @classmethod
-    def with_text(cls, predicate: str, args: tuple, text: str) -> "Atom":
-        """The atom predicate(args), args a tuple, whose str() is text: text
-        must be what __str__ would build, so a caller that formats it anyway
-        pays once.  Filled in as __post_init__ would, without __init__."""
-        atom = object.__new__(cls)
-        _set(atom, "predicate", predicate)
-        _set(atom, "args", args)
-        _set(atom, "_hash", hash((predicate, args)))
-        _set(atom, "_text", text)
-        return atom
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+    def __init__(self, predicate: str, args=(), text: str | None = None) -> None:
+        args = tuple(args)
+        _set(self, "predicate", predicate)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((predicate, args)))
+        if text is not None:
+            _set(self, "_text", text)
 
     def __hash__(self) -> int:
         return self._hash
@@ -181,43 +175,31 @@ BodyElem = Union[Atom, LinearConstraintAtom, DiffConstraintAtom]
 Head = Union[Atom, LinearConstraintAtom, DiffConstraintAtom, AssignmentAtom, Falsity]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Literal:
     """Body literal: an element under positive or negated polarity."""
 
     positive: bool
     atom: BodyElem
 
-    @classmethod
-    def new(cls, positive: bool, atom: BodyElem) -> "Literal":
-        """Literal(positive, atom), filled in without the dataclass __init__."""
-        lit = object.__new__(cls)
-        _set(lit, "positive", positive)
-        _set(lit, "atom", atom)
-        return lit
+    def __init__(self, positive: bool, atom: BodyElem) -> None:
+        _set(self, "positive", positive)
+        _set(self, "atom", atom)
 
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"not {self.atom}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rule:
     """head :- body.  Empty body is a fact; a Falsity head is a constraint."""
 
     head: Head
     body: tuple = ()
 
-    @classmethod
-    def new(cls, head: Head, body: tuple) -> "Rule":
-        """Rule(head, body), body a tuple, filled in without the dataclass
-        __init__ and __post_init__."""
-        rule = object.__new__(cls)
-        _set(rule, "head", head)
-        _set(rule, "body", body)
-        return rule
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "body", tuple(self.body))
+    def __init__(self, head: Head, body=()) -> None:
+        _set(self, "head", head)
+        _set(self, "body", tuple(body))
 
     def __str__(self) -> str:
         body = ", ".join(str(lit) for lit in self.body)

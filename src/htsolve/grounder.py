@@ -505,9 +505,9 @@ class _Builder:
         if entry is None:
             name, ids = key
             texts = self.terms.texts
-            # the format of Atom.__str__, which Atom.with_text must be given
+            # the format of Atom.__str__, which an Atom given its text must return
             text = f"{name}({','.join([texts[i] for i in ids])})" if ids else name
-            atom = Atom.with_text(name, tuple([self.terms.objs[i] for i in ids]), text)
+            atom = Atom(name, tuple([self.terms.objs[i] for i in ids]), text)
             entry = self.atoms[key] = (atom, text)
         return entry
 
@@ -521,7 +521,7 @@ class _Builder:
     def _literal(self, key: tuple) -> tuple:
         positive, akey = key
         atom, text = self._atom(akey)
-        entry = self.literals[key] = (Literal.new(positive, atom), text if positive else "not " + text)
+        entry = self.literals[key] = (Literal(positive, atom), text if positive else "not " + text)
         return entry
 
     def add(self, c: _RuleCode, frame) -> None:
@@ -560,7 +560,7 @@ class _Builder:
         else:
             head, text = self.atoms.get(hkey) or self._atom(hkey)
             text = f"{text} :- {body}." if lits else f"{text}."
-        entry += (text, Rule.new(head, lits))
+        entry += (text, Rule(head, lits))
 
     def sorted_rules(self) -> tuple:
         return tuple(r for _, r in sorted(self.rules.values(), key=itemgetter(0)))

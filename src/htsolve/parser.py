@@ -306,7 +306,7 @@ class _Parser:
                 pos = self.pos = pos + 1
                 if kinds[pos] == "not":
                     raise _ParseError(pos, "double negation is not supported")
-            lits.append(Literal.new(positive, self.element(pos, "a literal")))
+            lits.append(Literal(positive, self.element(pos, "a literal")))
             if kinds[self.pos] != "comma":
                 return tuple(lits)
             self.pos += 1
@@ -324,7 +324,7 @@ class _Parser:
             self.pos += 1
             body = self.body()
         self.expect("dot", "'.'")
-        return Rule.new(head, body)
+        return Rule(head, body)
 
     def skip_past(self, pos: int) -> None:
         """Resume after the first dot at or after pos, or at eof."""

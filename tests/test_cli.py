@@ -260,6 +260,13 @@ def test_solve_negative_domain_either_spelling(lp, capsys, engine):
     assert "empty domain '-5..-7'" in capsys.readouterr().err
 
 
+def test_solve_negative_domain_before_a_double_dash(lp, capsys):
+    # "--" ends the options: the file after it is no option value
+    path = lp("a :- &sum{1*x} >= 0.", "x.lp")
+    assert run(["solve", "--domain", "-1..0", "--models", "1", "--", path]) == EXIT_SAT
+    assert capsys.readouterr().out == "Answer: 1\n\nval x=-1\nSATISFIABLE\n"
+
+
 def _answer_blocks(out: str) -> tuple:
     """(one string per "Answer:" block, the final line) of solve output."""
     lines = out.splitlines(keepends=True)
@@ -490,6 +497,17 @@ def test_check_config_bad_model_file(lp, capsys):
     assert capsys.readouterr().err == f"{path}: missing root declaration\n"
 
 
+@pytest.mark.parametrize("command", ["check-config", "translate-config"])
+def test_config_commands_report_an_unparsable_model(command, lp, tmp_path, capsys):
+    model = lp("ptype(bike). root(bike)\n", "bad.lp")
+    if command == "check-config":
+        rest = ["--instance", lp(GOOD_INSTANCE, "inst.lp")]
+    else:
+        rest = ["--semantics", "casp", "-o", str(tmp_path / "c.lp")]
+    assert run([command, "--model", model, *rest]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"{model}:2:1: expected '.', found end of input\n"
+
+
 def test_check_config_model_diag_with_rule_index(lp, capsys):
     path = lp("ptype(a). ptype(b). root(a). subpart(a,b,3,1).", "model.lp")
     inst = lp("inst(x,a).", "inst.lp")
@@ -600,6 +618,16 @@ def test_translate_config_rejects_bad_partial(lp, tmp_path, capsys):
     )
     assert code == EXIT_INPUT
     assert capsys.readouterr().err.startswith("htsolve: partial instance rejected:")
+
+
+def test_translate_config_reports_an_unparsable_instance(lp, tmp_path, capsys):
+    inst = lp("inst(b1 bike).", "partial.lp")
+    out = tmp_path / "c.lp"
+    code = run(["translate-config", "--model", lp(BIKE_MODEL, "model.lp"), "--instance", inst,
+                "--semantics", "casp", "-o", str(out)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"{inst}:1:9: expected ')', found 'bike'\n"
+    assert not out.exists()
 
 
 def test_translate_config_unwritable_output(lp, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 import htsolve.configkit
 from htsolve import (
     FALSITY,
+    Atom,
     ConfigInstance,
     ConfigModel,
     Program,
@@ -462,12 +463,10 @@ def test_translate_structure_golden():
     assert lines[:4] == [
         "inst(bike1,bike).",
         "in(bike1).",
-        "slot(bike1,wheel,1).",
-        "slotname(bike1_wheel_1,bike1,wheel,1).",
-    ]
-    for needed in [
         "in(bike1_wheel_1) :- not out(bike1_wheel_1).",
         "out(bike1_wheel_1) :- not in(bike1_wheel_1).",
+    ]
+    for needed in [
         "inst(bike1_wheel_1,wheel) :- in(bike1_wheel_1).",
         "parentOf(bike1_wheel_1,bike1) :- in(bike1_wheel_1).",
         ":- out(bike1_wheel_2), in(bike1).",
@@ -476,6 +475,23 @@ def test_translate_structure_golden():
         "&in{16..17} =: val(bike1_wheel_2,diam) :- in(bike1_wheel_2).",
     ]:
         assert needed in lines, f"missing: {needed}"
+
+
+def predicates(rules) -> set:
+    """The predicates of the ordinary atoms in rules, heads and bodies."""
+    return {e.predicate for r in rules for e in (r.head, *(lit.atom for lit in r.body))
+            if isinstance(e, Atom)}
+
+
+@pytest.mark.parametrize("mode", ["casp", "founded"])
+def test_translate_emits_only_the_documented_vocabulary(mode):
+    # in/out, inst, parentOf, the val/3 bridge, and the constraint rules' own
+    rules = "big(X) :- val(X,diam,17). :- big(X), inst(X,wheel)."
+    for extra, partial in product(("", rules), (EMPTY_INSTANCE, bike_instance(16))):
+        m = model_of(MINI_BIKE + extra)
+        own = predicates(m.constraints)
+        emitted = predicates(translate(m, partial, mode).rules)
+        assert emitted == {"in", "out", "inst", "parentOf"} | ({"val"} | own if extra else set())
 
 
 def test_translate_casp_emits_bound_pairs():

@@ -1,7 +1,7 @@
 """AST construction, printing, well-formedness checks, and collectors."""
 
 import pickle
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -216,20 +216,28 @@ def test_ast_nodes_are_hashable_and_comparable():
 
 
 def test_direct_constructors_build_what_the_dataclass_builds():
-    # Atom.with_text, Literal.new and Rule.new skip the dataclass __init__
+    # one hand-written __init__ per node; an atom given its text is the atom
+    # without it in ==, hash, repr, str, fields(), pickling and frozenness
     args = (SymConst("a"), IntConst(2))
-    pairs = [
-        (Atom.with_text("p", args, "p(a,2)"), Atom("p", args)),
-        (Literal.new(False, Atom("p", args)), Literal(False, Atom("p", args))),
-        (Rule.new(A, (Literal(True, Atom("r")),)), Rule(A, [Literal(True, Atom("r"))])),
-    ]
-    for fast, plain in pairs:
-        assert fast == plain and hash(fast) == hash(plain)
-        assert repr(fast) == repr(plain) and str(fast) == str(plain)
-        assert [getattr(fast, f.name) for f in fields(fast)] == [getattr(plain, f.name) for f in fields(plain)]
-        assert pickle.loads(pickle.dumps(fast)) == plain
+    kept, plain = Atom("p", args, "p(a,2)"), Atom(predicate="p", args=list(args))
+    assert kept == plain and hash(kept) == hash(plain)
+    assert repr(kept) == repr(plain) == "Atom(predicate='p', args=(SymConst(name='a'), IntConst(value=2)))"
+    assert str(kept) == str(plain) == "p(a,2)"
+    assert [getattr(kept, f.name) for f in fields(kept)] == [getattr(plain, f.name) for f in fields(plain)] == ["p", args]
+    r = Atom("r")
+    rule = Rule(A, [Literal(True, r)])
+    assert rule.body == (Literal(True, r),)  # a list body becomes a tuple
+    assert type(FuncTerm("f", [IntConst(1)]).args) is tuple
+    for node in (kept, Literal(False, plain), rule, FuncTerm("f", args)):
+        assert pickle.loads(pickle.dumps(node)) == node
+        assert "__post_init__" not in vars(type(node))
         with pytest.raises(FrozenInstanceError):
-            setattr(fast, fields(fast)[0].name, None)
+            setattr(node, fields(node)[0].name, None)
+    # replace builds through __init__: the new atom's own text and hash
+    moved = replace(kept, args=(SymConst("b"),))
+    assert str(moved) == "p(b)" and moved == Atom("p", (SymConst("b"),))
+    assert hash(moved) == hash(Atom("p", (SymConst("b"),)))
+    assert replace(Rule(A), body=[Literal(True, r)]) == rule
 
 
 def test_comparator_validation():

@@ -666,6 +666,18 @@ def test_solve_answers_read_as_a_list_of_answer_sets():
         assert got.variables == (x, y)
 
 
+def test_answers_meet_other_types_as_a_list_does():
+    g = gprog("a :- not b. b :- not a.")
+    for engine in ("oracle", "search"):
+        got = solve(g, "casp", (0, 0), engine)
+        assert (got == 3) is False and got != 3
+        with pytest.raises(TypeError):
+            got + 3
+        with pytest.raises(TypeError):
+            3 + got
+        assert repr(got) == repr(list(got))
+
+
 def test_cubes_partition_the_sign_patterns():
     rng = random.Random(909)
     for _ in range(300):
