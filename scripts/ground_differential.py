@@ -7,9 +7,12 @@ positive loops, function terms, theory atoms with rule variables, &in
 heads, integrity constraints), grounds each with ``htsolve.ground`` and
 with ``naive_ground`` of ``tests/oracles.py``, and requires the same rules
 in the same order, the same universe, and one object per distinct atom
-and per distinct literal in ``ground``'s result.  Variable-free programs
-count too.  Exits nonzero on the first mismatch, printing the program so
-it can be pasted into a regression test.
+and per distinct literal in ``ground``'s result.  It also requires both
+producers of the numbered rule table to agree: ``numbered`` of ``ground``'s
+result and of a program built by hand from the reference's rules give the
+same atoms, theory atoms in the same order, variables, and rule rows as a
+multiset.  Variable-free programs count too.  Exits nonzero on the first
+mismatch, printing the program so it can be pasted into a regression test.
 
 Usage:
     python3 scripts/ground_differential.py --count 2000 --seed 808
@@ -23,9 +26,9 @@ from pathlib import Path
 
 sys.path[:0] = [str(Path(__file__).resolve().parent.parent / d) for d in ("src", "tests")]
 from htsolve import ground, parse_program  # noqa: E402
-from htsolve.grounder import check_safety  # noqa: E402
+from htsolve.grounder import GroundProgram, check_safety  # noqa: E402
 from oracles import naive_ground  # noqa: E402
-from test_grounder import _POOL, _one_object_each  # noqa: E402
+from test_grounder import _POOL, _numbering, _one_object_each  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -56,6 +59,10 @@ def main(argv=None) -> int:
             return 1
         if not _one_object_each(joined):
             print(f"SHARING on program {programs}: an atom or literal has two objects:")
+            print(src)
+            return 1
+        if _numbering(joined) != _numbering(GroundProgram(naive.rules, naive.universe)):
+            print(f"NUMBERING on program {programs}: the grounder's table and the rules' differ:")
             print(src)
             return 1
         rules += len(joined.rules)

@@ -247,7 +247,7 @@ def _cmd_ground(ns: argparse.Namespace) -> int:
         if text:
             print(text)
     else:
-        print(f"rules: {len(g.rules)}")
+        print(f"rules: {g.rule_count()}")
         print(f"universe: {len(g.universe)}")
     return EXIT_OK
 

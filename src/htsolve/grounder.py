@@ -36,12 +36,16 @@ candidate when each of its positive body atoms from a lower component is
 already kept, and its same-component body atoms enter the greatest
 fixpoint like any instance's.
 
-Only the surviving instances become ``Rule`` objects.  Each distinct ground
-atom is one ``Atom`` and each (sign, atom) one ``Literal``; rules are
-deduplicated on their id keys and sorted by their text, built from each
-atom's string, computed once and kept on the ``Atom``, whose str() returns
-it.  Theory atoms with rule variables are substituted per surviving
-instance.
+The surviving instances go straight into the numbered rule table
+(``_Table``).  Each distinct ground element, an ordinary atom keyed by its
+(predicate, id tuple) or a theory atom keyed by itself, gets a number and
+its text when its key is first built, and each kept instance is one row
+(head, literals) over those numbers, deduplicated on that tuple.  Theory
+atoms with rule variables are substituted per surviving instance.
+``semantics.numbered`` only ranks the atoms by their texts and remaps the
+rows.  ``Atom``, ``Literal`` and ``Rule`` objects are built when
+``GroundProgram.rules`` is first read: one per distinct atom and literal,
+the rules sorted by their text.
 
 The greatest fixpoint keeps positive loops that nothing derives, such as
 q(x) :- p(x) and p(x) :- q(x), not s(x).  This shows in casp mode, where
@@ -65,25 +69,46 @@ from .core import (
     Atom,
     Diagnostic,
     DiffConstraintAtom,
+    Falsity,
     FuncTerm,
     LinearConstraintAtom,
     Literal,
     Rule,
+    _set,
     theory_terms,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroundProgram:
-    """Variable-free program with its term universe; rules sorted and deduplicated."""
+    """Variable-free program with its term universe.
 
-    rules: tuple = ()
-    universe: tuple = ()
+    Its numbered rule table (_Table) is the grounder's, or, for a program
+    built by hand from rules, made in one pass over them when numbered asks.
+    The grounder's program builds its rules, sorted by text and
+    deduplicated, from its table when rules is first read.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "universe", tuple(self.universe))
-        object.__setattr__(self, "_numbered", None)  # semantics.numbered's; not a field
+    rules: tuple
+    universe: tuple
+
+    def __init__(self, rules=(), universe=(), _table=None) -> None:
+        if _table is None:
+            _set(self, "rules", tuple(rules))
+        _set(self, "universe", tuple(universe))
+        _set(self, "_table", _table)
+        _set(self, "_numbered", None)  # semantics.numbered's; not a field
+
+    def __getattr__(self, name: str):
+        # only the grounder's program misses an attribute: rules, until read
+        if name != "rules" or self.__dict__.get("_table") is None:
+            raise AttributeError(name)
+        _set(self, "rules", self._table.rules())
+        return self.rules
+
+    def rule_count(self) -> int:
+        """len(self.rules), without building the rules."""
+        return len(self.rules) if "rules" in self.__dict__ else len(self._table.rows)
 
     def __str__(self) -> str:
         return "\n".join(str(r) for r in self.rules)
@@ -370,8 +395,10 @@ class _RuleCode:
         code = partial(_AtomCode, slot=slot, terms=terms)
         head = self.raw_head
         self.head = code(head) if isinstance(head, tuple) else head
-        self.body = [(pos, code(e) if isinstance(e, tuple) else e, open_) for pos, e, open_ in self.raw_body]
-        positive = [e for pos, e, _ in self.body if pos and isinstance(e, _AtomCode)]
+        # a literal's sign as a mask: number ^ 0 is a positive literal, number ^ -1 (~number) a negative one
+        self.body = [(0 if pos else -1, code(e) if isinstance(e, tuple) else e, open_)
+                     for pos, e, open_ in self.raw_body]
+        positive = [e for sign, e, _ in self.body if not sign and isinstance(e, _AtomCode)]
         self.lower = [e for e in positive if e.pkey not in inner]
         self.inner = [e for e in positive if e.pkey in inner]
 
@@ -481,89 +508,117 @@ def _greatest_fixpoint(heads: list, inner: list) -> list:
     return alive
 
 
-class _Builder:
-    """Rule objects for the surviving instances, deduplicated on id keys.
+class _Table(dict):
+    """The numbered rule table: maps each element key to its number.
 
-    An ordinary atom's key is (predicate, id tuple), a theory atom's its
-    number here, a literal's (sign, atom key) and a rule's (head key, literal
-    keys), with None for a #false head.  Each key has one object, which
-    every rule shares.
+    An element is an ordinary or a theory atom.  The grounder keys an
+    ordinary atom by (predicate, id tuple); any other key, and every key of
+    a table of rules built by hand, is the element itself.  Numbers follow
+    first insertion; texts and objs hold each number's text and object, and
+    theory the theory atoms' numbers by first occurrence over the rules in
+    their order, head before body.  rows holds each rule once, in the order
+    added, as (head, literals): head a number or -1 for #false, a literal n
+    if positive and ~n if negative, in body order.
     """
 
-    def __init__(self, terms: _Terms) -> None:
-        self.terms = terms
-        self.atoms: dict = {}  # key -> (Atom, text)
-        self.theory: dict = {}  # theory atom -> key
-        self.theory_atoms: list = []  # key -> (theory atom, text)
-        self.literals: dict = {}  # key -> (Literal, text)
-        self.rules: dict = {}  # key -> [text, Rule]
+    def __init__(self, terms: _Terms | None = None) -> None:
+        self.terms = terms  # the grounder's; None for rules built by hand
+        self.texts: list = []
+        self.theory: list = []
+        self.rows: dict = {}  # (head, literals) -> None
+        self.objs: list = []  # filled once every row is in
 
-    def _atom(self, key) -> tuple:
-        if type(key) is int:
-            return self.theory_atoms[key]
-        entry = self.atoms.get(key)
-        if entry is None:
+    def __missing__(self, key) -> int:
+        n = self[key] = len(self.texts)
+        if type(key) is tuple:
             name, ids = key
             texts = self.terms.texts
             # the format of Atom.__str__, which an Atom given its text must return
-            text = f"{name}({','.join([texts[i] for i in ids])})" if ids else name
-            atom = Atom(name, tuple([self.terms.objs[i] for i in ids]), text)
-            entry = self.atoms[key] = (atom, text)
-        return entry
+            self.texts.append(f"{name}({','.join(map(texts.__getitem__, ids))})" if ids else name)
+        else:
+            self.texts.append(str(key))
+            self.theory.append(n)
+        return n
 
-    def _theory_key(self, e) -> int:
-        key = self.theory.get(e)
-        if key is None:
-            key = self.theory[e] = len(self.theory_atoms)
-            self.theory_atoms.append((e, str(e)))
-        return key
+    @classmethod
+    def of_rules(cls, rules) -> "_Table":
+        """The table of rules built by hand, numbered in their order."""
+        table = cls()
+        number, rows = table.setdefault, table.rows
+        for r in rules:
+            h = -1 if isinstance(r.head, Falsity) else number(r.head, len(table))
+            lits = []
+            for lit in r.body:
+                n = number(lit.atom, len(table))
+                lits.append(n if lit.positive else ~n)
+            rows[h, tuple(lits)] = None
+        table.objs = list(table)
+        table.texts = list(map(str, table))
+        table.theory = [n for n, e in enumerate(table) if type(e) is not Atom]
+        return table
 
-    def _literal(self, key: tuple) -> tuple:
-        positive, akey = key
-        atom, text = self._atom(akey)
-        entry = self.literals[key] = (Literal(positive, atom), text if positive else "not " + text)
-        return entry
-
-    def add(self, c: _RuleCode, frame) -> None:
-        """The rule of c at frame, or of the variable-free c at frame None."""
+    def add(self, c: _RuleCode, frame, head=None) -> None:
+        """The row of c's instance at frame, or of the variable-free c at
+        frame None; head is the key of its ordinary head, if it has one."""
         if frame is None:
-            hkey = c.hkey
-            if hkey is not None and type(hkey) is not tuple:
-                hkey = self._theory_key(hkey)
-            lkeys = tuple([(pos, k if pkey else self._theory_key(k)) for pos, k, pkey in c.lits])
+            head = c.hkey if head is None else head
+            lits = tuple([self[k] if pos else ~self[k] for pos, k, _ in c.lits])
         else:
             env = None
             if c.open:
                 objs = self.terms.objs
                 env = {v: objs[frame[c.slot[v]]] for v in c.variables}
-            head = c.head
-            if head is FALSITY:
-                hkey = None
-            elif type(head) is _AtomCode:
-                hkey = (head.name, head.ids(frame))
-            else:
-                hkey = self._theory_key(_subst_elem(head, env) if env else head)
-            lkeys = tuple([
-                (pos, (e.name, e.ids(frame)) if type(e) is _AtomCode
-                 else self._theory_key(_subst_elem(e, env) if open_ else e))
-                for pos, e, open_ in c.body
+            if head is None and c.head is not FALSITY:
+                head = _subst_elem(c.head, env) if env else c.head
+            lits = tuple([
+                self[(e.name, e.ids(frame)) if type(e) is _AtomCode
+                     else _subst_elem(e, env) if open_ else e] ^ sign
+                for sign, e, open_ in c.body
             ])
-        entry: list = []  # [text, Rule] when the rule is new
-        if self.rules.setdefault((hkey, lkeys), entry) is not entry:
-            return
-        get = self.literals.get
-        entries = [get(k) or self._literal(k) for k in lkeys]
-        lits = tuple([lit for lit, _ in entries])
-        body = ", ".join([text for _, text in entries])
-        if hkey is None:
-            head, text = FALSITY, f":- {body}."
-        else:
-            head, text = self.atoms.get(hkey) or self._atom(hkey)
-            text = f"{text} :- {body}." if lits else f"{text}."
-        entry += (text, Rule(head, lits))
+        self.rows[-1 if head is None else self[head], lits] = None
 
-    def sorted_rules(self) -> tuple:
-        return tuple(r for _, r in sorted(self.rules.values(), key=itemgetter(0)))
+    def finish(self) -> None:
+        """Make the grounder's objects, one Atom per ordinary atom given its
+        text, and order theory by first occurrence over the rows sorted by
+        text, as the program lists its rules; only rows that hold a theory
+        atom need a text."""
+        objs = self.terms.objs
+        self.objs = [
+            Atom(k[0], tuple(map(objs.__getitem__, k[1])), text) if type(k) is tuple else k
+            for k, text in zip(self, self.texts)
+        ]
+        theory = set(self.theory)
+        held = [row for row in self.rows if theory.intersection(_elements(row))] if theory else []
+        self.theory = list(dict.fromkeys(
+            e for row in sorted(held, key=self.text) for e in _elements(row) if e in theory
+        ))
+
+    def text(self, row: tuple) -> str:
+        """The row's rule text, as Rule.__str__ gives it."""
+        h, lits = row
+        texts = self.texts
+        body = ", ".join([texts[c] if c >= 0 else "not " + texts[~c] for c in lits])
+        if h < 0:
+            return f":- {body}."
+        return f"{texts[h]} :- {body}." if lits else f"{texts[h]}."
+
+    def rules(self) -> tuple:
+        """The rows as Rules sorted by their text, sharing one Literal per
+        distinct literal and one object per element."""
+        objs = self.objs
+        made = dict.fromkeys(c for _, lits in self.rows for c in lits)
+        for c in made:
+            made[c] = Literal(True, objs[c]) if c >= 0 else Literal(False, objs[~c])
+        return tuple([
+            Rule(objs[h] if h >= 0 else FALSITY, tuple(map(made.__getitem__, lits)))
+            for h, lits in sorted(self.rows, key=self.text)
+        ])
+
+
+def _elements(row: tuple) -> list:
+    """The element numbers of a table row, its head (-1: #false) first."""
+    h, lits = row
+    return [h, *[c if c >= 0 else ~c for c in lits]]
 
 
 def ground(p) -> GroundProgram:
@@ -582,7 +637,7 @@ def ground(p) -> GroundProgram:
     for c in plain:
         by_component[component_of[c.head_pkey]].append(c)
     kept = _Kept()
-    builder = _Builder(terms)
+    table = _Table(terms)
     for i, keys in enumerate(components):
         candidates: list = []  # (code, frame)
         heads: list = []
@@ -598,10 +653,11 @@ def ground(p) -> GroundProgram:
                 candidates.append((c, f))
         alive = _greatest_fixpoint(heads, inner)
         kept.add(compress(heads, alive))
-        for c, f in compress(candidates, alive):
-            builder.add(c, f)
+        for (c, f), h in compress(zip(candidates, heads), alive):
+            table.add(c, f, h)
     for c in codes:
         if not c.head_pkey:
             for f in c.frames(kept, terms, ()):
-                builder.add(c, f)
-    return GroundProgram(builder.sorted_rules(), universe)
+                table.add(c, f)
+    table.finish()
+    return GroundProgram(universe=universe, _table=table)

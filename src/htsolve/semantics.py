@@ -9,8 +9,8 @@ modes differ in what "smaller" means:
 * founded: valuations may be partial, and sub-valuations (dropping defined
   pairs) take part in minimization alongside atom subsets.
 
-The reference enumerator numbers the program once, into the rule table
-and the Boolean core's arrays (_Compiled), and walks every valuation
+The reference enumerator numbers the program once, from its numbered rule
+table into the Boolean core's arrays (_Compiled), and walks every valuation
 within bounds.  A valuation matters to the Boolean part only through its
 truth vector, the truth of each distinct theory atom, so the core solves
 once per distinct truth vector, with the theory atoms assumed to their
@@ -46,16 +46,14 @@ from itertools import islice, product
 from .core import (
     AspVar,
     AssignmentAtom,
-    Atom,
     DiffConstraintAtom,
-    Falsity,
     IntConst,
     LinearConstraintAtom,
     atoms_of,  # noqa: F401  looked up here by the benchmark's tracer
     variable_names,
     variables_of,
 )
-from .grounder import GroundProgram, strongly_connected
+from .grounder import GroundProgram, _Table, strongly_connected
 
 MODES = ("casp", "founded")
 
@@ -168,13 +166,14 @@ class Answers(Sequence):
 
     def __getitem__(self, i):
         if self._items is None:
-            self._items = list(self)
+            self._items = self._built()
         return self._items[i]
 
     def __eq__(self, other):
         if not isinstance(other, (Answers, list, tuple)):
             return NotImplemented
-        return list(self) == list(other)
+        items = self._items if self._items is not None else self._built()
+        return items == list(other)
 
     def __add__(self, other):
         if not isinstance(other, (Answers, list, tuple)):
@@ -203,6 +202,18 @@ class Answers(Sequence):
                 else:
                     pairs = tuple(zip(variables, vals))
                 yield AnswerSet(atoms, Valuation.from_sorted(pairs))
+
+    def _built(self) -> list:
+        """Every AnswerSet, as __iter__ gives them, in one comprehension."""
+        names, valuation = self.variables, Valuation.from_sorted
+        return [
+            AnswerSet(atoms, valuation(
+                tuple(zip(names, vals)) if None not in vals
+                else tuple([(v, x) for v, x in zip(names, vals) if x is not None])
+            ))
+            for atoms, values in self.groups
+            for vals in values
+        ]
 
     def head(self, k: int) -> "Answers":
         """The first k answers."""
@@ -295,12 +306,17 @@ def _evaluator(e, position: dict):
 class _Compiled:
     """A ground program numbered once, and the Boolean core over it.
 
+    It is made from the program's numbered rule table (grounder._Table),
+    by ranking the atoms by their texts and remapping the rows; no Rule is
+    read, so the grounder's program builds its rules only if they are read.
+
     Boolean ids put the t distinct theory atoms first, by first occurrence
-    with a rule's head before its body, so theory[k] is id k and abstract()'s
-    __t{k+1}; the atoms follow in text order, atoms[i] as id t + i.  Rule r
-    is (head[r], pos[r], neg[r]) of ids, head -1 for a constraint, bodies
-    without repeats, and no rule has its head in its positive body (it
-    always holds and supports nothing).  variables are in text order.
+    over the program's rules with a rule's head before its body, so
+    theory[k] is id k and abstract()'s __t{k+1}; the atoms follow in text
+    order, atoms[i] as id t + i.  Rule r is (head[r], pos[r], neg[r]) of
+    ids, in the table's row order, head -1 for a constraint, bodies without
+    repeats, and no rule has its head in its positive body (it always holds
+    and supports nothing).  variables are in text order.
     The oracle reads a valuation as a value tuple (None: undefined) and each
     theory atom as an evaluator over such tuples; a truth vector tau holds
     every theory atom's truth at one valuation, and the stable models a
@@ -315,47 +331,37 @@ class _Compiled:
     from fresh copies of them, so a program runs one search at a time.
     """
 
-    def __init__(self, g: GroundProgram):
-        index: dict = {}  # atom -> number of its first occurrence
-        theory: dict = {}  # theory atom -> id
-        raw = []
-        for r in g.rules:
-            head = r.head
-            if isinstance(head, Atom):
-                h = index.setdefault(head, len(index))
-            elif isinstance(head, Falsity):
-                h = None
-            else:
-                h = ~theory.setdefault(head, len(theory))
-            pos, neg, pids, nids = [], [], [], []
-            for lit in r.body:
-                e = lit.atom
-                if isinstance(e, Atom):
-                    (pos if lit.positive else neg).append(index.setdefault(e, len(index)))
-                else:
-                    (pids if lit.positive else nids).append(theory.setdefault(e, len(theory)))
-            raw.append((h, pos, neg, pids, nids))
-
-        self.theory = tuple(theory)
-        self.atoms = tuple(sorted(index, key=str))
+    def __init__(self, table):
+        objs, theory = table.objs, table.theory
+        plain = range(len(objs))
+        if theory:
+            is_theory = set(theory)
+            plain = [e for e in plain if e not in is_theory]
+        order = sorted(plain, key=table.texts.__getitem__)
+        self.theory = tuple(map(objs.__getitem__, theory))
+        self.atoms = tuple(map(objs.__getitem__, order))
         self.t = t = len(theory)
-        self.n = n = t + len(index)
-        ids = [0] * len(index)  # first-occurrence number -> Boolean id
-        for i, a in enumerate(self.atoms, t):
-            ids[index[a]] = i
+        self.n = n = len(objs)
+        ids = [-1] * (n + 1)  # element number -> Boolean id; ids[-1], a #false head, stays -1
+        for i, e in enumerate([*theory, *order]):
+            ids[e] = i
         self.head, self.pos, self.neg, self.base_need = heads, pos, neg, need = [], [], [], []
         self.base_support = support = [0] * n
         self.pos_occ = pos_occ = [[] for _ in range(n)]
         self.neg_occ = neg_occ = [[] for _ in range(n)]
         self.head_occ = head_occ = [[] for _ in range(n)]
         succ: dict = {}  # positive dependency graph of the heads with a positive body
-        for k, (h, ps, ns, pids, nids) in enumerate(raw):
-            raw[k] = None  # freed as the arrays grow, which keeps the peak down
-            p = list({*map(ids.__getitem__, ps), *pids})
-            h = -1 if h is None else ids[h] if h >= 0 else ~h
+        for h, lits in table.rows:
+            h = ids[h]
+            p, q = [], []
+            for c in lits:
+                if c >= 0:
+                    if ids[c] not in p:
+                        p.append(ids[c])
+                elif ids[~c] not in q:
+                    q.append(ids[~c])
             if h in p:
                 continue
-            q = list({*map(ids.__getitem__, ns), *nids})
             r = len(heads)
             heads.append(h)
             pos.append(p)
@@ -371,7 +377,7 @@ class _Compiled:
             for a in q:
                 neg_occ[a].append(r)
 
-        self.variables = variables_of(theory)
+        self.variables = variables_of(self.theory)
         for v in self.variables:
             if isinstance(v, AspVar):
                 raise ValueError(f"non-ground element: variable {v}")
@@ -660,7 +666,7 @@ def numbered(g: GroundProgram) -> _Compiled:
     g._numbered (g is immutable); the only maker of a _Compiled."""
     prog = g._numbered
     if prog is None:
-        prog = _Compiled(g)
+        prog = _Compiled(g._table if g._table is not None else _Table.of_rules(g.rules))
         object.__setattr__(g, "_numbered", prog)
     return prog
 

@@ -5,6 +5,7 @@ here too, and the join-based ``ground`` is compared against it.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,9 +23,12 @@ from htsolve import (
     ground,
     parse_program,
     pretty_print,
+    run,
 )
+from htsolve.cli import EXIT_OK, EXIT_SAT
 from htsolve.core import rule_variables
 from htsolve.grounder import check_safety, herbrand_universe
+from htsolve.semantics import numbered
 from oracles import instances, naive_ground
 
 
@@ -338,22 +342,45 @@ _FIXED = [
 ]
 
 
-def test_ground_matches_naive_reference():
-    for src in _FIXED:
-        assert ground(prog(src)).rules == naive_ground(prog(src)).rules, f"program:\n{src}"
-    rng = random.Random(20261018)
-    programs = beyond_least_fixpoint = 0
-    while programs < 1000:
+def _random_programs(rng: random.Random, count: int):
+    """count safe programs with variables, drawn from _POOL, with their source."""
+    programs = 0
+    while programs < count:
         src = "\n".join(rng.choice(_POOL) for _ in range(rng.randint(2, 7)))
         p = prog(src)
         if check_safety(p) or not any(rule_variables(r) for r in p.rules):
             continue
+        programs += 1
+        yield src, p
+
+
+def test_ground_matches_naive_reference():
+    for src in _FIXED:
+        assert ground(prog(src)).rules == naive_ground(prog(src)).rules, f"program:\n{src}"
+    beyond_least_fixpoint = 0
+    for src, p in _random_programs(random.Random(20261018), 1000):
         joined, naive = ground(p), naive_ground(p)
         assert joined.rules == naive.rules, f"program:\n{src}"
         assert joined.universe == naive.universe
-        programs += 1
         beyond_least_fixpoint += _least_fixpoint_drops(joined)
     assert beyond_least_fixpoint >= 50, beyond_least_fixpoint
+
+
+def _numbering(g) -> tuple:
+    """numbered(g)'s atoms, theory atoms in order, variables, and its rule
+    rows as a multiset of (head, positive body set, negative body set)."""
+    c = numbered(g)
+    rows = Counter(zip(c.head, map(frozenset, c.pos), map(frozenset, c.neg)))
+    return c.atoms, c.theory, c.variables, rows
+
+
+def test_grounder_table_numbers_as_the_rules_do():
+    """The grounder's table and the one a program built by hand from the
+    reference's rules make the same numbered program."""
+    for src, p in _random_programs(random.Random(20261018), 1000):
+        naive = naive_ground(p)
+        by_hand = GroundProgram(naive.rules, naive.universe)
+        assert _numbering(ground(p)) == _numbering(by_hand), f"program:\n{src}"
 
 
 def _one_object_each(g) -> bool:
@@ -442,6 +469,46 @@ def test_left_recursive_closure_on_200_chain():
 def test_right_recursive_closure_on_40_chain():
     gp = ground(_closure_on_chain(40, "path(X,Z) :- edge(X,Y), path(Y,Z)."))
     assert len(gp.rules) == _closure_rule_count(40) == 819
+
+
+def _counting_rules(monkeypatch) -> list:
+    """Make every Rule construction append its head to the returned list."""
+    built: list = []
+    init = Rule.__init__
+
+    def counted(self, head, body=()):
+        built.append(head)
+        init(self, head, body)
+
+    monkeypatch.setattr(Rule, "__init__", counted)
+    return built
+
+
+def test_solve_and_ground_summary_build_no_ground_rule(tmp_path, monkeypatch, capsys):
+    """Rules are built from the grounder's table only when read: solving and
+    counting the rules build none beyond the parser's."""
+    text = pretty_print(_closure_on_chain(40, "path(X,Z) :- edge(X,Y), path(Y,Z)."))
+    path = tmp_path / "closure.lp"
+    path.write_text(text, encoding="utf-8")
+    parsed = len(parse_program(text).rules)
+    built = _counting_rules(monkeypatch)
+    assert run(["solve", str(path), "--engine", "search"]) == EXIT_SAT
+    assert len(built) == parsed
+    assert run(["ground", str(path)]) == EXIT_OK
+    assert len(built) == 2 * parsed
+    assert capsys.readouterr().out.endswith(f"rules: {_closure_rule_count(40)}\nuniverse: 40\n")
+
+
+def test_ground_text_on_a_closure_is_the_reference_rules(tmp_path, capsys):
+    p = _closure_on_chain(20, "path(X,Z) :- edge(X,Y), path(Y,Z).")
+    path = tmp_path / "closure.lp"
+    path.write_text(pretty_print(p), encoding="utf-8")
+    assert run(["ground", str(path), "--text"]) == EXIT_OK
+    naive = naive_ground(p)
+    assert capsys.readouterr().out == "".join(f"{r}\n" for r in naive.rules)
+    g = ground(p)
+    assert g.rules == naive.rules and _one_object_each(g)
+    assert g.rule_count() == len(naive.rules) == _closure_rule_count(20)
 
 
 def test_long_predicate_chain_grounds_without_recursion_error():
