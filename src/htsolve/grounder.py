@@ -509,7 +509,8 @@ def _greatest_fixpoint(heads: list, inner: list) -> list:
 
 
 class _Table(dict):
-    """The numbered rule table: maps each element key to its number.
+    """The numbered rule table: maps each element key to its number, until
+    the grounder's table is finished.
 
     An element is an ordinary or a theory atom.  The grounder keys an
     ordinary atom by (predicate, id tuple); any other key, and every key of
@@ -522,7 +523,7 @@ class _Table(dict):
     """
 
     def __init__(self, terms: _Terms | None = None) -> None:
-        self.terms = terms  # the grounder's; None for rules built by hand
+        self.terms = terms  # the grounder's until finish(); None for rules built by hand
         self.texts: list = []
         self.theory: list = []
         self.rows: dict = {}  # (head, literals) -> None
@@ -581,16 +582,21 @@ class _Table(dict):
         """Make the grounder's objects, one Atom per ordinary atom given its
         text, and order theory by first occurrence over the rows sorted by
         text, as the program lists its rules; only rows that hold a theory
-        atom need a text."""
+        atom need a text, kept in said for rules().  The key map and the
+        terms go: nothing reads them once every row is in."""
         objs = self.terms.objs
         self.objs = [
             Atom(k[0], tuple(map(objs.__getitem__, k[1])), text) if type(k) is tuple else k
             for k, text in zip(self, self.texts)
         ]
+        self.terms = None
+        self.clear()
         theory = set(self.theory)
-        held = [row for row in self.rows if theory.intersection(_elements(row))] if theory else []
+        said = self.said = {
+            row: self.text(row) for row in self.rows if theory.intersection(_elements(row))
+        } if theory else {}
         self.theory = list(dict.fromkeys(
-            e for row in sorted(held, key=self.text) for e in _elements(row) if e in theory
+            e for row in sorted(said, key=said.__getitem__) for e in _elements(row) if e in theory
         ))
 
     def text(self, row: tuple) -> str:
@@ -611,7 +617,7 @@ class _Table(dict):
             made[c] = Literal(True, objs[c]) if c >= 0 else Literal(False, objs[~c])
         return tuple([
             Rule(objs[h] if h >= 0 else FALSITY, tuple(map(made.__getitem__, lits)))
-            for h, lits in sorted(self.rows, key=self.text)
+            for h, lits in sorted(self.rows, key=lambda row: self.said.get(row) or self.text(row))
         ])
 
 

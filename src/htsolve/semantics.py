@@ -166,14 +166,13 @@ class Answers(Sequence):
 
     def __getitem__(self, i):
         if self._items is None:
-            self._items = self._built()
+            self._items = list(self)
         return self._items[i]
 
     def __eq__(self, other):
         if not isinstance(other, (Answers, list, tuple)):
             return NotImplemented
-        items = self._items if self._items is not None else self._built()
-        return items == list(other)
+        return list(self) == list(other)
 
     def __add__(self, other):
         if not isinstance(other, (Answers, list, tuple)):
@@ -202,18 +201,6 @@ class Answers(Sequence):
                 else:
                     pairs = tuple(zip(variables, vals))
                 yield AnswerSet(atoms, Valuation.from_sorted(pairs))
-
-    def _built(self) -> list:
-        """Every AnswerSet, as __iter__ gives them, in one comprehension."""
-        names, valuation = self.variables, Valuation.from_sorted
-        return [
-            AnswerSet(atoms, valuation(
-                tuple(zip(names, vals)) if None not in vals
-                else tuple([(v, x) for v, x in zip(names, vals) if x is not None])
-            ))
-            for atoms, values in self.groups
-            for vals in values
-        ]
 
     def head(self, k: int) -> "Answers":
         """The first k answers."""
