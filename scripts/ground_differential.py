@@ -10,8 +10,8 @@ in the same order, the same universe, and one object per distinct atom
 and per distinct literal in ``ground``'s result.  It also requires both
 producers of the numbered rule table to agree: ``numbered`` of ``ground``'s
 result and of a program built by hand from the reference's rules give the
-same atoms, theory atoms in the same order, variables, and rule rows as a
-multiset.  Variable-free programs count too.  Exits nonzero on the first
+same atoms, theory atoms and variables, each in its text order, and rule
+rows as a multiset.  Variable-free programs count too.  Exits nonzero on the first
 mismatch, printing the program so it can be pasted into a regression test.
 
 Usage:

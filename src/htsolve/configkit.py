@@ -463,9 +463,7 @@ def _constraint_violations(m: ConfigModel, inst: ConfigInstance) -> list:
     program = Program(instance_facts(inst).rules + tuple(m.constraints))
     g = ground(program)
     defining = tuple(r for r in g.rules if not isinstance(r.head, Falsity))
-    checks = sorted(
-        (r for r in g.rules if isinstance(r.head, Falsity)), key=str
-    )
+    checks = [r for r in g.rules if isinstance(r.head, Falsity)]
     models = stable_models_bool(GroundProgram(defining, g.universe))
     if len(models) != 1:
         return [

@@ -202,7 +202,8 @@ class Rule:
         _set(self, "body", tuple(body))
 
     def __str__(self) -> str:
-        body = ", ".join(str(lit) for lit in self.body)
+        # Literal.__str__ inlined: ground rules are formatted to sort and to print
+        body = ", ".join([str(x.atom) if x.positive else f"not {x.atom}" for x in self.body])
         if isinstance(self.head, Falsity):
             return f":- {body}."
         if not self.body:

@@ -42,10 +42,10 @@ The surviving instances go straight into the numbered rule table
 its text when its key is first built, and each kept instance is one row
 (head, literals) over those numbers, deduplicated on that tuple.  Theory
 atoms with rule variables are substituted per surviving instance.
-``semantics.numbered`` only ranks the atoms by their texts and remaps the
-rows.  ``Atom``, ``Literal`` and ``Rule`` objects are built when
-``GroundProgram.rules`` is first read: one per distinct atom and literal,
-the rules sorted by their text.
+``semantics.numbered`` alone orders the elements, theory atoms first and
+each kind by text, and remaps the rows.  ``Atom``, ``Literal`` and ``Rule`` objects are built
+when ``GroundProgram.rules`` is first read: one per distinct atom and
+literal, the rules sorted by their text.
 
 The greatest fixpoint keeps positive loops that nothing derives, such as
 q(x) :- p(x) and p(x) :- q(x), not s(x).  This shows in casp mode, where
@@ -111,7 +111,7 @@ class GroundProgram:
         return len(self.rules) if "rules" in self.__dict__ else len(self._table.rows)
 
     def __str__(self) -> str:
-        return "\n".join(str(r) for r in self.rules)
+        return "\n".join(map(str, self.rules))
 
 
 def herbrand_universe(p) -> tuple:
@@ -515,17 +515,15 @@ class _Table(dict):
     An element is an ordinary or a theory atom.  The grounder keys an
     ordinary atom by (predicate, id tuple); any other key, and every key of
     a table of rules built by hand, is the element itself.  Numbers follow
-    first insertion; texts and objs hold each number's text and object, and
-    theory the theory atoms' numbers by first occurrence over the rules in
-    their order, head before body.  rows holds each rule once, in the order
-    added, as (head, literals): head a number or -1 for #false, a literal n
-    if positive and ~n if negative, in body order.
+    first insertion; texts and objs hold each number's text and object.
+    rows holds each rule once, in the order added, as (head, literals):
+    head a number or -1 for #false, a literal n if positive and ~n if
+    negative, in body order.
     """
 
     def __init__(self, terms: _Terms | None = None) -> None:
         self.terms = terms  # the grounder's until finish(); None for rules built by hand
         self.texts: list = []
-        self.theory: list = []
         self.rows: dict = {}  # (head, literals) -> None
         self.objs: list = []  # filled once every row is in
 
@@ -538,7 +536,6 @@ class _Table(dict):
             self.texts.append(f"{name}({','.join(map(texts.__getitem__, ids))})" if ids else name)
         else:
             self.texts.append(str(key))
-            self.theory.append(n)
         return n
 
     @classmethod
@@ -555,7 +552,6 @@ class _Table(dict):
             rows[h, tuple(lits)] = None
         table.objs = list(table)
         table.texts = list(map(str, table))
-        table.theory = [n for n, e in enumerate(table) if type(e) is not Atom]
         return table
 
     def add(self, c: _RuleCode, frame, head=None) -> None:
@@ -580,10 +576,8 @@ class _Table(dict):
 
     def finish(self) -> None:
         """Make the grounder's objects, one Atom per ordinary atom given its
-        text, and order theory by first occurrence over the rows sorted by
-        text, as the program lists its rules; only rows that hold a theory
-        atom need a text, kept in said for rules().  The key map and the
-        terms go: nothing reads them once every row is in."""
+        text.  The key map and the terms go: nothing reads them once every
+        row is in."""
         objs = self.terms.objs
         self.objs = [
             Atom(k[0], tuple(map(objs.__getitem__, k[1])), text) if type(k) is tuple else k
@@ -591,22 +585,6 @@ class _Table(dict):
         ]
         self.terms = None
         self.clear()
-        theory = set(self.theory)
-        said = self.said = {
-            row: self.text(row) for row in self.rows if theory.intersection(_elements(row))
-        } if theory else {}
-        self.theory = list(dict.fromkeys(
-            e for row in sorted(said, key=said.__getitem__) for e in _elements(row) if e in theory
-        ))
-
-    def text(self, row: tuple) -> str:
-        """The row's rule text, as Rule.__str__ gives it."""
-        h, lits = row
-        texts = self.texts
-        body = ", ".join([texts[c] if c >= 0 else "not " + texts[~c] for c in lits])
-        if h < 0:
-            return f":- {body}."
-        return f"{texts[h]} :- {body}." if lits else f"{texts[h]}."
 
     def rules(self) -> tuple:
         """The rows as Rules sorted by their text, sharing one Literal per
@@ -615,16 +593,10 @@ class _Table(dict):
         made = dict.fromkeys(c for _, lits in self.rows for c in lits)
         for c in made:
             made[c] = Literal(True, objs[c]) if c >= 0 else Literal(False, objs[~c])
-        return tuple([
+        return tuple(sorted([
             Rule(objs[h] if h >= 0 else FALSITY, tuple(map(made.__getitem__, lits)))
-            for h, lits in sorted(self.rows, key=lambda row: self.said.get(row) or self.text(row))
-        ])
-
-
-def _elements(row: tuple) -> list:
-    """The element numbers of a table row, its head (-1: #false) first."""
-    h, lits = row
-    return [h, *[c if c >= 0 else ~c for c in lits]]
+            for h, lits in self.rows
+        ], key=str))
 
 
 def ground(p) -> GroundProgram:

@@ -5,11 +5,11 @@ and finds its Boolean models with the core the oracle runs too,
 _Compiled.models(): Smodels-style propagation with chronological
 backtracking.  Constraint-atom truth is a function of the shared
 valuation, not something rules derive, so the core takes the t distinct
-constraint atoms, ids 0..t-1 of the table, as free propositions; the atoms
-follow in text order.  A free proposition is decided true or false like
-any atom but needs no supporting rule, and a rule with one as head still
-forbids "body true, head false".  The oracle assumes each one's truth
-instead.  The names __t1, __t2, ... exist only in abstract()'s output.
+constraint atoms, ids 0..t-1 in text order, as free propositions; the
+atoms follow in text order.  A free proposition is decided true or false
+like any atom but needs no supporting rule, and a rule with one as head
+still forbids "body true, head false".  The oracle assumes each one's
+truth instead.  abstract() alone names them __t1, __t2, ...
 
 _grid_walk() is the single place that decides valuations: a
 difference-logic graph refutes inconsistent &diff signs outright, each
@@ -89,8 +89,14 @@ def _compile(g: GroundProgram) -> _Compiled:
 
 
 def abstract(g: GroundProgram) -> Abstraction:
-    """Replace constraint atoms by fresh propositions; rejects assignments."""
-    mapping = tuple((Atom(f"__t{k}"), e) for k, e in enumerate(_compile(g).theory, 1))
+    """Replace constraint atoms by fresh propositions __t1, __t2, ..., named
+    by first occurrence over g's rules, a rule's head before its body;
+    rejects assignments."""
+    theory = set(_compile(g).theory)
+    first = dict.fromkeys(
+        e for r in g.rules for e in (r.head, *[lit.atom for lit in r.body]) if e in theory
+    )
+    mapping = tuple((Atom(f"__t{k}"), e) for k, e in enumerate(first, 1))
     prop_of = {e: prop for prop, e in mapping}
 
     def lift(e):

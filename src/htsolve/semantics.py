@@ -46,6 +46,7 @@ from itertools import islice, product
 from .core import (
     AspVar,
     AssignmentAtom,
+    Atom,
     DiffConstraintAtom,
     IntConst,
     LinearConstraintAtom,
@@ -294,16 +295,16 @@ class _Compiled:
     """A ground program numbered once, and the Boolean core over it.
 
     It is made from the program's numbered rule table (grounder._Table),
-    by ranking the atoms by their texts and remapping the rows; no Rule is
-    read, so the grounder's program builds its rules only if they are read.
+    by ranking its elements by their texts and remapping the rows; no Rule
+    is read, so the grounder's program builds its rules only if they are
+    read.  This is the one place that orders the elements.
 
-    Boolean ids put the t distinct theory atoms first, by first occurrence
-    over the program's rules with a rule's head before its body, so
-    theory[k] is id k and abstract()'s __t{k+1}; the atoms follow in text
-    order, atoms[i] as id t + i.  Rule r is (head[r], pos[r], neg[r]) of
-    ids, in the table's row order, head -1 for a constraint, bodies without
-    repeats, and no rule has its head in its positive body (it always holds
-    and supports nothing).  variables are in text order.
+    Boolean ids put the t distinct theory atoms first, in text order, so
+    theory[k] is id k; the atoms follow in text order, atoms[i] as id
+    t + i.  Rule r is (head[r], pos[r], neg[r]) of ids, in the table's row
+    order, head -1 for a constraint, bodies without repeats, and no rule
+    has its head in its positive body (it always holds and supports
+    nothing).  variables are in text order.
     The oracle reads a valuation as a value tuple (None: undefined) and each
     theory atom as an evaluator over such tuples; a truth vector tau holds
     every theory atom's truth at one valuation, and the stable models a
@@ -319,12 +320,11 @@ class _Compiled:
     """
 
     def __init__(self, table):
-        objs, theory = table.objs, table.theory
-        plain = range(len(objs))
+        objs = table.objs
+        order = sorted(range(len(objs)), key=table.texts.__getitem__)
+        theory = [e for e in order if type(objs[e]) is not Atom]
         if theory:
-            is_theory = set(theory)
-            plain = [e for e in plain if e not in is_theory]
-        order = sorted(plain, key=table.texts.__getitem__)
+            order = [e for e in order if type(objs[e]) is Atom]
         self.theory = tuple(map(objs.__getitem__, theory))
         self.atoms = tuple(map(objs.__getitem__, order))
         self.t = t = len(theory)

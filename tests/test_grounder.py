@@ -367,8 +367,9 @@ def test_ground_matches_naive_reference():
 
 
 def _numbering(g) -> tuple:
-    """numbered(g)'s atoms, theory atoms in order, variables, and its rule
-    rows as a multiset of (head, positive body set, negative body set)."""
+    """numbered(g)'s atoms, theory atoms, variables (each in its text
+    order), and its rule rows as a multiset of (head, positive body set,
+    negative body set)."""
     c = numbered(g)
     rows = Counter(zip(c.head, map(frozenset, c.pos), map(frozenset, c.neg)))
     return c.atoms, c.theory, c.variables, rows
@@ -376,11 +377,15 @@ def _numbering(g) -> tuple:
 
 def test_grounder_table_numbers_as_the_rules_do():
     """The grounder's table and the one a program built by hand from the
-    reference's rules make the same numbered program."""
+    reference's rules make the same numbered program, its theory atoms
+    sorted by text."""
     for src, p in _random_programs(random.Random(20261018), 1000):
         naive = naive_ground(p)
         by_hand = GroundProgram(naive.rules, naive.universe)
-        assert _numbering(ground(p)) == _numbering(by_hand), f"program:\n{src}"
+        numbering = _numbering(ground(p))
+        assert numbering == _numbering(by_hand), f"program:\n{src}"
+        texts = [str(e) for e in numbering[1]]
+        assert texts == sorted(texts), f"program:\n{src}"
 
 
 def _one_object_each(g) -> bool:

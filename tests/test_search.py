@@ -37,6 +37,7 @@ from htsolve import (
 from htsolve.core import COMPARATORS, atoms_of, variable_names, variables_of, walk_terms
 from htsolve.grounder import GroundProgram
 from htsolve.ht import _elem_true
+from htsolve.semantics import numbered
 from oracles import REPEATED_BODY, naive_equilibrium, rule_shapes
 from randprog import random_boolean_program, random_hybrid_program
 
@@ -91,7 +92,7 @@ def test_abstract_rejects_assignment_atoms():
 
 
 def test_numbering_contract_golden():
-    """Theory atoms are numbered by first occurrence, a rule's head first."""
+    """abstract() names theory atoms by first occurrence, a rule's head first."""
     src = """
         &sum{1*x} <= 1 :- &diff{x-y} <= 0.
         b :- not a, &sum{1*y} >= 1.
@@ -127,6 +128,19 @@ def test_numbering_contract_golden():
         assert solve(g, "casp", (0, 1), engine) == want
     with pytest.raises(ValueError, match="expects a Boolean program"):
         stable_models_bool(g)
+
+
+def test_theory_atoms_are_numbered_by_text_and_named_by_occurrence():
+    """numbered() puts the theory atoms in text order; abstract() still
+    names them by first occurrence over the rules."""
+    g = gprog("a :- &sum{1*y} >= 1. b :- &diff{x-y} <= 0.")
+    s, d = LinearConstraintAtom(((1, y),), ">=", 1), DiffConstraintAtom(x, y, 0)
+    assert numbered(g).theory == (d, s)
+    assert abstract(g).mapping == ((Atom("__t1"), s), (Atom("__t2"), d))
+    want = naive_equilibrium(g, "casp", (0, 1))
+    assert len(want) == 4
+    for engine in ("oracle", "search"):
+        assert solve(g, "casp", (0, 1), engine) == want
 
 
 # Boolean stable models ----------------------------------------------------------
