@@ -2,11 +2,12 @@
 """Compare translate -> ground -> solve with the configuration instance reference.
 
 Draws random configuration models with ``_draw_model`` of
-``tests/test_configkit.py`` (a partonomy of 2-4 part types, multiplicities
+``tests/randprog.py`` (a partonomy of 2-4 part types, multiplicities
 up to 3, at most 6 minted slots, small attribute ranges, sometimes one
 constraint rule), and requires the instances ``decode_instance`` reads off
-the answers, and the answer count, to equal those of ``_reference``, which
-builds every instance and keeps those ``check_instance`` passes: in
+the answers, and the answer count, to equal those of ``_reference`` of
+``tests/oracles.py``, which builds every instance and keeps those
+``check_instance`` passes: in
 founded mode, in casp mode, and in casp mode on ``--engine search`` for
 models without a constraint rule.  Exits nonzero on the first mismatch,
 printing the model's facts so they can be pasted into a regression test.
@@ -22,7 +23,8 @@ import time
 from pathlib import Path
 
 sys.path[:0] = [str(Path(__file__).resolve().parent.parent / d) for d in ("src", "tests")]
-from test_configkit import _draw_model, _reference, _solved  # noqa: E402
+from oracles import _reference, _solved  # noqa: E402
+from randprog import _draw_model  # noqa: E402
 
 RUNS = [("founded", "oracle"), ("casp", "oracle"), ("casp", "search")]
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Compare the join-based grounder with the cross-product reference.
 
-Draws random safe programs of 2 to 7 rules from the rule pool of
-``tests/test_grounder.py::test_ground_matches_naive_reference`` (facts,
-positive loops, function terms, theory atoms with rule variables, &in
-heads, integrity constraints), grounds each with ``htsolve.ground`` and
-with ``naive_ground`` of ``tests/oracles.py``, and requires the same rules
+Draws random safe programs of 2 to 7 rules from ``_POOL`` of
+``tests/randprog.py``, the rule pool the grounder tests draw from too
+(facts, positive loops, function terms, theory atoms with rule variables,
+&in heads, integrity constraints), grounds each with ``htsolve.ground``
+and with ``naive_ground`` of ``tests/oracles.py``, and requires the same rules
 in the same order, the same universe, and one object per distinct atom
 and per distinct literal in ``ground``'s result.  It also requires both
 producers of the numbered rule table to agree: ``numbered`` of ``ground``'s
@@ -27,8 +27,8 @@ from pathlib import Path
 sys.path[:0] = [str(Path(__file__).resolve().parent.parent / d) for d in ("src", "tests")]
 from htsolve import ground, parse_program  # noqa: E402
 from htsolve.grounder import GroundProgram, check_safety  # noqa: E402
-from oracles import naive_ground  # noqa: E402
-from test_grounder import _POOL, _numbering, _one_object_each  # noqa: E402
+from oracles import _numbering, _one_object_each, naive_ground  # noqa: E402
+from randprog import _POOL  # noqa: E402
 
 
 def main(argv=None) -> int:

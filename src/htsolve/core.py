@@ -170,7 +170,6 @@ class Falsity:
 
 FALSITY = Falsity()
 
-TheoryAtom = Union[LinearConstraintAtom, DiffConstraintAtom, AssignmentAtom]
 BodyElem = Union[Atom, LinearConstraintAtom, DiffConstraintAtom]
 Head = Union[Atom, LinearConstraintAtom, DiffConstraintAtom, AssignmentAtom, Falsity]
 

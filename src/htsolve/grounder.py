@@ -85,8 +85,8 @@ class GroundProgram:
 
     Its numbered rule table (_Table) is the grounder's, or, for a program
     built by hand from rules, made in one pass over them when numbered asks.
-    The grounder's program builds its rules, sorted by text and
-    deduplicated, from its table when rules is first read.
+    The grounder's program builds its rules (sorted by text, deduplicated)
+    and their texts from its table when rules or its text is first read.
     """
 
     rules: tuple
@@ -100,18 +100,20 @@ class GroundProgram:
         _set(self, "_numbered", None)  # semantics.numbered's; not a field
 
     def __getattr__(self, name: str):
-        # only the grounder's program misses an attribute: rules, until read
-        if name != "rules" or self.__dict__.get("_table") is None:
+        # only the grounder's program misses attributes: rules and _texts, until read
+        if name not in ("rules", "_texts") or self.__dict__.get("_table") is None:
             raise AttributeError(name)
-        _set(self, "rules", self._table.rules())
-        return self.rules
+        rules, texts = self._table.rules()
+        _set(self, "rules", rules)
+        _set(self, "_texts", texts)
+        return self.__dict__[name]
 
     def rule_count(self) -> int:
         """len(self.rules), without building the rules."""
         return len(self.rules) if "rules" in self.__dict__ else len(self._table.rows)
 
     def __str__(self) -> str:
-        return "\n".join(map(str, self.rules))
+        return "\n".join(self._texts if self._table is not None else map(str, self.rules))
 
 
 def herbrand_universe(p) -> tuple:
@@ -587,16 +589,19 @@ class _Table(dict):
         self.clear()
 
     def rules(self) -> tuple:
-        """The rows as Rules sorted by their text, sharing one Literal per
-        distinct literal and one object per element."""
+        """The rows as Rules sorted by their text, and those texts; the Rules
+        share one Literal per distinct literal and one object per element."""
         objs = self.objs
         made = dict.fromkeys(c for _, lits in self.rows for c in lits)
         for c in made:
             made[c] = Literal(True, objs[c]) if c >= 0 else Literal(False, objs[~c])
-        return tuple(sorted([
+        rules = [
             Rule(objs[h] if h >= 0 else FALSITY, tuple(map(made.__getitem__, lits)))
             for h, lits in self.rows
-        ], key=str))
+        ]
+        texts = list(map(str, rules))
+        order = sorted(range(len(rules)), key=texts.__getitem__)
+        return tuple(map(rules.__getitem__, order)), list(map(texts.__getitem__, order))
 
 
 def ground(p) -> GroundProgram:

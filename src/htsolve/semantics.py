@@ -14,8 +14,8 @@ table into the Boolean core's arrays (_Compiled), and walks every valuation
 within bounds.  A valuation matters to the Boolean part only through its
 truth vector, the truth of each distinct theory atom, so the core solves
 once per distinct truth vector, with the theory atoms assumed to their
-truth.  Founded mode adds a Horn check per proper sub-valuation, cached
-by (atoms, truth vector, sub-valuation's truth vector).
+truth.  Founded mode adds a Horn pass over the core's rules per proper
+sub-valuation, cached by (atoms, tau, the sub-valuation's tau).
 
 The Boolean core (_Compiled.models; the search engine runs it too) runs
 Smodels' expand (Simons, Niemela, Soininen 2002) to a fixpoint after every
@@ -218,10 +218,6 @@ class Answers(Sequence):
 
 # --- compiled fast paths ---------------------------------------------------
 
-# Head codes of compiled rows: an atom's bit (> 0), _FAIL for a head that
-# cannot hold, or ~tid (< 0) for the theory atom numbered tid.
-_FAIL = 0
-
 # comparator of a false atom; over the integers, < and > become <= and >=
 _NEGATED = {"<=": ">", "=": "!=", "!=": "=", "<": ">=", ">": "<=", ">=": "<"}
 _STRICT = {"<": ("<=", -1), ">": (">=", 1)}
@@ -308,8 +304,7 @@ class _Compiled:
     The oracle reads a valuation as a value tuple (None: undefined) and each
     theory atom as an evaluator over such tuples; a truth vector tau holds
     every theory atom's truth at one valuation, and the stable models a
-    valuation allows depend only on its tau.  Founded mode reads ids as
-    bits of a mask and each rule as a row of horn.
+    valuation allows depend only on its tau.
 
     The core's search (models) keeps values in val (None while open) and,
     in assignment order, on the trail; the entries before qhead have been
@@ -370,7 +365,7 @@ class _Compiled:
                 raise ValueError(f"non-ground element: variable {v}")
         # Set on first use, but declared here: every instance then has one
         # attribute layout, whichever of these methods runs first.
-        self.evaluators = self.horn = None  # by truth() and here_world()
+        self.evaluators = None  # by truth()
         self.val = self.trail = self.need = self.false_lits = self.support = None  # by models()
         self.qhead = 0
 
@@ -411,42 +406,61 @@ class _Compiled:
         t = self.t
         return frozenset([self.atoms[i - t] for i in ids])
 
-    def here_world(self, mask: int, tau: tuple, sub: tuple) -> bool:
-        """Is there a here world with atoms within mask and a valuation whose
-        truth vector is sub, below the there world (mask, tau)?  Its rows
-        are Horn, so one exists iff their least model fires no _FAIL row.
-
-        horn holds each rule as (pos_mask, neg_mask, pids, nids, head code):
-        its body atoms' bits, its theory literals' ids, and as head an
-        atom's bit, ~k for theory atom k or _FAIL."""
-        horn, t = self.horn, self.t
-        if horn is None:
-            horn = self.horn = [
-                (sum([1 << a for a in p if a >= t]), sum([1 << a for a in q if a >= t]),
-                 [a for a in p if a < t], [a for a in q if a < t],
-                 _FAIL if h < 0 else 1 << h if h >= t else ~h)
-                for h, p, q in zip(self.head, self.pos, self.neg)
-            ]
-        rows = []
-        for pm, nm, pids, nids, hc in horn:
-            if pm & ~mask or nm & mask or _blocked(pids, nids, sub, tau):
-                continue
-            if hc < 0 and sub[~hc]:
-                continue  # its theory head holds at sub
-            rows.append((pm, hc if hc > 0 and hc & mask else _FAIL))
-        return _least_model(rows) is not None
+    def here_world(self, there: frozenset, tau: tuple, sub: tuple) -> bool:
+        """Is there a here world with atoms within there and truth vector sub
+        below the there world (there, tau)?  One counter-based Horn pass
+        (Dowling and Gallier 1984) over the rules whose positive atoms are in
+        there and theory literals hold at sub, whose negative atoms are
+        outside there and theory literals are false at tau, and whose theory
+        head, if any, is false at sub: a here world exists iff the pass
+        derives no #false, theory head or atom outside there."""
+        t, head = self.t, self.head
+        need = []  # per rule, its body atoms not yet derived; -1 if it takes no part
+        queue = []
+        for h, p, q in zip(head, self.pos, self.neg):
+            k = 0
+            for a in p:
+                if a >= t:
+                    if a not in there:
+                        break
+                    k += 1
+                elif not sub[a]:
+                    break
+            else:
+                for a in q:
+                    if (a in there) if a >= t else tau[a]:
+                        break
+                else:
+                    if h < 0 or h >= t or not sub[h]:
+                        need.append(k)
+                        if not k:
+                            queue.append(h)
+                        continue
+            need.append(-1)
+        derived = set()
+        while queue:
+            a = queue.pop()
+            if a < t or a not in there:
+                return False
+            if a not in derived:
+                derived.add(a)
+                for r in self.pos_occ[a]:
+                    need[r] -= 1
+                    if not need[r]:
+                        queue.append(head[r])
+        return True
 
     def smaller(self, key: tuple, tau: tuple, subs, memo: dict) -> bool:
         """Does some proper sub-valuation, given by its truth vectors subs,
         have a here world below the there world of the atom ids key and tau?
-        memo caches here_world; the mask is made on a miss only."""
-        mask = None
+        memo caches here_world; the set of key is made on a miss only."""
+        there = None
         for sub in subs:
             found = memo.get((key, tau, sub))
             if found is None:
-                if mask is None:
-                    mask = sum([1 << i for i in key])
-                found = memo[key, tau, sub] = self.here_world(mask, tau, sub)
+                if there is None:
+                    there = frozenset(key)
+                found = memo[key, tau, sub] = self.here_world(there, tau, sub)
             if found:
                 return True
         return False
@@ -656,34 +670,6 @@ def numbered(g: GroundProgram) -> _Compiled:
         prog = _Compiled(g._table if g._table is not None else _Table.of_rules(g.rules))
         object.__setattr__(g, "_numbered", prog)
     return prog
-
-
-def _blocked(pids, nids, pos_truth: tuple, neg_truth: tuple) -> bool:
-    """Does a theory literal make the body false?  Positive ones are read
-    in pos_truth, negative ones in neg_truth."""
-    for i in pids:
-        if not pos_truth[i]:
-            return True
-    for i in nids:
-        if neg_truth[i]:
-            return True
-    return False
-
-
-def _least_model(rows):
-    """Least model of Horn rows (pos_mask, head_code); None once a _FAIL row fires."""
-    model = 0
-    changed = True
-    while changed:
-        changed = False
-        for pos_mask, hc in rows:
-            if (model & pos_mask) == pos_mask:
-                if hc == _FAIL:
-                    return None
-                if not (model & hc):
-                    model |= hc
-                    changed = True
-    return model
 
 
 def _bounds_ok(bounds) -> tuple:

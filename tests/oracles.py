@@ -7,16 +7,29 @@ the definitional satisfaction functions, and difference-logic
 satisfiability is decided by windowed interval narrowing instead of
 incremental potentials, and the reference scanner tries one named
 alternative per token kind with a per-token loop that tracks positions.
+The grounder's and the configuration differentials' checks live here too,
+free of pytest, so that the scripts under scripts/ can import them.
 """
 
 import re
+from collections import Counter
 from itertools import chain, combinations, product
 
-from htsolve.core import Atom, Falsity, Literal, Rule, atoms_of, rule_variables
-from htsolve.grounder import GroundProgram, _subst_elem, check_safety, herbrand_universe
+from htsolve.configkit import (
+    EMPTY_INSTANCE,
+    ConfigInstance,
+    ConfigModel,
+    check_instance,
+    decode_instance,
+    translate,
+    value_bounds,
+)
+from htsolve.core import FALSITY, Atom, Falsity, Literal, Rule, atoms_of, rule_variables
+from htsolve.grounder import GroundProgram, _subst_elem, check_safety, ground, herbrand_universe
 from htsolve.ht import Interpretation, World, is_ht_model
 from htsolve.parser import Diagnostic, _lex, _scan, _Token
-from htsolve.semantics import AnswerSet, Valuation
+from htsolve.search import solve
+from htsolve.semantics import AnswerSet, Valuation, numbered
 
 
 def subsets(items):
@@ -273,3 +286,79 @@ def scanner_differences(src: str) -> list:
     elif scanned is not None and scanned != ([t.kind for t in tokens], [t.text for t in tokens]):
         out.append("kinds and texts")
     return out
+
+
+# the grounder's differential: its numbering and sharing checks
+
+
+def _numbering(g) -> tuple:
+    """numbered(g)'s atoms, theory atoms, variables (each in its text
+    order), and its rule rows as a multiset of (head, positive body set,
+    negative body set)."""
+    c = numbered(g)
+    rows = Counter(zip(c.head, map(frozenset, c.pos), map(frozenset, c.neg)))
+    return c.atoms, c.theory, c.variables, rows
+
+
+def _one_object_each(g) -> bool:
+    """Does g hold one object per distinct atom, theory atoms included, and
+    one per distinct literal?"""
+    atoms: dict = {}
+    literals: dict = {}
+    for r in g.rules:
+        elems = [lit.atom for lit in r.body]
+        if r.head is not FALSITY:
+            elems.append(r.head)
+        if any(atoms.setdefault(e, e) is not e for e in elems):
+            return False
+        if any(literals.setdefault(lit, lit) is not lit for lit in r.body):
+            return False
+    return True
+
+
+# the configuration differential: the instance reference and the path it checks
+
+
+def _subtrees(m: ConfigModel, ident: str, ptype: str, parent) -> list:
+    """Every included subtree at slot ident, as (id, type, parent) triples:
+    per edge, a count j in min..max, and the edge's slots 1..j in."""
+    choices = [[((ident, ptype, parent),)]]
+    for _, child, mn, mx in m.edges_from(ptype):
+        choices.append([
+            sum(kids, ())
+            for j in range(mn, mx + 1)
+            for kids in product(
+                *[_subtrees(m, f"{ident}_{child}_{k}", child, ident) for k in range(1, j + 1)]
+            )
+        ])
+    return [sum(pick, ()) for pick in product(*choices)]
+
+
+def _reference(m: ConfigModel) -> dict:
+    """Every complete instance check_instance passes, mapped to its number of
+    casp answers: w^k, where w is the size of the value window and k the
+    number of attributes of the minted slots it excludes."""
+    trees = _subtrees(m, f"{m.root}1", m.root, None)
+    lo, hi = value_bounds(m)
+    minted = {(ident, ptype) for tree in trees for ident, ptype, _ in tree}
+    out = {}
+    for tree in trees:
+        present = {(ident, ptype) for ident, ptype, _ in tree}
+        k = sum(len(m.attrs_of(ptype)) for _, ptype in minted - present)
+        attrs = [(ident, attr, a, b)
+                 for ident, ptype, _ in tree for _, attr, a, b in m.attrs_of(ptype)]
+        for values in product(*[range(a, b + 1) for *_, a, b in attrs]):
+            inst = ConfigInstance(
+                tuple(present),
+                tuple((ident, parent) for ident, _, parent in tree if parent),
+                tuple((ident, attr, v) for (ident, attr, _, _), v in zip(attrs, values)),
+            )
+            if check_instance(m, inst) == []:
+                out[inst] = (hi - lo + 1) ** k
+    return out
+
+
+def _solved(m: ConfigModel, mode: str, engine: str = "oracle") -> tuple:
+    """The decoded instances of translate -> ground -> solve, and the answer count."""
+    answers = solve(ground(translate(m, EMPTY_INSTANCE, mode)), mode, value_bounds(m), engine)
+    return {decode_instance(a) for a in answers}, len(answers)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from htsolve.configkit import ConfigModel, load_model
 from htsolve.core import (
     COMPARATORS,
     FALSITY,
@@ -25,6 +26,7 @@ from htsolve.core import (
 )
 from htsolve.grounder import GroundProgram
 from htsolve.ht import Interpretation, World
+from htsolve.parser import parse_program
 from htsolve.semantics import Valuation
 
 ATOM_NAMES = ("a", "b", "c", "d", "e", "f")
@@ -242,3 +244,78 @@ def random_source(rng: random.Random, pieces: int = 12) -> str:
     if rng.random() < 0.005:
         out.insert(rng.randint(0, len(out)), "9" * 5000)
     return "".join(out)
+
+
+# The grounder's differential draws programs of 2 to 7 rules from this pool.
+_POOL = [
+    # facts, including a ground function term and integers
+    "p(a).", "p(b).", "q(b).", "e(a,b).", "e(b,a).", "e(b,c).", "p(f(a)).",
+    "w(f(b)).", "m(0).", "r.",
+    # mutual and self positive loops, some through a `not`
+    "q(X) :- p(X).",
+    "p(X) :- q(X), not s(X).",
+    "p(X) :- p(X).",
+    "g :- h.",
+    "h :- g, not r.",
+    "k(X,Y) :- k(Y,X), e(X,Y).",
+    "t(X,Y) :- e(X,Y).",
+    "t(X,Z) :- t(X,Y), e(Y,Z).",
+    "t(X,Z) :- e(X,Y), t(Y,Z).",
+    "s(X) :- p(X), not q(X).",
+    "r :- q(X).",
+    "r :- r, m(X).",
+    "u(X,Y) :- p(X), q(Y), not e(X,Y).",
+    "j(X,Z) :- e(X,Y), e(Y,Z).",
+    "c(Y) :- w(Y), v(Y).",
+    # function-term heads and bodies
+    "w(f(X)) :- p(X).",
+    "v(Y) :- w(Y).",
+    "v(X) :- w(f(X)).",
+    "p(X) :- v(X), m(Y).",
+    # rule variables inside theory atoms and &in heads
+    "a :- &diff{x-y} <= 0, q(X).",
+    "b :- &sum{1*X; 1*y} >= 1, p(X).",
+    "&sum{1*z(X)} <= 1 :- m(X).",
+    "&diff{X-y} <= 1 :- t(X,Y).",
+    "&in{0..1} =: z(X) :- q(X).",
+    # integrity constraints
+    ":- s(X), q(X).",
+    ":- p(X), not r.",
+    ":- t(X,X).",
+]
+
+
+def _draw_model(rng: random.Random) -> ConfigModel:
+    """A random partonomy: 2-4 part types in a tree under the root, max <= 3
+    and at most 6 minted slots, at least one edge with min >= 1 and max > min,
+    attributes of 1-2 values on some types, sometimes one constraint rule."""
+    while True:
+        types = ["car", "a", "b", "c"][: rng.randint(2, 4)]
+        edges = []
+        for i, child in enumerate(types[1:], start=1):
+            mx = rng.randint(1, 3)
+            edges.append((types[rng.randrange(i)], child, rng.randint(0, mx), mx))
+
+        def slots(ident, ptype):
+            """(id, type, whether some instance leaves it out) per slot under ident."""
+            return [s for p, c, mn, mx in edges if p == ptype for k in range(1, mx + 1)
+                    for s in [(f"{ident}_{c}_{k}", c, k > mn), *slots(f"{ident}_{c}_{k}", c)]]
+
+        minted = slots("car1", "car")
+        if len(minted) <= 6 and any(1 <= mn < mx for *_, mn, mx in edges):
+            break
+    facts = [f"ptype({t})." for t in types] + ["root(car)."]
+    facts += [f"subpart({p},{c},{mn},{mx})." for p, c, mn, mx in edges]
+    for t in types:
+        if rng.random() < 0.5:
+            lo = rng.randint(0, 1)
+            facts.append(f"attrdom({t},w,{lo},{lo + rng.randint(0, 1)}).")
+    if rng.random() < 0.4:  # one that only some instances break
+        sid, t, _ = rng.choice([s for s in minted if s[2]])
+        facts.append(rng.choice(
+            [f":- inst({sid},{t}).", f":- parentOf({sid},Y)."]
+            + [f":- inst(X,{c}), parentOf(X,Y), inst(Y,{p})." for p, c, mn, _ in edges if not mn]
+        ))
+    m = load_model(parse_program(" ".join(facts)))
+    assert isinstance(m, ConfigModel), m
+    return m

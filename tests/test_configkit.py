@@ -35,6 +35,8 @@ from htsolve.configkit import (
     _structure,
     relaxed_violations,
 )
+from oracles import _reference, _solved, _subtrees
+from randprog import _draw_model
 
 BIKE_MODEL = """\
 ptype(bike). root(bike).
@@ -697,79 +699,6 @@ def test_model_predicates_are_stable():
 # configuration differential ---------------------------------------------------------
 
 
-def _draw_model(rng: random.Random) -> ConfigModel:
-    """A random partonomy: 2-4 part types in a tree under the root, max <= 3
-    and at most 6 minted slots, at least one edge with min >= 1 and max > min,
-    attributes of 1-2 values on some types, sometimes one constraint rule."""
-    while True:
-        types = ["car", "a", "b", "c"][: rng.randint(2, 4)]
-        edges = []
-        for i, child in enumerate(types[1:], start=1):
-            mx = rng.randint(1, 3)
-            edges.append((types[rng.randrange(i)], child, rng.randint(0, mx), mx))
-
-        def slots(ident, ptype):
-            """(id, type, whether some instance leaves it out) per slot under ident."""
-            return [s for p, c, mn, mx in edges if p == ptype for k in range(1, mx + 1)
-                    for s in [(f"{ident}_{c}_{k}", c, k > mn), *slots(f"{ident}_{c}_{k}", c)]]
-
-        minted = slots("car1", "car")
-        if len(minted) <= 6 and any(1 <= mn < mx for *_, mn, mx in edges):
-            break
-    facts = [f"ptype({t})." for t in types] + ["root(car)."]
-    facts += [f"subpart({p},{c},{mn},{mx})." for p, c, mn, mx in edges]
-    for t in types:
-        if rng.random() < 0.5:
-            lo = rng.randint(0, 1)
-            facts.append(f"attrdom({t},w,{lo},{lo + rng.randint(0, 1)}).")
-    if rng.random() < 0.4:  # one that only some instances break
-        sid, t, _ = rng.choice([s for s in minted if s[2]])
-        facts.append(rng.choice(
-            [f":- inst({sid},{t}).", f":- parentOf({sid},Y)."]
-            + [f":- inst(X,{c}), parentOf(X,Y), inst(Y,{p})." for p, c, mn, _ in edges if not mn]
-        ))
-    return model_of(" ".join(facts))
-
-
-def _subtrees(m: ConfigModel, ident: str, ptype: str, parent) -> list:
-    """Every included subtree at slot ident, as (id, type, parent) triples:
-    per edge, a count j in min..max, and the edge's slots 1..j in."""
-    choices = [[((ident, ptype, parent),)]]
-    for _, child, mn, mx in m.edges_from(ptype):
-        choices.append([
-            sum(kids, ())
-            for j in range(mn, mx + 1)
-            for kids in product(
-                *[_subtrees(m, f"{ident}_{child}_{k}", child, ident) for k in range(1, j + 1)]
-            )
-        ])
-    return [sum(pick, ()) for pick in product(*choices)]
-
-
-def _reference(m: ConfigModel) -> dict:
-    """Every complete instance check_instance passes, mapped to its number of
-    casp answers: w^k, where w is the size of the value window and k the
-    number of attributes of the minted slots it excludes."""
-    trees = _subtrees(m, f"{m.root}1", m.root, None)
-    lo, hi = value_bounds(m)
-    minted = {(ident, ptype) for tree in trees for ident, ptype, _ in tree}
-    out = {}
-    for tree in trees:
-        present = {(ident, ptype) for ident, ptype, _ in tree}
-        k = sum(len(m.attrs_of(ptype)) for _, ptype in minted - present)
-        attrs = [(ident, attr, a, b)
-                 for ident, ptype, _ in tree for _, attr, a, b in m.attrs_of(ptype)]
-        for values in product(*[range(a, b + 1) for *_, a, b in attrs]):
-            inst = ConfigInstance(
-                tuple(present),
-                tuple((ident, parent) for ident, _, parent in tree if parent),
-                tuple((ident, attr, v) for (ident, attr, _, _), v in zip(attrs, values)),
-            )
-            if check_instance(m, inst) == []:
-                out[inst] = (hi - lo + 1) ** k
-    return out
-
-
 def _minimum_rules(program: Program) -> list:
     """The texts of translate's minimum constraints, ":- out(slot), in(parent)."."""
     return [
@@ -798,12 +727,6 @@ def test_translate_emits_one_minimum_constraint_per_parent_slot_and_edge():
     backwards = ConfigModel(("bike", "wheel"), "bike", (("bike", "wheel", 3, 2),), ())
     with pytest.raises(ValueError, match=r"subpart\(bike,wheel\): min 3 exceeds max 2"):
         translate(backwards, EMPTY_INSTANCE, "founded")
-
-
-def _solved(m: ConfigModel, mode: str, engine: str = "oracle") -> tuple:
-    """The decoded instances of translate -> ground -> solve, and the answer count."""
-    answers = solve(ground(translate(m, EMPTY_INSTANCE, mode)), mode, value_bounds(m), engine)
-    return {decode_instance(a) for a in answers}, len(answers)
 
 
 def test_config_differential_against_the_instance_reference():

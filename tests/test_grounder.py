@@ -5,12 +5,10 @@ here too, and the join-based ``ground`` is compared against it.
 """
 
 import random
-from collections import Counter
 
 import pytest
 
 from htsolve import (
-    FALSITY,
     AspVar,
     Atom,
     GroundProgram,
@@ -28,8 +26,8 @@ from htsolve import (
 from htsolve.cli import EXIT_OK, EXIT_SAT
 from htsolve.core import rule_variables
 from htsolve.grounder import check_safety, herbrand_universe
-from htsolve.semantics import numbered
-from oracles import instances, naive_ground
+from oracles import _numbering, _one_object_each, instances, naive_ground
+from randprog import _POOL
 
 
 def prog(src: str) -> Program:
@@ -270,43 +268,6 @@ def test_ground_program_defaults():
 
 # join-based ground == cross-product reference ----------------------------------
 
-_POOL = [
-    # facts, including a ground function term and integers
-    "p(a).", "p(b).", "q(b).", "e(a,b).", "e(b,a).", "e(b,c).", "p(f(a)).",
-    "w(f(b)).", "m(0).", "r.",
-    # mutual and self positive loops, some through a `not`
-    "q(X) :- p(X).",
-    "p(X) :- q(X), not s(X).",
-    "p(X) :- p(X).",
-    "g :- h.",
-    "h :- g, not r.",
-    "k(X,Y) :- k(Y,X), e(X,Y).",
-    "t(X,Y) :- e(X,Y).",
-    "t(X,Z) :- t(X,Y), e(Y,Z).",
-    "t(X,Z) :- e(X,Y), t(Y,Z).",
-    "s(X) :- p(X), not q(X).",
-    "r :- q(X).",
-    "r :- r, m(X).",
-    "u(X,Y) :- p(X), q(Y), not e(X,Y).",
-    "j(X,Z) :- e(X,Y), e(Y,Z).",
-    "c(Y) :- w(Y), v(Y).",
-    # function-term heads and bodies
-    "w(f(X)) :- p(X).",
-    "v(Y) :- w(Y).",
-    "v(X) :- w(f(X)).",
-    "p(X) :- v(X), m(Y).",
-    # rule variables inside theory atoms and &in heads
-    "a :- &diff{x-y} <= 0, q(X).",
-    "b :- &sum{1*X; 1*y} >= 1, p(X).",
-    "&sum{1*z(X)} <= 1 :- m(X).",
-    "&diff{X-y} <= 1 :- t(X,Y).",
-    "&in{0..1} =: z(X) :- q(X).",
-    # integrity constraints
-    ":- s(X), q(X).",
-    ":- p(X), not r.",
-    ":- t(X,X).",
-]
-
 
 def _least_fixpoint_drops(g) -> bool:
     """Does g keep an instance whose positive body is not derivable bottom-up?"""
@@ -366,15 +327,6 @@ def test_ground_matches_naive_reference():
     assert beyond_least_fixpoint >= 50, beyond_least_fixpoint
 
 
-def _numbering(g) -> tuple:
-    """numbered(g)'s atoms, theory atoms, variables (each in its text
-    order), and its rule rows as a multiset of (head, positive body set,
-    negative body set)."""
-    c = numbered(g)
-    rows = Counter(zip(c.head, map(frozenset, c.pos), map(frozenset, c.neg)))
-    return c.atoms, c.theory, c.variables, rows
-
-
 def test_grounder_table_numbers_as_the_rules_do():
     """The grounder's table and the one a program built by hand from the
     reference's rules make the same numbered program, its theory atoms
@@ -386,22 +338,6 @@ def test_grounder_table_numbers_as_the_rules_do():
         assert numbering == _numbering(by_hand), f"program:\n{src}"
         texts = [str(e) for e in numbering[1]]
         assert texts == sorted(texts), f"program:\n{src}"
-
-
-def _one_object_each(g) -> bool:
-    """Does g hold one object per distinct atom, theory atoms included, and
-    one per distinct literal?"""
-    atoms: dict = {}
-    literals: dict = {}
-    for r in g.rules:
-        elems = [lit.atom for lit in r.body]
-        if r.head is not FALSITY:
-            elems.append(r.head)
-        if any(atoms.setdefault(e, e) is not e for e in elems):
-            return False
-        if any(literals.setdefault(lit, lit) is not lit for lit in r.body):
-            return False
-    return True
 
 
 # Variable-free rules only: ground keeps them without a join.

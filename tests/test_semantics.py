@@ -626,6 +626,17 @@ def test_founded_here_check_reads_negation_at_there():
     assert not is_equilibrium(AnswerSet(frozenset({c}), Valuation.of({y: 1})), g, "founded", (0, 1))
 
 
+def test_founded_here_check_fires_a_rule_on_its_whole_body_only():
+    """x supports itself through b: dropping x keeps a but not b, so the
+    rule for x must not fire on a alone, and {a, b} with x valued is not
+    founded."""
+    g = gprog("a. b :- &sum{1*x} >= 0. &in{0..1} =: x :- a, b.")
+    want = [AnswerSet(frozenset({a}))]
+    assert enumerate_equilibrium(g, "founded", (0, 1)) == want
+    assert naive_equilibrium(g, "founded", (0, 1)) == want
+    assert not is_equilibrium(AnswerSet(frozenset({a, b}), Valuation.of({x: 0})), g, "founded", (0, 1))
+
+
 def test_cancelled_variable_must_still_be_defined_founded():
     """x's coefficients cancel in the &sum, which still needs x defined:
     with b false x stays undefined, so a is not derived."""
