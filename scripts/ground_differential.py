@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Compare the join-based grounder with the cross-product reference.
 
-Draws random safe programs of 2 to 7 rules from ``_POOL`` of
-``tests/randprog.py``, the rule pool the grounder tests draw from too
+Draws random safe programs of 2 to 7 rules (``--rules`` raises the 7) from
+``_POOL`` of ``tests/randprog.py``, the rule pool the grounder tests draw from too
 (facts, positive loops, function terms, theory atoms with rule variables,
 &in heads, integrity constraints), grounds each with ``htsolve.ground``
 and with ``naive_ground`` of ``tests/oracles.py``, and requires the same rules
@@ -14,8 +14,11 @@ same atoms, theory atoms and variables, each in its text order, and rule
 rows as a multiset.  Variable-free programs count too.  Exits nonzero on the first
 mismatch, printing the program so it can be pasted into a regression test.
 
+Bigger programs meet facts and recursive components together more often.
+
 Usage:
     python3 scripts/ground_differential.py --count 2000 --seed 808
+    python3 scripts/ground_differential.py --count 2000 --seed 818 --rules 14
 """
 
 import argparse
@@ -35,13 +38,17 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=8)
+    ap.add_argument("--rules", type=int, default=7, metavar="MAX",
+                    help="most rules per program, at least 2 (default 7)")
     args = ap.parse_args(argv)
+    if args.rules < 2:
+        ap.error("--rules must be at least 2")
 
     rng = random.Random(args.seed)
     seconds = {"ground": 0.0, "naive": 0.0}
     programs = rules = 0
     while programs < args.count:
-        src = "\n".join(rng.choice(_POOL) for _ in range(rng.randint(2, 7)))
+        src = "\n".join(rng.choice(_POOL) for _ in range(rng.randint(2, args.rules)))
         p = parse_program(src)
         if check_safety(p):
             continue

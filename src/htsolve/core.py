@@ -31,6 +31,9 @@ class IntConst:
 
     value: int
 
+    def __hash__(self) -> int:
+        return hash(self.value)
+
     def __str__(self) -> str:
         return str(self.value)
 
@@ -40,6 +43,9 @@ class SymConst:
     """Symbolic constant; also names an integer variable inside constraint atoms."""
 
     name: str
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __str__(self) -> str:
         return self.name
@@ -57,14 +63,23 @@ class AspVar:
 
 @dataclass(frozen=True, init=False)
 class FuncTerm:
-    """Applied symbol such as w(a).  Arguments must themselves be flat terms."""
+    """Applied symbol such as w(a).  Arguments must themselves be flat terms.
+    The hash is computed once, as an Atom's is."""
 
     name: str
     args: tuple
 
     def __init__(self, name: str, args) -> None:
+        args = tuple(args)
         _set(self, "name", name)
-        _set(self, "args", tuple(args))
+        _set(self, "args", args)
+        _set(self, "_hash", hash((name, args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # as Atom's: a copy in another process rehashes
+        return (FuncTerm, (self.name, self.args))
 
     def __str__(self) -> str:
         return f"{self.name}({','.join(str(a) for a in self.args)})"

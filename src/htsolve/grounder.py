@@ -5,11 +5,11 @@ constraint atoms never bind variables, and a variable binds only to a term
 of the Herbrand universe (a derived term such as f(a) from a head w(f(X))
 is never a binding unless it occurs in the program).
 
-Every rule is walked once (``_RuleCode``); the walk yields its variables,
-its safety, the ground terms it adds to the universe and each ordinary atom
-as a predicate name plus argument codes.  Terms are interned as ints: the
-universe's terms are ids 0..U-1 in universe order, and derived function
-terms get ids from U on, so "binds only in the universe" is "id below U".
+Every rule but a constant fact is walked once (``_RuleCode``); the walk
+yields its variables, its safety, the ground terms it adds to the universe
+and each ordinary atom as a predicate name plus argument codes.  Terms are
+interned as ints: the universe's terms are ids 0..U-1 in universe order, and
+derived function terms ids from U on, so "binds only in the universe" is "id below U".
 An instance is a rule's code plus a frame, a tuple of ids: the constants
 of its atoms with variables, then its variables in the order the join binds
 them, then those that range over the universe.  An atom of an instance is (predicate name,
@@ -34,7 +34,11 @@ A variable-free rule is not planned and has no frame: its walk's ground
 terms give its atoms' id tuples directly (``_RuleCode.fix``).  It is a
 candidate when each of its positive body atoms from a lower component is
 already kept, and its same-component body atoms enter the greatest
-fixpoint like any instance's.
+fixpoint like any instance's.  A constant fact (no body, an ordinary head
+over constants) is data, as in gringo's predicate domains: not walked, its
+arguments join the universe, and its key is kept, and made one bodiless row,
+before any component is processed; it supports its component's instances in
+the greatest fixpoint.
 
 The surviving instances go straight into the numbered rule table
 (``_Table``).  Each distinct ground element, an ordinary atom keyed by its
@@ -59,7 +63,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, product
+from itertools import compress, count, product, repeat
 from operator import itemgetter
 
 from .core import (
@@ -71,9 +75,11 @@ from .core import (
     DiffConstraintAtom,
     Falsity,
     FuncTerm,
+    IntConst,
     LinearConstraintAtom,
     Literal,
     Rule,
+    SymConst,
     _set,
     theory_terms,
 )
@@ -133,7 +139,7 @@ def _unsafe(codes: list) -> list:
     return [
         Diagnostic(i, "unsafe variables: " + ", ".join(sorted(v.name for v in c.unsafe)))
         for i, c in enumerate(codes)
-        if c.unsafe
+        if c and c.unsafe
     ]
 
 
@@ -285,7 +291,7 @@ class _Kept:
         self.index: dict = {}
 
     def add(self, heads) -> None:
-        # All atoms of a key arrive in one call, before any lookup of that key.
+        # All atoms of a key arrive before any lookup of that key.
         for key in heads:
             if key not in self.keys:
                 self.keys.add(key)
@@ -483,11 +489,12 @@ def _components(plain: list) -> list:
     return strongly_connected(succ)
 
 
-def _greatest_fixpoint(heads: list, inner: list) -> list:
+def _greatest_fixpoint(heads: list, inner: list, given: set) -> list:
     """Which candidates are left once every instance with an unsupported
     same-component atom is gone: one flag per candidate, given its head
-    key in heads, and inner holding (candidate number, atom key) per
-    same-component positive body atom."""
+    key in heads, inner holding (candidate number, atom key) per same-component
+    positive body atom, and given the keys kept already: the constant facts,
+    supported without a candidate, and lower components' atoms, never inner."""
     alive = [True] * len(heads)
     if not inner:
         return alive
@@ -496,7 +503,7 @@ def _greatest_fixpoint(heads: list, inner: list) -> list:
     doomed = []
     for n, atom in inner:
         watchers[atom].append(n)
-        if atom not in support:
+        if atom not in support and atom not in given:
             doomed.append(n)
     while doomed:
         n = doomed.pop()
@@ -505,7 +512,7 @@ def _greatest_fixpoint(heads: list, inner: list) -> list:
         alive[n] = False
         head = heads[n]
         support[head] -= 1
-        if not support[head]:
+        if not support[head] and head not in given:
             doomed.extend(watchers.get(head, ()))
     return alive
 
@@ -607,13 +614,22 @@ class _Table(dict):
 def ground(p) -> GroundProgram:
     """Instantiate p bottom-up over its universe; rejects unsafe programs."""
     found: set = set()
-    codes = [_RuleCode(r, found) for r in p.rules]
+    facts = []  # the constant facts' heads
+    codes = []  # None in a constant fact's place, so that rule indices hold
+    for r in p.rules:
+        h = r.head
+        if not r.body and type(h) is Atom and all(type(t) in (SymConst, IntConst) for t in h.args):
+            found.update(h.args)
+            facts.append(h)
+            codes.append(None)
+        else:
+            codes.append(_RuleCode(r, found))
     diags = _unsafe(codes)
     if diags:
         raise ValueError("unsafe program: " + "; ".join(str(d) for d in diags))
     universe = tuple(sorted(found, key=str))
     terms = _Terms(universe)
-    plain = [c for c in codes if c.head_pkey]
+    plain = [c for c in codes if c and c.head_pkey]
     components = _components(plain)
     component_of = {k: i for i, keys in enumerate(components) for k in keys}
     by_component: list = [[] for _ in components]
@@ -621,25 +637,32 @@ def ground(p) -> GroundProgram:
         by_component[component_of[c.head_pkey]].append(c)
     kept = _Kept()
     table = _Table(terms)
+    if facts:
+        given = [(h.predicate, tuple([terms.ids[t] for t in h.args])) for h in facts]
+        kept.add(given)
+        for k in given:
+            table.rows[table[k], ()] = None
     for i, keys in enumerate(components):
         candidates: list = []  # (code, frame)
         heads: list = []
         inner: list = []
         for c in by_component[i]:
-            for f in c.frames(kept, terms, keys):
-                if f is None:
-                    inner += [(len(heads), k) for pos, k, pkey in c.lits if pos and pkey in keys]
-                    heads.append(c.hkey)
-                else:
-                    inner += [(len(heads), (a.name, a.ids(f))) for a in c.inner]
-                    heads.append((c.head.name, c.head.ids(f)))
-                candidates.append((c, f))
-        alive = _greatest_fixpoint(heads, inner)
+            frames = c.frames(kept, terms, keys)
+            if frames == [None]:
+                inner += [(len(heads), k) for pos, k, pkey in c.lits if pos and pkey in keys]
+                heads.append(c.hkey)
+                candidates.append((c, None))
+            elif frames:
+                for a in c.inner:
+                    inner += zip(count(len(heads)), zip(repeat(a.name), map(a.ids, frames)))
+                heads += zip(repeat(c.head.name), map(c.head.ids, frames))
+                candidates += zip(repeat(c), frames)
+        alive = _greatest_fixpoint(heads, inner, kept.keys)
         kept.add(compress(heads, alive))
         for (c, f), h in compress(zip(candidates, heads), alive):
             table.add(c, f, h)
     for c in codes:
-        if not c.head_pkey:
+        if c and not c.head_pkey:
             for f in c.frames(kept, terms, ()):
                 table.add(c, f)
     table.finish()

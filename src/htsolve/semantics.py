@@ -300,7 +300,10 @@ class _Compiled:
     t + i.  Rule r is (head[r], pos[r], neg[r]) of ids, in the table's row
     order, head -1 for a constraint, bodies without repeats, and no rule
     has its head in its positive body (it always holds and supports
-    nothing).  variables are in text order.
+    nothing).  variables are in text order.  cyclic holds the atoms on a
+    positive cycle; those whose positive bodies reach no cycle are peeled
+    off by counters first, so an acyclic program is never split into
+    strongly connected components.
     The oracle reads a valuation as a value tuple (None: undefined) and each
     theory atom as an evaluator over such tuples; a truth vector tau holds
     every theory atom's truth at one valuation, and the stable models a
@@ -332,7 +335,7 @@ class _Compiled:
         self.pos_occ = pos_occ = [[] for _ in range(n)]
         self.neg_occ = neg_occ = [[] for _ in range(n)]
         self.head_occ = head_occ = [[] for _ in range(n)]
-        succ: dict = {}  # positive dependency graph of the heads with a positive body
+        left = [0] * n + [-1]  # per head, its rules' positive body atoms not yet peeled
         for h, lits in table.rows:
             h = ids[h]
             p, q = [], []
@@ -352,8 +355,7 @@ class _Compiled:
             if h >= 0:
                 support[h] += 1
                 head_occ[h].append(r)
-                if p:
-                    succ.setdefault(h, []).extend(p)
+                left[h] += len(p)
             for a in p:
                 pos_occ[a].append(r)
             for a in q:
@@ -372,12 +374,21 @@ class _Compiled:
         # Unfounded-set check: only atoms on a positive cycle need it; for
         # the rest, support (a rule whose body is not false) is enough.  No
         # rule is left with its head in its positive body, so a cycle has
-        # two atoms at least.
-        for h, body in succ.items():
-            succ[h] = [a for a in body if a in succ]
+        # two atoms at least.  Only the atoms that reach a cycle outlast the
+        # peel (left[-1], a #false head's, never reaches 0).
         self.cyclic = []
-        if any(succ.values()):
-            self.cyclic = [a for c in strongly_connected(succ) if len(c) > 1 for a in c]
+        if any(left[a] for p in pos for a in p):  # else no head waits on another
+            peeled = [a for a in range(n) if not left[a]]
+            for a in peeled:
+                for r in pos_occ[a]:
+                    h = heads[r]
+                    left[h] -= 1
+                    if not left[h]:
+                        peeled.append(h)
+            if len(peeled) < n:
+                succ = {h: [a for r in head_occ[h] for a in pos[r] if left[a]]
+                        for h in range(n) if left[h]}
+                self.cyclic = [a for c in strongly_connected(succ) if len(c) > 1 for a in c]
         self.loop_seeds, self.loop_rules, self.loop_need, self.loop_occ = [], [], [], []
         if not self.cyclic:
             return  # _expand never runs _atmost

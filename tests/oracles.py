@@ -300,6 +300,31 @@ def _numbering(g) -> tuple:
     return c.atoms, c.theory, c.variables, rows
 
 
+def cyclic_atoms(g) -> set:
+    """The atoms of g, theory atoms included, that reach themselves through a
+    cycle of two or more atoms, by plain reachability over the positive
+    dependency graph: an edge from each rule's head to each element of its
+    positive body.  A rule whose head is in its own positive body always
+    holds and supports nothing, so it adds no edge."""
+    succ: dict = {}
+    for r in g.rules:
+        body = {lit.atom for lit in r.body if lit.positive}
+        if r.head is not FALSITY and r.head not in body:
+            succ.setdefault(r.head, set()).update(body)
+    cyclic = set()
+    for a in succ:
+        seen: set = set()
+        stack = list(succ[a])
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack.extend(succ.get(b, ()))
+        if a in seen:
+            cyclic.add(a)
+    return cyclic
+
+
 def _one_object_each(g) -> bool:
     """Does g hold one object per distinct atom, theory atoms included, and
     one per distinct literal?"""

@@ -179,6 +179,14 @@ def test_solve_unsafe_program(lp, capsys):
     )
 
 
+def test_solve_unsafe_program_after_a_fact_names_its_source_index(lp, capsys):
+    path = lp("p(a).\nq(X) :- not p(X).")
+    assert run(["solve", path]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"htsolve: {path}: unsafe program: rule 1: unsafe variables: X\n"
+    )
+
+
 def test_solve_domain_argument_validation(lp, capsys):
     path = lp("a.")
     assert run(["solve", path, "--domain", "5..1"]) == EXIT_USAGE

@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
-from htsolve import check_wellformed
+from htsolve import check_wellformed, parse_term
 from htsolve.core import (
     FALSITY,
     AspVar,
@@ -213,6 +213,20 @@ def test_ast_nodes_are_hashable_and_comparable():
     assert Atom("a") == Atom("a")
     assert len({Atom("a"), Atom("a"), Atom("b")}) == 2
     assert DiffConstraintAtom(X, Y, 1) != DiffConstraintAtom(Y, X, 1)
+
+
+def test_terms_hash_alike_from_the_parser_and_by_hand():
+    # constants hash their one field; a function term keeps its hash
+    by_hand = FuncTerm("f", [SymConst("a"), IntConst(2)])
+    parsed = parse_term("f(a,2)")
+    assert parsed == by_hand and hash(parsed) == hash(by_hand)
+    assert {parsed: 1}[by_hand] == 1
+    for text, term in (("a", SymConst("a")), ("2", IntConst(2)), ("-3", IntConst(-3))):
+        assert parse_term(text) == term and hash(parse_term(text)) == hash(term)
+    assert SymConst("a") != AspVar("a") and len({SymConst("a"), AspVar("a")}) == 2
+    assert SymConst("1") != IntConst(1)
+    assert hash(pickle.loads(pickle.dumps(by_hand))) == hash(by_hand)
+    assert hash(replace(by_hand, name="h")) == hash(FuncTerm("h", by_hand.args))
 
 
 def test_direct_constructors_build_what_the_dataclass_builds():

@@ -130,6 +130,12 @@ def test_ground_plain_example():
     assert gp.universe == (SymConst("a"), SymConst("b"))
 
 
+def test_ground_names_the_unsafe_rule_by_its_source_index_after_a_fact():
+    # a constant fact is not walked, but still counts in the rule numbering
+    with pytest.raises(ValueError, match="unsafe program: rule 1: unsafe variables: X"):
+        ground(prog("p(a). q(X) :- not p(X)."))
+
+
 def test_ground_rejects_unsafe_program():
     with pytest.raises(ValueError, match="unsafe program: rule 0: unsafe variables: X"):
         ground(prog("q(X) :- not p(X)."))
@@ -387,6 +393,36 @@ def test_ground_matches_naive_reference_on_variable_free_programs():
         assert _one_object_each(joined), f"program:\n{src}"
         dropped += len(joined.rules) < len(set(p.rules))
     assert dropped >= 100, dropped
+
+
+# Constant facts are data: kept before any component, supporting their
+# component's instances in the greatest fixpoint, one bodiless row each.
+# Each case meets one side of that path; a fact over a function term takes
+# the general one.
+_FACT_CASES = [
+    # facts were not support in a first draft of the path; this caught it
+    "p(c) :- q(c). p(a). &in{0..1} =: z :- q(b). p(a). q(a) :- p(a). t(a,b) :- e(a,b).",
+    # facts sharing a predicate with a recursive rule
+    "e(a,b). e(X,Y) :- e(Y,X).",
+    "e(a,b). e(b,c). e(X,Z) :- e(X,Y), e(Y,Z). f(X) :- e(X,X).",
+    # duplicate facts
+    "p(a). p(a). q(X) :- p(X). p(X) :- q(X), not s(X). p(a).",
+    # a 0-ary fact, alone and supporting a loop
+    "r. g :- h. h :- g, r. s :- r, not g.",
+    # integer facts
+    "m(0). m(1). m(0). n(X) :- m(X), n(X). n(X) :- m(X), not k. &sum{1*z(X)} <= 1 :- m(X).",
+    # a function-term fact
+    "p(f(a)). q(X) :- p(f(X)). p(X) :- q(X). w(f(X)) :- q(X).",
+]
+
+
+@pytest.mark.parametrize("src", _FACT_CASES)
+def test_constant_facts_ground_as_the_reference_does(src):
+    p = prog(src)
+    joined, naive = ground(p), naive_ground(p)
+    assert joined.rules == naive.rules
+    assert joined.universe == naive.universe
+    assert _numbering(joined) == _numbering(GroundProgram(naive.rules, naive.universe))
 
 
 # scale ------------------------------------------------------------------------
