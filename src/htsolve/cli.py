@@ -204,8 +204,10 @@ def _print_answers(answers: Answers) -> None:
     """Write the answers from their value tuples, _CHUNK answers per write.
 
     One format string serves every answer: the answer number, the atoms
-    line (made once per group) and the values.  An answer with an undefined
-    variable (founded mode) lists only the defined ones.
+    line and the values.  The atoms line is made once per group, by joining
+    the atoms' texts in id order, which is their text order, so no Atom is
+    built.  An answer with an undefined variable (founded mode) lists only
+    the defined ones.
     """
     names = [str(v) for v in answers.variables]
     fmt = "Answer: {}\n{}\n"
@@ -221,8 +223,9 @@ def _print_answers(answers: Answers) -> None:
     write = sys.stdout.write
     buf: list = []
     n = 0
-    for atoms, values in answers.groups:
-        line = " ".join(sorted([str(a) for a in atoms]))
+    texts = answers.prog.texts
+    for ids, values in answers.id_groups:
+        line = " ".join(map(texts.__getitem__, ids))
         numbered_values = zip(count(n + 1), values)
         while True:
             k = len(buf)

@@ -17,11 +17,11 @@ from typing import Iterator, Union
 COMPARATORS = ("<=", "=", "!=", "<", ">", ">=")
 
 
-# The nodes built by the million (FuncTerm, Atom, Literal, Rule) have a
-# hand-written __init__ that sets each field with _set, one by one, as the
-# dataclass __init__ of a frozen class does.  That keeps the node's compact
-# shared-key attribute storage; filling node.__dict__ in one go would make it
-# a full dict, about 150 bytes more per node.
+# The nodes built or hashed by the million (SymConst, FuncTerm, Atom, Literal,
+# Rule) have a hand-written __init__ that sets each field with _set, one by
+# one, as the dataclass __init__ of a frozen class does.  That keeps the
+# node's compact shared-key attribute storage; filling node.__dict__ in one
+# go would make it a full dict, about 150 bytes more per node.
 _set = object.__setattr__
 
 
@@ -38,14 +38,22 @@ class IntConst:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymConst:
-    """Symbolic constant; also names an integer variable inside constraint atoms."""
+    """Symbolic constant; also names an integer variable inside constraint atoms.
+    The hash is computed once, as a FuncTerm's is."""
 
     name: str
 
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "_hash", hash(name))
+
     def __hash__(self) -> int:
-        return hash(self.name)
+        return self._hash
+
+    def __reduce__(self):  # as Atom's: a copy in another process rehashes
+        return (SymConst, (self.name,))
 
     def __str__(self) -> str:
         return self.name

@@ -47,9 +47,14 @@ its text when its key is first built, and each kept instance is one row
 (head, literals) over those numbers, deduplicated on that tuple.  Theory
 atoms with rule variables are substituted per surviving instance.
 ``semantics.numbered`` alone orders the elements, theory atoms first and
-each kind by text, and remaps the rows.  ``Atom``, ``Literal`` and ``Rule`` objects are built
-when ``GroundProgram.rules`` is first read: one per distinct atom and
-literal, the rules sorted by their text.
+each kind by text, and remaps the rows.  An ordinary atom stays its key and
+its text: its ``Atom`` is built only when something reads it, through the
+one accessor ``_Table.elements``, which ``GroundProgram.rules``,
+``_Compiled.atoms`` and the answers' atom sets share, so every reader gets
+one object per element.  ``Literal`` and ``Rule`` objects are built when
+``GroundProgram.rules`` is first read: one per distinct literal, the rules
+sorted by their text.  Solving and printing need none of them: the CLI
+prints an answer's atoms from their texts.
 
 The greatest fixpoint keeps positive loops that nothing derives, such as
 q(x) :- p(x) and p(x) :- q(x), not s(x).  This shows in casp mode, where
@@ -524,15 +529,18 @@ class _Table(dict):
     An element is an ordinary or a theory atom.  The grounder keys an
     ordinary atom by (predicate, id tuple); any other key, and every key of
     a table of rules built by hand, is the element itself.  Numbers follow
-    first insertion; texts and objs hold each number's text and object.
-    rows holds each rule once, in the order added, as (head, literals):
-    head a number or -1 for #false, a literal n if positive and ~n if
-    negative, in body order.
+    first insertion; texts holds each number's text, and theory the numbers
+    of the theory atoms.  rows holds each rule once, in the order added, as
+    (head, literals): head a number or -1 for #false, a literal n if
+    positive and ~n if negative, in body order.  objs holds each number's
+    key until elements() first reads it, and its object from then on: an
+    ordinary atom's Atom is built then, given its text.
     """
 
     def __init__(self, terms: _Terms | None = None) -> None:
-        self.terms = terms  # the grounder's until finish(); None for rules built by hand
+        self.terms = terms  # the grounder's, then its term objects; None for rules built by hand
         self.texts: list = []
+        self.theory: list = []
         self.rows: dict = {}  # (head, literals) -> None
         self.objs: list = []  # filled once every row is in
 
@@ -545,6 +553,7 @@ class _Table(dict):
             self.texts.append(f"{name}({','.join(map(texts.__getitem__, ids))})" if ids else name)
         else:
             self.texts.append(str(key))
+            self.theory.append(n)
         return n
 
     @classmethod
@@ -561,6 +570,7 @@ class _Table(dict):
             rows[h, tuple(lits)] = None
         table.objs = list(table)
         table.texts = list(map(str, table))
+        table.theory = [n for n, e in enumerate(table.objs) if type(e) is not Atom]
         return table
 
     def add(self, c: _RuleCode, frame, head=None) -> None:
@@ -584,21 +594,30 @@ class _Table(dict):
         self.rows[-1 if head is None else self[head], lits] = None
 
     def finish(self) -> None:
-        """Make the grounder's objects, one Atom per ordinary atom given its
-        text.  The key map and the terms go: nothing reads them once every
-        row is in."""
-        objs = self.terms.objs
-        self.objs = [
-            Atom(k[0], tuple(map(objs.__getitem__, k[1])), text) if type(k) is tuple else k
-            for k, text in zip(self, self.texts)
-        ]
-        self.terms = None
+        """Keep each element's key in objs and the term objects an Atom is
+        built from; the key map goes, since nothing looks a key up once
+        every row is in."""
+        self.objs = list(self)
+        self.terms = self.terms.objs
         self.clear()
+
+    def elements(self, numbers) -> list:
+        """The objects of the elements with the given numbers.  An ordinary
+        atom's Atom is built, given its text, on its first read and kept in
+        objs, so every reader shares one object per element."""
+        objs = self.objs
+        out = []
+        for n in numbers:
+            e = objs[n]
+            if type(e) is tuple:
+                e = objs[n] = Atom(e[0], tuple(map(self.terms.__getitem__, e[1])), self.texts[n])
+            out.append(e)
+        return out
 
     def rules(self) -> tuple:
         """The rows as Rules sorted by their text, and those texts; the Rules
         share one Literal per distinct literal and one object per element."""
-        objs = self.objs
+        objs = self.elements(range(len(self.objs)))
         made = dict.fromkeys(c for _, lits in self.rows for c in lits)
         for c in made:
             made[c] = Literal(True, objs[c]) if c >= 0 else Literal(False, objs[~c])

@@ -34,8 +34,9 @@ walks by prefix, then first value, puts the group's valuations in grid
 order, and one _Grid per group holds them.  With models=N that _Grid
 stops reading at the Nth answer, so each walk goes at most the one run
 the merge holds ahead past it, and no group past it is certified.  Both
-engines return an Answers sequence: value tuples per atom set, in printed
-order, from which the CLI prints without building an AnswerSet.
+engines return an Answers sequence: value tuples per atom set, held as its
+atoms' ids, in printed order, from which the CLI prints without building
+an AnswerSet or an Atom.
 """
 
 from __future__ import annotations
@@ -368,9 +369,9 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
             walks.append(theory_certify(signs, bounds))
         values = _Grid(heapq.merge(*walks, key=lambda run: (run[0], run[1] and run[1][0])), left)
         if values:
-            answers.append((prog.visible(key), values))
+            answers.append((key, values))
         if models:
             left -= len(values)
             if not left:
                 break
-    return Answers(prog.variables, answers)
+    return Answers(prog, answers)

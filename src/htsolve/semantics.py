@@ -46,7 +46,6 @@ from itertools import islice, product
 from .core import (
     AspVar,
     AssignmentAtom,
-    Atom,
     DiffConstraintAtom,
     IntConst,
     LinearConstraintAtom,
@@ -150,20 +149,31 @@ class AnswerSet:
 class Answers(Sequence):
     """Answer sets in printed order, held as value tuples per atom set.
 
-    groups holds (atoms, values) pairs: an atom set and a sized iterable of
-    value tuples over variables (in text order; None where a variable is
-    undefined, founded mode only), in grid order.  An AnswerSet is built
-    only when read, so a printer reads groups instead.  Answers compares
-    equal to a list, tuple or Answers with equal items, and + with one of
-    those gives a list.
+    prog is the numbered program (_Compiled) the answers are of, and
+    id_groups holds (ids, values) pairs: the ascending Boolean ids of an
+    atom set's atoms and a sized iterable of value tuples over variables
+    (prog's, in text order; None where a variable is undefined, founded
+    mode only), in grid order.  groups holds the same pairs with each atom
+    set as a frozenset of Atoms, built when groups is first read, and an
+    AnswerSet is built only when read, so a printer reads id_groups and
+    prog.texts instead.  Answers compares equal to a list, tuple or Answers
+    with equal items, and + with one of those gives a list.
     """
 
-    _items = None
+    _items = _groups = None
 
-    def __init__(self, variables: tuple, groups: list):
-        self.variables = variables
-        self.groups = groups
-        self._len = sum(len(values) for _, values in groups)
+    def __init__(self, prog, id_groups: list):
+        self.prog = prog
+        self.variables = prog.variables
+        self.id_groups = id_groups
+        self._len = sum(len(values) for _, values in id_groups)
+
+    @property
+    def groups(self) -> list:
+        if self._groups is None:
+            visible = self.prog.visible
+            self._groups = [(visible(ids), values) for ids, values in self.id_groups]
+        return self._groups
 
     def __getitem__(self, i):
         if self._items is None:
@@ -206,14 +216,14 @@ class Answers(Sequence):
     def head(self, k: int) -> "Answers":
         """The first k answers."""
         groups = []
-        for atoms, values in self.groups:
+        for ids, values in self.id_groups:
             if k <= 0:
                 break
             if len(values) > k:
                 values = list(islice(values, k))
-            groups.append((atoms, values))
+            groups.append((ids, values))
             k -= len(values)
-        return Answers(self.variables, groups)
+        return Answers(self.prog, groups)
 
 
 # --- compiled fast paths ---------------------------------------------------
@@ -293,11 +303,16 @@ class _Compiled:
     It is made from the program's numbered rule table (grounder._Table),
     by ranking its elements by their texts and remapping the rows; no Rule
     is read, so the grounder's program builds its rules only if they are
-    read.  This is the one place that orders the elements.
+    read.  This is the one place that orders the elements.  The table's
+    record of its theory atoms' numbers tells them from the atoms, and no
+    Atom is built here: atoms, and the atom sets visible gives, are read
+    from the table (_Table.elements), each Atom built on its first read.
 
     Boolean ids put the t distinct theory atoms first, in text order, so
     theory[k] is id k; the atoms follow in text order, atoms[i] as id
-    t + i.  Rule r is (head[r], pos[r], neg[r]) of ids, in the table's row
+    t + i.  elems[i] is id i's number in the table and texts[i] its text,
+    so joining the texts of ascending ids lists the atoms sorted by text.
+    Rule r is (head[r], pos[r], neg[r]) of ids, in the table's row
     order, head -1 for a constraint, bodies without repeats, and no rule
     has its head in its positive body (it always holds and supports
     nothing).  variables are in text order.  cyclic holds the atoms on a
@@ -318,17 +333,20 @@ class _Compiled:
     """
 
     def __init__(self, table):
-        objs = table.objs
-        order = sorted(range(len(objs)), key=table.texts.__getitem__)
-        theory = [e for e in order if type(objs[e]) is not Atom]
-        if theory:
-            order = [e for e in order if type(objs[e]) is Atom]
-        self.theory = tuple(map(objs.__getitem__, theory))
-        self.atoms = tuple(map(objs.__getitem__, order))
+        texts = table.texts
+        self.n = n = len(texts)
+        order = sorted(range(n), key=texts.__getitem__)
+        theory = []
+        if table.theory:
+            is_theory = set(table.theory)
+            theory = [e for e in order if e in is_theory]
+            order = [e for e in order if e not in is_theory]
+        self.table = table
+        self.theory = tuple(table.elements(theory)) if theory else ()
         self.t = t = len(theory)
-        self.n = n = len(objs)
+        self.elems = elems = theory + order
         ids = [-1] * (n + 1)  # element number -> Boolean id; ids[-1], a #false head, stays -1
-        for i, e in enumerate([*theory, *order]):
+        for i, e in enumerate(elems):
             ids[e] = i
         self.head, self.pos, self.neg, self.base_need = heads, pos, neg, need = [], [], [], []
         self.base_support = support = [0] * n
@@ -404,6 +422,11 @@ class _Compiled:
             for a in inner:
                 self.loop_occ[a].append(j)
 
+    def __getstate__(self) -> dict:
+        # Answers hold their program, so they pickle with it; the evaluators
+        # are closures, which truth() builds again
+        return {**self.__dict__, "evaluators": None}
+
     def truth(self, vals: tuple) -> tuple:
         """tau: the truth of every theory atom under a value tuple."""
         evaluators = self.evaluators
@@ -412,10 +435,19 @@ class _Compiled:
             evaluators = self.evaluators = [_evaluator(e, position) for e in self.theory]
         return tuple([ev(vals) for ev in evaluators])
 
+    @property
+    def texts(self) -> list:
+        """Each id's text, in id order."""
+        return list(map(self.table.texts.__getitem__, self.elems))
+
+    @property
+    def atoms(self) -> tuple:
+        """The atoms in id order, atoms[i] as id t + i."""
+        return tuple(self.table.elements(self.elems[self.t:]))
+
     def visible(self, ids) -> frozenset:
         """The atoms with the given ids, all past the theory atoms."""
-        t = self.t
-        return frozenset([self.atoms[i - t] for i in ids])
+        return frozenset(self.table.elements(map(self.elems.__getitem__, ids)))
 
     def here_world(self, there: frozenset, tau: tuple, sub: tuple) -> bool:
         """Is there a here world with atoms within there and truth vector sub
@@ -723,14 +755,15 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
                 "casp mode needs a total valuation; undefined: "
                 + ", ".join(str(v) for v in missing)
             )
-    if not m.atoms.issubset(prog.atoms):
+    atoms = prog.atoms
+    if not m.atoms.issubset(atoms):
         return False  # no rule derives a foreign atom
     vals = tuple(vd.get(v) for v in prog.variables)
     tau = prog.truth(vals)
     # m's truth on every Boolean id: the theory atoms', then the atoms'
-    if not prog.models(tau + tuple(a in m.atoms for a in prog.atoms)):
+    if not prog.models(tau + tuple(a in m.atoms for a in atoms)):
         return False
-    key = tuple(i for i, a in enumerate(prog.atoms, len(tau)) if a in m.atoms)
+    key = tuple(i for i, a in enumerate(atoms, len(tau)) if a in m.atoms)
     return mode == "casp" or not prog.smaller(key, tau, prog.sub_truths(vals), {})
 
 
@@ -768,4 +801,4 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> Answers:
             keys = [key for key in keys if not prog.smaller(key, tau, subs, here_memo)]
         for key in keys:
             found.setdefault(key, []).append(vals)
-    return Answers(prog.variables, [(prog.visible(key), found[key]) for key in sorted(found)])
+    return Answers(prog, [(key, found[key]) for key in sorted(found)])

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import htsolve.cli
 from htsolve import Program, pretty_print, run, solve
 from htsolve.cli import (
     _CHUNK,
@@ -20,7 +21,7 @@ from htsolve.cli import (
     EXIT_VIOLATIONS,
 )
 from htsolve.configkit import EMPTY_INSTANCE, load_model, translate
-from htsolve.core import atoms_of
+from htsolve.core import Atom, atoms_of
 from htsolve.grounder import ground
 from htsolve.parser import parse_program
 from oracles import cli_text, naive_equilibrium
@@ -669,3 +670,31 @@ def test_options_do_not_leak_between_runs(lp, capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage:")
+
+
+@pytest.mark.parametrize("engine", ["oracle", "search"])
+def test_solve_builds_no_atom_after_parsing(engine, lp, capsys, monkeypatch):
+    # transitive closure on 20 nodes: solving numbers its atoms and the
+    # answer is printed from their texts, so no Atom is built once
+    # parse_program returns
+    nodes = [f"v{i:02d}" for i in range(20)]
+    edges = [f"edge({a},{b})" for a, b in zip(nodes, nodes[1:])]
+    src = " ".join(e + "." for e in edges) + (
+        "\npath(X,Y) :- edge(X,Y).\npath(X,Z) :- edge(X,Y), path(Y,Z).\n")
+    built = []
+    init, parse = Atom.__init__, htsolve.cli.parse_program
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def parse_then_count(text):
+        program = parse(text)
+        monkeypatch.setattr(Atom, "__init__", counted)
+        return program
+
+    monkeypatch.setattr(htsolve.cli, "parse_program", parse_then_count)
+    assert run(["solve", lp(src), "--engine", engine]) == EXIT_SAT
+    paths = [f"path({nodes[i]},{nodes[j]})" for i in range(20) for j in range(i + 1, 20)]
+    assert capsys.readouterr().out == "Answer: 1\n" + " ".join(edges + paths) + "\nSATISFIABLE\n"
+    assert built == []

@@ -1,6 +1,7 @@
 """Semantics tests: worlds, element truth, rule satisfaction, stable points."""
 
 import dataclasses
+import pickle
 import random
 from collections import Counter
 from itertools import product
@@ -777,3 +778,55 @@ def test_acyclic_chain_runs_no_strongly_connected(monkeypatch):
 
     monkeypatch.setattr("htsolve.semantics.strongly_connected", refused)
     assert numbered(g).cyclic == []
+
+
+_ON_READ = """\
+d(a). d(b).
+w(f(X)) :- d(X), not e(X).
+e(b) :- &sum{1*x} >= 1.
+q :- w(f(a)), &diff{x-y} <= 0.
+:- q, e(b).
+"""
+
+
+@pytest.mark.parametrize("first", ["answers", "rules"])
+def test_atoms_built_on_read_are_one_object_per_atom(first):
+    """The grounder keeps atoms as keys and texts; whichever reader comes
+    first, the rules, the numbered atoms and both engines' answers share
+    one Atom per atom, equal to the parser's."""
+    g = ground(parse_program(_ON_READ))
+    if first == "rules":
+        text = str(g)
+    answers = {engine: list(solve(g, "casp", (0, 1), engine)) for engine in ("oracle", "search")}
+    if first == "answers":
+        text = str(g)
+    assert text == "\n".join([
+        ":- q, e(b).", "d(a).", "d(b).", "e(b) :- &sum{1*x} >= 1.",
+        "q :- w(f(a)), &diff{x-y} <= 0.",
+        "w(f(a)) :- d(a), not e(a).", "w(f(b)) :- d(b), not e(b).",
+    ])
+    atoms = numbered(g).atoms
+    assert [str(a) for a in atoms] == ["d(a)", "d(b)", "e(a)", "e(b)", "q", "w(f(a))", "w(f(b))"]
+    in_rules = [e for r in g.rules for e in (r.head, *[lit.atom for lit in r.body])
+                if isinstance(e, Atom)]
+    assert {id(e) for e in in_rules} == {id(a) for a in atoms}
+    assert answers["oracle"] == answers["search"] and len(answers["oracle"]) == 3
+    one = {a: a for a in atoms}
+    for ans in answers["oracle"] + answers["search"]:
+        assert all(a is one[a] for a in ans.atoms)
+        assert is_equilibrium(ans, g, "casp", (0, 1))
+    for a in atoms:
+        parsed = parse_program(f"{a}.").rules[0].head
+        assert a == parsed and hash(a) == hash(parsed) and str(a) == str(parsed)
+
+
+def test_answers_pickle_with_their_program():
+    # Answers hold the numbered program; its theory evaluators are rebuilt
+    g = ground(parse_program(_ON_READ))
+    for engine in ("oracle", "search"):
+        answers = solve(g, "casp", (0, 1), engine)
+        copy = pickle.loads(pickle.dumps(answers))
+        assert copy == answers
+        assert [(a, list(v)) for a, v in copy.groups] == [(a, list(v)) for a, v in answers.groups]
+    again = pickle.loads(pickle.dumps(g))
+    assert str(again) == str(g) and solve(again, "casp", (0, 1)) == answers
