@@ -15,10 +15,14 @@ rows as a multiset.  Variable-free programs count too.  Exits nonzero on the fir
 mismatch, printing the program so it can be pasted into a regression test.
 
 Bigger programs meet facts and recursive components together more often.
+``--variable-free`` draws from ``_GROUND_POOL`` instead, rules without
+variables (negation, positive loops, function terms, theory atoms, &in
+heads, constraints, body atoms nothing derives), which ground keeps as data.
 
 Usage:
     python3 scripts/ground_differential.py --count 2000 --seed 808
     python3 scripts/ground_differential.py --count 2000 --seed 818 --rules 14
+    python3 scripts/ground_differential.py --variable-free --count 2000 --seed 828
 """
 
 import argparse
@@ -31,7 +35,7 @@ sys.path[:0] = [str(Path(__file__).resolve().parent.parent / d) for d in ("src",
 from htsolve import ground, parse_program  # noqa: E402
 from htsolve.grounder import GroundProgram, check_safety  # noqa: E402
 from oracles import _numbering, _one_object_each, naive_ground  # noqa: E402
-from randprog import _POOL  # noqa: E402
+from randprog import _GROUND_POOL, _POOL  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -40,15 +44,18 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=8)
     ap.add_argument("--rules", type=int, default=7, metavar="MAX",
                     help="most rules per program, at least 2 (default 7)")
+    ap.add_argument("--variable-free", action="store_true",
+                    help="draw rules without variables only")
     args = ap.parse_args(argv)
     if args.rules < 2:
         ap.error("--rules must be at least 2")
 
     rng = random.Random(args.seed)
+    pool = _GROUND_POOL if args.variable_free else _POOL
     seconds = {"ground": 0.0, "naive": 0.0}
     programs = rules = 0
     while programs < args.count:
-        src = "\n".join(rng.choice(_POOL) for _ in range(rng.randint(2, args.rules)))
+        src = "\n".join(rng.choice(pool) for _ in range(rng.randint(2, args.rules)))
         p = parse_program(src)
         if check_safety(p):
             continue

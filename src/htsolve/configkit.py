@@ -12,6 +12,7 @@ completions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     FALSITY,
@@ -27,6 +28,7 @@ from .core import (
     Program,
     Rule,
     SymConst,
+    _set,
 )
 from .grounder import GroundProgram, check_safety, ground
 from .search import stable_models_bool
@@ -320,7 +322,15 @@ def instance_facts(inst: ConfigInstance) -> Program:
 
 
 def check_instance(m: ConfigModel, inst: ConfigInstance) -> list:
-    """All violations of inst against m, in (kind, subjects) order."""
+    """All violations of inst against m, in (kind, subjects) order.
+
+    The violations that inst's values do not change (undeclared types,
+    roots, parent links, multiplicities) are found once per (m, individuals,
+    parents) and m's per-type tables once per model, each cache holding the
+    last one only; so the instances of one answer group, which differ in
+    their values alone, pay only for the attribute and constraint checks.
+    The result is the list a fresh check would give.
+    """
     return _in_order(_structural_violations(m, inst) + _constraint_violations(m, inst))
 
 
@@ -330,11 +340,35 @@ def _in_order(out: list) -> list:
 
 def _structural_violations(m: ConfigModel, inst: ConfigInstance) -> list:
     """Every violation of inst against m but the "constraint" ones, unsorted."""
-    out: list = []
-    types = inst.type_of()
-    declared = set(m.part_types)
+    out, types, domains = _shape(m, inst.individuals, inst.parents)
+    return out + _value_violations(types, domains, inst.values)
 
-    for ident, ptype in inst.individuals:
+
+@lru_cache(maxsize=1)
+def _tables(m: ConfigModel) -> tuple:
+    """m's declared types, its edges as {(parent, child): (min, max)}, and
+    per part type its edges and its attributes."""
+    edges_from: dict = {}
+    attrs_of: dict = {}
+    for e in m.edges:
+        edges_from.setdefault(e[0], []).append(e)
+    for a in m.attributes:
+        attrs_of.setdefault(a[0], []).append(a)
+    edge_map = {(p, c): (mn, mx) for p, c, mn, mx in m.edges}
+    return set(m.part_types), edge_map, edges_from, attrs_of
+
+
+@lru_cache(maxsize=1)
+def _shape(m: ConfigModel, individuals: tuple, parents: tuple) -> tuple:
+    """The violations of an instance with these individuals and parents that
+    its values do not change (a list no caller may change), its types as
+    {id: type}, and {(id, attribute): (lo, hi)} for each attribute that m
+    declares for an individual's type."""
+    out: list = []
+    types = dict(individuals)
+    declared, edge_map, edges_from, attrs_of = _tables(m)
+
+    for ident, ptype in individuals:
         if ptype not in declared:
             out.append(
                 Violation(
@@ -344,8 +378,8 @@ def _structural_violations(m: ConfigModel, inst: ConfigInstance) -> list:
                 )
             )
 
-    parented = {c for c, _ in inst.parents}
-    unparented = sorted(i for i, _ in inst.individuals if i not in parented)
+    parented = {c for c, _ in parents}
+    unparented = sorted(i for i, _ in individuals if i not in parented)
     rooted = [i for i in unparented if types[i] == m.root]
     if not rooted:
         out.append(
@@ -362,8 +396,7 @@ def _structural_violations(m: ConfigModel, inst: ConfigInstance) -> list:
             )
         )
 
-    edge_map = {(p, c): (mn, mx) for p, c, mn, mx in m.edges}
-    for child, parent in inst.parents:
+    for child, parent in parents:
         missing = [x for x in (child, parent) if x not in types]
         if missing:
             for x in missing:
@@ -385,11 +418,11 @@ def _structural_violations(m: ConfigModel, inst: ConfigInstance) -> list:
             )
 
     children_of: dict = {}
-    for child, parent in inst.parents:
+    for child, parent in parents:
         if child in types and parent in types:
             children_of.setdefault(parent, []).append(child)
-    for ident, ptype in inst.individuals:
-        for _, child_type, mn, mx in m.edges_from(ptype):
+    for ident, ptype in individuals:
+        for _, child_type, mn, mx in edges_from.get(ptype, ()):
             n = sum(
                 1 for c in children_of.get(ident, ()) if types[c] == child_type
             )
@@ -403,30 +436,40 @@ def _structural_violations(m: ConfigModel, inst: ConfigInstance) -> list:
                     )
                 )
 
+    domains = {
+        (ident, attr): (lo, hi)
+        for ident, ptype in individuals
+        for _, attr, lo, hi in attrs_of.get(ptype, ())
+    }
+    return out, types, domains
+
+
+def _value_violations(types: dict, domains: dict, values: tuple) -> list:
+    """The missing-attr and attr-domain violations of an instance's values,
+    given its _shape."""
+    out: list = []
     value_count: dict = {}
-    for ident, attr, _value in inst.values:
+    for ident, attr, _value in values:
         value_count[(ident, attr)] = value_count.get((ident, attr), 0) + 1
-    attr_map = {(t, a): (lo, hi) for t, a, lo, hi in m.attributes}
-    for ident, ptype in inst.individuals:
-        for _, attr, _lo, _hi in m.attrs_of(ptype):
-            n = value_count.get((ident, attr), 0)
-            if n == 0:
-                out.append(
-                    Violation(
-                        "missing-attr",
-                        (ident, attr),
-                        f"missing value for attribute {attr}",
-                    )
+    for ident, attr in domains:
+        n = value_count.get((ident, attr), 0)
+        if n == 0:
+            out.append(
+                Violation(
+                    "missing-attr",
+                    (ident, attr),
+                    f"missing value for attribute {attr}",
                 )
-            elif n > 1:
-                out.append(
-                    Violation(
-                        "missing-attr",
-                        (ident, attr),
-                        f"attribute {attr} defined {n} times, expected once",
-                    )
+            )
+        elif n > 1:
+            out.append(
+                Violation(
+                    "missing-attr",
+                    (ident, attr),
+                    f"attribute {attr} defined {n} times, expected once",
                 )
-    for ident, attr, value in inst.values:
+            )
+    for ident, attr, value in values:
         if ident not in types:
             out.append(
                 Violation(
@@ -436,7 +479,7 @@ def _structural_violations(m: ConfigModel, inst: ConfigInstance) -> list:
                 )
             )
             continue
-        dom = attr_map.get((types[ident], attr))
+        dom = domains.get((ident, attr))
         if dom is None:
             out.append(
                 Violation(
@@ -596,8 +639,10 @@ def translate(m: ConfigModel, partial: ConfigInstance, mode: str) -> Program:
     root_id = nodes[0][0]
     rules: list = []
 
+    consts: dict = {}  # name -> its one SymConst, as a parse keeps one per name
+
     def sym(*names):
-        return tuple(SymConst(n) for n in names)
+        return tuple([consts.get(n) or consts.setdefault(n, SymConst(n)) for n in names])
 
     def in_atom(ident):
         return Atom("in", sym(ident))
@@ -695,16 +740,13 @@ def decode_instance(answer) -> ConfigInstance:
 
     Raises ValueError on an inst/2 or parentOf/2 atom with an argument that
     is not a symbol, which a constraint rule's variable can still bind.
+
+    The individuals and parent links are read once per atom set, which
+    every answer of a group shares, and kept for the last set only; each
+    call reads its answer's values.  The result, or the error, is the one
+    a fresh call would give.
     """
-    individuals = []
-    parents = []
-    for atom in answer.atoms:
-        if atom.predicate in _DECODED and len(atom.args) == 2:
-            pair = (_sym(atom.args[0]), _sym(atom.args[1]))
-            if None in pair:
-                raise ValueError(f"cannot decode {atom}: {INSTANCE_FACTS[atom.predicate][1]}")
-            (individuals if atom.predicate == "inst" else parents).append(pair)
-    present = {i for i, _ in individuals}
+    base, present = _decoded(frozenset(answer.atoms))
     values = []
     for term, value in answer.val.entries:
         if (
@@ -714,4 +756,24 @@ def decode_instance(answer) -> ConfigInstance:
             and _sym(term.args[0]) in present
         ):
             values.append((_sym(term.args[0]), _sym(term.args[1]), value))
-    return ConfigInstance(individuals, parents, values)  # which sorts them
+    # base with these values, sorted as ConfigInstance sorts them; its
+    # individuals and parents are checked already, and values are not checked
+    inst = object.__new__(ConfigInstance)
+    _set(inst, "individuals", base.individuals)
+    _set(inst, "parents", base.parents)
+    _set(inst, "values", tuple(sorted(values)))
+    return inst
+
+
+@lru_cache(maxsize=1)
+def _decoded(atoms: frozenset) -> tuple:
+    """The instance of atoms without values, and the set of its ids."""
+    individuals = []
+    parents = []
+    for atom in atoms:
+        if atom.predicate in _DECODED and len(atom.args) == 2:
+            pair = (_sym(atom.args[0]), _sym(atom.args[1]))
+            if None in pair:
+                raise ValueError(f"cannot decode {atom}: {INSTANCE_FACTS[atom.predicate][1]}")
+            (individuals if atom.predicate == "inst" else parents).append(pair)
+    return ConfigInstance(individuals, parents), {i for i, _ in individuals}

@@ -5,7 +5,7 @@ constraint atoms never bind variables, and a variable binds only to a term
 of the Herbrand universe (a derived term such as f(a) from a head w(f(X))
 is never a binding unless it occurs in the program).
 
-Every rule but a constant fact is walked once (``_RuleCode``); the walk
+Every rule with variables is walked once (``_RuleCode``); the walk
 yields its variables, its safety, the ground terms it adds to the universe
 and each ordinary atom as a predicate name plus argument codes.  Terms are
 interned as ints: the universe's terms are ids 0..U-1 in universe order, and
@@ -30,15 +30,16 @@ product over all rule variables:
 3. Integrity constraints and theory-atom heads are joined last, against
    every kept atom.
 
-A variable-free rule is not planned and has no frame: its walk's ground
-terms give its atoms' id tuples directly (``_RuleCode.fix``).  It is a
-candidate when each of its positive body atoms from a lower component is
-already kept, and its same-component body atoms enter the greatest
-fixpoint like any instance's.  A constant fact (no body, an ordinary head
-over constants) is data, as in gringo's predicate domains: not walked, its
-arguments join the universe, and its key is kept, and made one bodiless row,
-before any component is processed; it supports its component's instances in
-the greatest fixpoint.
+A rule without variables is data, as in gringo's predicate domains, and
+gets no ``_RuleCode``.  A constant fact (no body, an ordinary head over
+constants) has its arguments join the universe, and its key is kept, and
+made one bodiless row, before any component is processed; it supports its
+component's instances in the greatest fixpoint.  Any other variable-free
+rule has its terms join the universe, and, once the universe is known, its
+atoms' keys come straight from its terms: it is one candidate, in its rule's
+place among its component's, when each of its positive body atoms from a
+lower component is already kept, and its same-component body atoms enter
+the greatest fixpoint like any instance's.
 
 The surviving instances go straight into the numbered rule table
 (``_Table``).  Each distinct ground element, an ordinary atom keyed by its
@@ -54,7 +55,8 @@ one accessor ``_Table.elements``, which ``GroundProgram.rules``,
 one object per element.  ``Literal`` and ``Rule`` objects are built when
 ``GroundProgram.rules`` is first read: one per distinct literal, the rules
 sorted by their text.  Solving and printing need none of them: the CLI
-prints an answer's atoms from their texts.
+prints an answer's atoms from their texts, and ``ground --text`` formats
+each row from its elements' texts (``_Table.lines``).
 
 The greatest fixpoint keeps positive loops that nothing derives, such as
 q(x) :- p(x) and p(x) :- q(x), not s(x).  This shows in casp mode, where
@@ -97,7 +99,8 @@ class GroundProgram:
     Its numbered rule table (_Table) is the grounder's, or, for a program
     built by hand from rules, made in one pass over them when numbered asks.
     The grounder's program builds its rules (sorted by text, deduplicated)
-    and their texts from its table when rules or its text is first read.
+    from its table when rules is first read, and formats its text from the
+    table's texts, building no rule.
     """
 
     rules: tuple
@@ -111,20 +114,19 @@ class GroundProgram:
         _set(self, "_numbered", None)  # semantics.numbered's; not a field
 
     def __getattr__(self, name: str):
-        # only the grounder's program misses attributes: rules and _texts, until read
-        if name not in ("rules", "_texts") or self.__dict__.get("_table") is None:
+        # only the grounder's program misses an attribute: rules, until read
+        if name != "rules" or self.__dict__.get("_table") is None:
             raise AttributeError(name)
-        rules, texts = self._table.rules()
-        _set(self, "rules", rules)
-        _set(self, "_texts", texts)
-        return self.__dict__[name]
+        _set(self, "rules", self._table.rules())
+        return self.rules
 
     def rule_count(self) -> int:
         """len(self.rules), without building the rules."""
         return len(self.rules) if "rules" in self.__dict__ else len(self._table.rows)
 
     def __str__(self) -> str:
-        return "\n".join(self._texts if self._table is not None else map(str, self.rules))
+        return "\n".join(sorted(self._table.lines()) if self._table is not None
+                         else map(str, self.rules))
 
 
 def herbrand_universe(p) -> tuple:
@@ -144,7 +146,7 @@ def _unsafe(codes: list) -> list:
     return [
         Diagnostic(i, "unsafe variables: " + ", ".join(sorted(v.name for v in c.unsafe)))
         for i, c in enumerate(codes)
-        if c and c.unsafe
+        if type(c) is _RuleCode and c.unsafe
     ]
 
 
@@ -331,8 +333,8 @@ class _Kept:
 
 
 class _RuleCode:
-    """A rule walked once, then planned, or fixed if it has no variables,
-    once its universe and component are known.
+    """A rule walked once, then planned once its universe and component are
+    known.  ground walks only rules with variables.
 
     The walk keeps each ordinary atom as (predicate, raw codes, variables);
     planning lays out the frame: the constants of the atoms with variables,
@@ -355,6 +357,8 @@ class _RuleCode:
             open_ = len(found) > start and not isinstance(raw, tuple)
             self.open = self.open or open_
             self.raw_body.append((lit.positive, raw, open_))
+        self.body_pkeys = [(e[0], len(e[1])) for positive, e, _ in self.raw_body
+                           if positive and type(e) is tuple]
         self.variables = dict.fromkeys(found)
         self.unsafe = [v for v in self.variables if v not in bound]
 
@@ -369,26 +373,8 @@ class _RuleCode:
             _walk(t, found, terms)
         return e
 
-    def fix(self, ids: dict) -> None:
-        """A variable-free rule's keys, in place of a plan: hkey is the head's
-        (predicate, id tuple), None for #false, or the theory atom itself;
-        lits holds (positive, key, predicate key) per literal, where key is
-        an ordinary atom's (predicate, id tuple) or a theory atom itself,
-        whose predicate key is None."""
-        head = self.raw_head
-        if type(head) is tuple:
-            self.hkey = (head[0], tuple([ids[t] for t in head[1]]))
-        else:
-            self.hkey = None if head is FALSITY else head
-        self.lits = [
-            (pos, (e[0], tuple([ids[t] for t in e[1]])), (e[0], len(e[1])))
-            if type(e) is tuple else (pos, e, None)
-            for pos, e, _ in self.raw_body
-        ]
-
     def plan(self, terms: _Terms, inner: set) -> None:
-        """Lay out the frame and the join of a rule with variables (a
-        variable-free rule is fixed instead); inner: predicate keys of the
+        """Lay out the frame and the join; inner: predicate keys of the
         rule's own component."""
         slot: dict = {}
         consts: list = []
@@ -418,14 +404,7 @@ class _RuleCode:
     def frames(self, kept: _Kept, terms: _Terms, inner) -> list:
         """The frames of the rule's candidate instances: its positive body
         atoms from lower components joined against kept, inner holding the
-        predicate keys of its own component.  A variable-free rule is fixed,
-        not planned: its one frame is None, if those atoms are all kept."""
-        if not self.variables:
-            self.fix(terms.ids)
-            for pos, k, pkey in self.lits:
-                if pos and pkey and pkey not in inner and k not in kept.keys:
-                    return []
-            return [None]
+        predicate keys of its own component."""
         self.plan(terms, inner)
         envs = [self.start]
         for atom in self.lower:
@@ -482,16 +461,55 @@ def strongly_connected(succ: dict) -> list:
 
 
 def _components(plain: list) -> list:
-    """Predicate-key sets of the positive dependency graph, dependencies first."""
+    """Predicate-key sets of the positive dependency graph, dependencies
+    first; plain holds (head key, positive body atoms' keys, ...) per rule."""
     succ: dict = {}
-    for c in plain:
-        succ.setdefault(c.head_pkey, {})
-    for c in plain:
-        edges = succ[c.head_pkey]
-        for positive, e, _ in c.raw_body:
-            if positive and isinstance(e, tuple) and (e[0], len(e[1])) in succ:
-                edges[e[0], len(e[1])] = None
+    for head, _, _ in plain:
+        succ.setdefault(head, {})
+    for head, body, _ in plain:
+        edges = succ[head]
+        for k in body:
+            if k in succ:
+                edges[k] = None
     return strongly_connected(succ)
+
+
+def _fixed(ts, terms: set) -> bool:
+    """Do the terms ts hold no variable?  Each that holds none joins terms,
+    with its subterms, as a walk would add it."""
+    free = True
+    for t in ts:
+        if type(t) is AspVar:
+            free = False
+        elif type(t) is not FuncTerm or _fixed(t.args, terms):
+            terms.add(t)
+        else:
+            free = False
+    return free
+
+
+def _fixed_row(r: Rule, ids: dict) -> tuple:
+    """A variable-free rule as data: its head's predicate key (None unless
+    the head is ordinary) and its head's key (None for #false), then
+    (key, sign mask) per literal, then (key, predicate key) per positive
+    ordinary body atom.  An ordinary atom's key is (predicate, id tuple),
+    any other element's the element itself."""
+    lits = []
+    body = []
+    for lit in r.body:
+        e = lit.atom
+        if type(e) is Atom:
+            k = (e.predicate, tuple([ids[t] for t in e.args]))
+            if lit.positive:
+                body.append((k, (e.predicate, len(e.args))))
+        else:
+            k = e
+        lits.append((k, 0 if lit.positive else -1))
+    h = r.head
+    if type(h) is Atom:
+        head = (h.predicate, tuple([ids[t] for t in h.args]))
+        return (h.predicate, len(h.args)), head, lits, body
+    return None, None if h is FALSITY else h, lits, body
 
 
 def _greatest_fixpoint(heads: list, inner: list, given: set) -> list:
@@ -573,12 +591,13 @@ class _Table(dict):
         table.theory = [n for n, e in enumerate(table.objs) if type(e) is not Atom]
         return table
 
-    def add(self, c: _RuleCode, frame, head=None) -> None:
-        """The row of c's instance at frame, or of the variable-free c at
-        frame None; head is the key of its ordinary head, if it has one."""
+    def add(self, c, frame, head=None) -> None:
+        """The row of the _RuleCode c's instance at frame, head the key of
+        its ordinary head if it has one, or of the variable-free rule c
+        (_fixed_row) at frame None."""
         if frame is None:
-            head = c.hkey if head is None else head
-            lits = tuple([self[k] if pos else ~self[k] for pos, k, _ in c.lits])
+            head = c[1]
+            lits = tuple([self[k] ^ sign for k, sign in c[2]])
         else:
             env = None
             if c.open:
@@ -614,9 +633,19 @@ class _Table(dict):
             out.append(e)
         return out
 
+    def lines(self) -> list:
+        """Each row's text, in row order, as Rule.__str__ formats it."""
+        texts = self.texts
+        out = []
+        for h, lits in self.rows:
+            body = ", ".join([texts[c] if c >= 0 else "not " + texts[~c] for c in lits])
+            out.append(f":- {body}." if h < 0 else f"{texts[h]} :- {body}." if lits
+                       else f"{texts[h]}.")
+        return out
+
     def rules(self) -> tuple:
-        """The rows as Rules sorted by their text, and those texts; the Rules
-        share one Literal per distinct literal and one object per element."""
+        """The rows as Rules sorted by their text; the Rules share one
+        Literal per distinct literal and one object per element."""
         objs = self.elements(range(len(self.objs)))
         made = dict.fromkeys(c for _, lits in self.rows for c in lits)
         for c in made:
@@ -625,22 +654,24 @@ class _Table(dict):
             Rule(objs[h] if h >= 0 else FALSITY, tuple(map(made.__getitem__, lits)))
             for h, lits in self.rows
         ]
-        texts = list(map(str, rules))
-        order = sorted(range(len(rules)), key=texts.__getitem__)
-        return tuple(map(rules.__getitem__, order)), list(map(texts.__getitem__, order))
+        order = sorted(range(len(rules)), key=self.lines().__getitem__)
+        return tuple(map(rules.__getitem__, order))
 
 
 def ground(p) -> GroundProgram:
     """Instantiate p bottom-up over its universe; rejects unsafe programs."""
     found: set = set()
     facts = []  # the constant facts' heads
-    codes = []  # None in a constant fact's place, so that rule indices hold
+    codes = []  # per rule: its _RuleCode, the rule if variable-free, None if a constant fact
     for r in p.rules:
         h = r.head
         if not r.body and type(h) is Atom and all(type(t) in (SymConst, IntConst) for t in h.args):
             found.update(h.args)
             facts.append(h)
             codes.append(None)
+        elif all(_fixed(e.args if type(e) is Atom else theory_terms(e), found)
+                 for e in (h, *[lit.atom for lit in r.body])):
+            codes.append(r)  # a variable-free rule, whose terms have joined the universe
         else:
             codes.append(_RuleCode(r, found))
     diags = _unsafe(codes)
@@ -648,12 +679,25 @@ def ground(p) -> GroundProgram:
         raise ValueError("unsafe program: " + "; ".join(str(d) for d in diags))
     universe = tuple(sorted(found, key=str))
     terms = _Terms(universe)
-    plain = [c for c in codes if c and c.head_pkey]
+    plain = []  # (head's predicate key, positive body atoms' predicate keys, code or row)
+    rest = []  # the codes and rows whose head is not an ordinary atom
+    for c in codes:
+        if type(c) is Rule:
+            c = _fixed_row(c, terms.ids)
+            pkey, body = c[0], [k for _, k in c[3]]
+        elif c:
+            pkey, body = c.head_pkey, c.body_pkeys
+        else:
+            continue
+        if pkey:
+            plain.append((pkey, body, c))
+        else:
+            rest.append(c)
     components = _components(plain)
     component_of = {k: i for i, keys in enumerate(components) for k in keys}
     by_component: list = [[] for _ in components]
-    for c in plain:
-        by_component[component_of[c.head_pkey]].append(c)
+    for k, _, c in plain:
+        by_component[component_of[k]].append(c)
     kept = _Kept()
     table = _Table(terms)
     if facts:
@@ -662,16 +706,18 @@ def ground(p) -> GroundProgram:
         for k in given:
             table.rows[table[k], ()] = None
     for i, keys in enumerate(components):
-        candidates: list = []  # (code, frame)
+        candidates: list = []  # (code, frame), frame None for a variable-free rule
         heads: list = []
         inner: list = []
         for c in by_component[i]:
+            if type(c) is tuple:  # variable-free: one candidate, if its lower atoms are kept
+                if all(k in kept.keys for k, pkey in c[3] if pkey not in keys):
+                    inner += [(len(heads), k) for k, pkey in c[3] if pkey in keys]
+                    heads.append(c[1])
+                    candidates.append((c, None))
+                continue
             frames = c.frames(kept, terms, keys)
-            if frames == [None]:
-                inner += [(len(heads), k) for pos, k, pkey in c.lits if pos and pkey in keys]
-                heads.append(c.hkey)
-                candidates.append((c, None))
-            elif frames:
+            if frames:
                 for a in c.inner:
                     inner += zip(count(len(heads)), zip(repeat(a.name), map(a.ids, frames)))
                 heads += zip(repeat(c.head.name), map(c.head.ids, frames))
@@ -680,8 +726,11 @@ def ground(p) -> GroundProgram:
         kept.add(compress(heads, alive))
         for (c, f), h in compress(zip(candidates, heads), alive):
             table.add(c, f, h)
-    for c in codes:
-        if c and not c.head_pkey:
+    for c in rest:
+        if type(c) is tuple:
+            if all(k in kept.keys for k, _ in c[3]):
+                table.add(c, None)
+        else:
             for f in c.frames(kept, terms, ()):
                 table.add(c, f)
     table.finish()

@@ -49,6 +49,7 @@ from .core import (
     DiffConstraintAtom,
     IntConst,
     LinearConstraintAtom,
+    _set,
     atoms_of,  # noqa: F401  looked up here by the benchmark's tracer
     variable_names,
     variables_of,
@@ -204,14 +205,19 @@ class Answers(Sequence):
         return self._len
 
     def __iter__(self):
-        variables = self.variables
+        # each AnswerSet is built as Valuation.from_sorted builds a Valuation:
+        # its atoms are a frozenset already, so its __post_init__ has nothing to do
+        variables, new, of = self.variables, object.__new__, Valuation.from_sorted
         for atoms, values in self.groups:
             for vals in values:
                 if None in vals:  # undefined variables are left out
                     pairs = tuple([(v, x) for v, x in zip(variables, vals) if x is not None])
                 else:
                     pairs = tuple(zip(variables, vals))
-                yield AnswerSet(atoms, Valuation.from_sorted(pairs))
+                answer = new(AnswerSet)
+                _set(answer, "atoms", atoms)
+                _set(answer, "val", of(pairs))
+                yield answer
 
     def head(self, k: int) -> "Answers":
         """The first k answers."""

@@ -285,6 +285,51 @@ _POOL = [
 ]
 
 
+# Variable-free rules only, which ground keeps as data, without a join; the
+# grounder's differentials draw programs from this pool too.
+_GROUND_POOL = [
+    # facts, one of them twice, with a function term and an integer
+    "p(a).", "p(a).", "p(b).", "q(b).", "e(a,b).", "w(f(a)).", "m(0).", "r.",
+    # bodies with an atom nothing derives, a loop nothing founds, negation
+    "q(a) :- p(a).",
+    "s :- p(a), not q(a).",
+    "s :- u.",
+    "p(c) :- q(c).",
+    "q(c) :- p(c), not r.",
+    "g :- h.",
+    "h :- g, not r.",
+    "h :- g.",
+    "k :- k, r.",
+    "t(a,b) :- e(a,b).",
+    "v(f(a)) :- w(f(a)), m(0).",
+    "w(f(a)) :- v(f(a)).",
+    "p(f(b)) :- q(f(b)).",
+    "q(f(b)) :- p(f(b)), not r.",
+    "u :- t(b,a).",
+    "d :- not n(a).",
+    # ground theory atoms in bodies and heads, some over function terms
+    "a :- &diff{x-y} <= 0, q(b).",
+    "b :- &sum{1*x; 2*y} >= 1, not p(c).",
+    "&sum{1*x} <= 1 :- m(0).",
+    "&diff{x-y} <= 1 :- t(a,b).",
+    "&sum{1*z} >= 2 :- u.",
+    "&sum{1*val(a,w)} >= 1 :- p(a).",
+    "&diff{val(a,w)-x} <= 1 :- w(f(a)).",
+    "c :- &sum{1*val(a,w); -1*y} <= 0, not g.",
+    "val(a,w,1) :- p(a), &sum{1*val(a,w)} = 1.",
+    # &in heads
+    "&in{0..1} =: z :- q(b).",
+    "&in{x..2} =: y :- r, not s.",
+    "&in{1..1} =: x :- g.",
+    "&in{0..2} =: val(a,w) :- q(b).",
+    # integrity constraints
+    ":- s, q(b).",
+    ":- p(c).",
+    ":- r, not g.",
+    ":- &diff{x-y} <= -1, p(a).",
+    ":- not &sum{1*val(a,w)} = 0, s.",
+]
+
 def _draw_model(rng: random.Random) -> ConfigModel:
     """A random partonomy: 2-4 part types in a tree under the root, max <= 3
     and at most 6 minted slots, at least one edge with min >= 1 and max > min,

@@ -692,6 +692,42 @@ def test_decode_names_an_atom_a_variable_made_undecodable():
         decode_instance(answer)
 
 
+def _fresh(f, *args):
+    """f(*args) with the one-entry caches of decode_instance and
+    check_instance emptied first, as in a new process."""
+    for cache in (htsolve.configkit._decoded, htsolve.configkit._shape,
+                  htsolve.configkit._tables):
+        cache.cache_clear()
+    return f(*args)
+
+
+def test_decode_and_check_in_interleaved_order_equal_fresh_calls():
+    one_or_two = model_of(MINI_BIKE.replace("2,2", "1,2"))
+    two_wide = model_of(BIKE_MODEL.replace("16,29", "17,18"))  # breaks most of them
+    answers = list(solve(ground(translate(one_or_two, EMPTY_INSTANCE, "casp")), "casp",
+                         value_bounds(one_or_two)))
+    sizes = sorted({len(a.atoms) for a in answers})
+    groups = [[a for a in answers if len(a.atoms) == n] for n in sizes]
+    assert [len(g) for g in groups] == [4, 4]  # casp values the left-out wheel too
+    interleaved = [a for pair in zip(*groups) for a in pair]
+    expected = [_fresh(decode_instance, a) for a in interleaved]
+    assert [decode_instance(a) for a in interleaved] == expected
+    checks = [(m, inst) for inst in expected for m in (one_or_two, two_wide)]
+    wanted = [_fresh(check_instance, m, inst) for m, inst in checks]
+    assert [check_instance(m, inst) for m, inst in checks] == wanted
+    assert any(wanted) and not all(wanted)
+
+    undecodable = model_of(SINGLE_WHEEL + "num(3). inst(w9,N) :- inst(X,wheel), num(N).")
+    (bad,) = solve(ground(translate(undecodable, EMPTY_INSTANCE, "casp")), "casp",
+                   value_bounds(undecodable))
+    for answer in (bad, bad, interleaved[0], bad):
+        if answer is bad:
+            with pytest.raises(ValueError, match=r"cannot decode inst\(w9,3\)"):
+                decode_instance(answer)
+        else:
+            assert decode_instance(answer) == expected[0]
+
+
 def test_model_predicates_are_stable():
     assert MODEL_PREDICATES == ("ptype", "root", "subpart", "attrdom")
 

@@ -24,10 +24,11 @@ from htsolve import (
     run,
 )
 from htsolve.cli import EXIT_OK, EXIT_SAT
+from htsolve.configkit import EMPTY_INSTANCE, translate
 from htsolve.core import rule_variables
 from htsolve.grounder import check_safety, herbrand_universe
 from oracles import _numbering, _one_object_each, instances, naive_ground
-from randprog import _POOL
+from randprog import _GROUND_POOL, _POOL, _draw_model
 
 
 def prog(src: str) -> Program:
@@ -346,40 +347,6 @@ def test_grounder_table_numbers_as_the_rules_do():
         assert texts == sorted(texts), f"program:\n{src}"
 
 
-# Variable-free rules only: ground keeps them without a join.
-_GROUND_POOL = [
-    # facts, one of them twice, with a function term and an integer
-    "p(a).", "p(a).", "p(b).", "q(b).", "e(a,b).", "w(f(a)).", "m(0).", "r.",
-    # bodies with an atom nothing derives, a loop nothing founds, negation
-    "q(a) :- p(a).",
-    "s :- p(a), not q(a).",
-    "s :- u.",
-    "p(c) :- q(c).",
-    "q(c) :- p(c), not r.",
-    "g :- h.",
-    "h :- g, not r.",
-    "k :- k, r.",
-    "t(a,b) :- e(a,b).",
-    "v(f(a)) :- w(f(a)), m(0).",
-    "u :- t(b,a).",
-    # ground theory atoms in bodies and heads
-    "a :- &diff{x-y} <= 0, q(b).",
-    "b :- &sum{1*x; 2*y} >= 1, not p(c).",
-    "&sum{1*x} <= 1 :- m(0).",
-    "&diff{x-y} <= 1 :- t(a,b).",
-    "&sum{1*z} >= 2 :- u.",
-    # &in heads
-    "&in{0..1} =: z :- q(b).",
-    "&in{x..2} =: y :- r, not s.",
-    "&in{1..1} =: x :- g.",
-    # integrity constraints
-    ":- s, q(b).",
-    ":- p(c).",
-    ":- r, not g.",
-    ":- &diff{x-y} <= -1, p(a).",
-]
-
-
 def test_ground_matches_naive_reference_on_variable_free_programs():
     rng = random.Random(20261019)
     dropped = 0
@@ -393,6 +360,51 @@ def test_ground_matches_naive_reference_on_variable_free_programs():
         assert _one_object_each(joined), f"program:\n{src}"
         dropped += len(joined.rules) < len(set(p.rules))
     assert dropped >= 100, dropped
+
+
+def _same_as_the_reference(p) -> bool:
+    """ground(p) equals naive_ground(p): rules in order, universe, numbered
+    program, and one object per atom and per literal."""
+    joined, naive = ground(p), naive_ground(p)
+    return (
+        joined.rules == naive.rules
+        and joined.universe == naive.universe
+        and _numbering(joined) == _numbering(GroundProgram(naive.rules, naive.universe))
+        and _one_object_each(joined)
+    )
+
+
+# Variable-free rules feeding rules with variables, and the reverse, also
+# through a loop that only the greatest fixpoint keeps
+_MIXED = [
+    "q(a) :- p(a). s(X) :- q(X). p(a).",
+    "q(a) :- p(a). s(X) :- q(X), not r(X). r(b) :- q(a).",
+    "q(X) :- p(X). s :- q(a), not r. p(a).",
+    "q(X) :- p(X), m(X). p(a) :- q(a). m(a).",
+    "t(X,Y) :- e(X,Y). e(a,b). u :- t(a,b), not t(b,a). :- u, t(X,X).",
+    "w(f(X)) :- p(X). v :- w(f(a)). p(a). &sum{1*z(X)} <= 1 :- w(f(X)), v.",
+]
+
+
+def test_variable_free_rules_ground_as_the_reference_does():
+    """Variable-free rules take the data path wherever they occur: in
+    programs of them alone, in translated configurations, and next to rules
+    with variables."""
+    for src in _MIXED:
+        assert _same_as_the_reference(prog(src)), f"program:\n{src}"
+    rng = random.Random(20261021)
+    for _ in range(300):
+        src = "\n".join(rng.choice(_GROUND_POOL) for _ in range(rng.randint(1, 10)))
+        assert _same_as_the_reference(prog(src)), f"program:\n{src}"
+    for _ in range(200):
+        src = "\n".join(rng.choice(_GROUND_POOL + _POOL) for _ in range(rng.randint(2, 8)))
+        p = prog(src)
+        if not check_safety(p):
+            assert _same_as_the_reference(p), f"program:\n{src}"
+    for _ in range(20):
+        m = _draw_model(rng)
+        for mode in ("casp", "founded"):
+            assert _same_as_the_reference(translate(m, EMPTY_INSTANCE, mode)), m
 
 
 # Constant facts are data: kept before any component, supporting their
