@@ -14,8 +14,8 @@ table into the Boolean core's arrays (_Compiled), and walks every valuation
 within bounds.  A valuation matters to the Boolean part only through its
 truth vector, the truth of each distinct theory atom, so the core solves
 once per distinct truth vector, with the theory atoms assumed to their
-truth.  Founded mode adds a Horn pass over the core's rules per proper
-sub-valuation, cached by (atoms, tau, the sub-valuation's tau).
+truth.  Founded mode keeps a model iff one Horn pass, over the core's
+rules and static links, finds it to be its own least here world.
 
 The Boolean core (_Compiled.models; the search engine runs it too) runs
 Smodels' expand (Simons, Niemela, Soininen 2002) to a fixpoint after every
@@ -392,6 +392,7 @@ class _Compiled:
         # Set on first use, but declared here: every instance then has one
         # attribute layout, whichever of these methods runs first.
         self.evaluators = None  # by truth()
+        self.links = None  # by founded()
         self.val = self.trail = self.need = self.false_lits = self.support = None  # by models()
         self.qhead = 0
 
@@ -455,70 +456,70 @@ class _Compiled:
         """The atoms with the given ids, all past the theory atoms."""
         return frozenset(self.table.elements(map(self.elems.__getitem__, ids)))
 
-    def here_world(self, there: frozenset, tau: tuple, sub: tuple) -> bool:
-        """Is there a here world with atoms within there and truth vector sub
-        below the there world (there, tau)?  One counter-based Horn pass
-        (Dowling and Gallier 1984) over the rules whose positive atoms are in
-        there and theory literals hold at sub, whose negative atoms are
-        outside there and theory literals are false at tau, and whose theory
-        head, if any, is false at sub: a here world exists iff the pass
-        derives no #false, theory head or atom outside there."""
-        t, head = self.t, self.head
+    def founded(self, key: tuple, vals: tuple, tau: tuple) -> bool:
+        """Is the model of the atom ids key and the value tuple vals (truth
+        vector tau) its own least here world?  The here worlds below it are
+        closed under meets: positive bodies, atom heads and &sum/&diff heads
+        are monotone, and an &in head (never in a body) that holds at two
+        here worlds holds at their meet, whose defined bounds both define.
+        One counter-based Horn pass (Dowling and Gallier 1984) finds the
+        least, over the rules whose positive atoms are in key and theory
+        atoms true at tau and whose negative literals are false at there,
+        and over static links, with variable p as node n + p: a constraint
+        atom holds once its variables are defined and defines them when it
+        holds, and an &in atom that holds defines its target once its
+        non-constant bounds are defined.  The model is founded iff the pass
+        derives all of key and defines exactly the variables vals defines.
+        """
+        if self.links is None:
+            node = {v: p for p, v in enumerate(self.variables, self.n)}
+            links = []
+            for k, e in enumerate(self.theory):
+                if isinstance(e, AssignmentAtom):
+                    bounds = {node[b] for b in (e.lo, e.hi) if not isinstance(b, IntConst)}
+                    links.append((node[e.target], (k, *bounds)))
+                else:
+                    named = tuple({node[v]: None for v in variable_names(e)})
+                    links += [(k, named)] + [(x, (k,)) for x in named]
+            occ = [rules[:] for rules in self.pos_occ] + [[] for _ in node]
+            for j, (_, body) in enumerate(links, len(self.head)):
+                for b in body:
+                    occ[b].append(j)
+            self.links = (self.head + [h for h, _ in links], [len(body) for _, body in links],
+                          occ, [h for h, body in links if not body])
+        heads, link_need, occ, seeds = self.links
+        there = bytearray(tau) + bytearray(self.n - self.t)  # each id's truth at there
+        for a in key:
+            there[a] = 1
         need = []  # per rule, its body atoms not yet derived; -1 if it takes no part
-        queue = []
-        for h, p, q in zip(head, self.pos, self.neg):
-            k = 0
+        queue = seeds[:]
+        for h, p, q in zip(self.head, self.pos, self.neg):
             for a in p:
-                if a >= t:
-                    if a not in there:
-                        break
-                    k += 1
-                elif not sub[a]:
+                if not there[a]:
                     break
             else:
                 for a in q:
-                    if (a in there) if a >= t else tau[a]:
+                    if there[a]:
                         break
                 else:
-                    if h < 0 or h >= t or not sub[h]:
-                        need.append(k)
-                        if not k:
-                            queue.append(h)
-                        continue
+                    need.append(len(p))
+                    if not p:
+                        queue.append(h)
+                    continue
             need.append(-1)
-        derived = set()
+        # No tau gate on the links: a theory atom false at tau that its variables
+        # derive defines nothing new, and no rule with it in its body takes part.
+        need += link_need
+        here = bytearray(len(occ))  # no #false is reached: key and vals are a model
         while queue:
             a = queue.pop()
-            if a < t or a not in there:
-                return False
-            if a not in derived:
-                derived.add(a)
-                for r in self.pos_occ[a]:
+            if not here[a]:
+                here[a] = 1
+                for r in occ[a]:
                     need[r] -= 1
                     if not need[r]:
-                        queue.append(head[r])
-        return True
-
-    def smaller(self, key: tuple, tau: tuple, subs, memo: dict) -> bool:
-        """Does some proper sub-valuation, given by its truth vectors subs,
-        have a here world below the there world of the atom ids key and tau?
-        memo caches here_world; the set of key is made on a miss only."""
-        there = None
-        for sub in subs:
-            found = memo.get((key, tau, sub))
-            if found is None:
-                if there is None:
-                    there = frozenset(key)
-                found = memo[key, tau, sub] = self.here_world(there, tau, sub)
-            if found:
-                return True
-        return False
-
-    def sub_truths(self, vals: tuple) -> set:
-        """The distinct truth vectors of the proper sub-valuations of vals."""
-        subs = list(product(*[(None,) if v is None else (None, v) for v in vals]))
-        subs.pop()  # the last one keeps every value: vals itself
-        return {self.truth(s) for s in subs}
+                        queue.append(heads[r])
+        return all(here[a] for a in key) and here[self.n:] == bytes(v is not None for v in vals)
 
     def _set(self, a: int, value: bool) -> None:
         self.val[a] = value
@@ -770,7 +771,7 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
     if not prog.models(tau + tuple(a in m.atoms for a in atoms)):
         return False
     key = tuple(i for i, a in enumerate(atoms, len(tau)) if a in m.atoms)
-    return mode == "casp" or not prog.smaller(key, tau, prog.sub_truths(vals), {})
+    return mode == "casp" or prog.founded(key, vals, tau)
 
 
 def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> Answers:
@@ -779,9 +780,9 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> Answers:
     The program is numbered once, with its Boolean core.  Each grid point (a
     total valuation in casp mode, a partial one in founded mode) gives a
     truth vector tau, and the core solves each distinct tau once, with the
-    theory atoms assumed to their truth in tau.  Founded mode rejects a
-    candidate when a proper sub-valuation has a here world, a Horn check
-    cached per (atoms, tau, sub-valuation tau).
+    theory atoms assumed to their truth in tau.  Founded mode keeps a
+    stable model iff it is its own least here world, one Horn pass per
+    candidate (_Compiled.founded).
 
     Atom sets come in the order of their sorted atom texts (atom ids are in
     text order), and each set's valuations, as value tuples, in grid order:
@@ -795,16 +796,14 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> Answers:
     values = tuple(range(lo, hi + 1)) if prog.variables else ()
     options = (None,) + values if founded else values
     solved: dict = {}  # tau -> each stable model's ids past its sum(tau) theory ids
-    here_memo: dict = {}
     found: dict = {}  # visible atom ids -> value tuples, in grid order
     for vals in product(options, repeat=len(prog.variables)):
         tau = prog.truth(vals)
         keys = solved.get(tau)
         if keys is None:
             keys = solved[tau] = [m[sum(tau):] for m in prog.models(tau)]
-        if founded and keys:
-            subs = prog.sub_truths(vals)
-            keys = [key for key in keys if not prog.smaller(key, tau, subs, here_memo)]
+        if founded:
+            keys = [key for key in keys if prog.founded(key, vals, tau)]
         for key in keys:
             found.setdefault(key, []).append(vals)
     return Answers(prog, [(key, found[key]) for key in sorted(found)])

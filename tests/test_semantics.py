@@ -502,6 +502,16 @@ def test_hybrid_casp_enumeration_matches_naive_oracle():
     assert len(shapes) == 3 and min(shapes.values()) >= 20, shapes
 
 
+# (program over 0..2, its number of founded answers): &in bounds that
+# support each other support nothing, and a &sum head feeds an &in bound
+# that a body theory atom reads
+FOUNDED_BY_HAND = (
+    ("&in{y..3} =: x. &in{x..3} =: y.", 1),
+    ("&in{y..3} =: x. &in{x..3} =: y. &in{0..1} =: y :- a. a :- not b. b :- not a.", 3),
+    ("&sum{1*x} >= 1 :- a. &in{x..2} =: y. a :- not b. b :- not a. c :- &sum{1*y} >= 2.", 4),
+)
+
+
 def test_hybrid_founded_enumeration_matches_naive_oracle():
     rng = random.Random(7003)
     cases = [
@@ -513,6 +523,8 @@ def test_hybrid_founded_enumeration_matches_naive_oracle():
         cases.append((_with_loop_and_assignments(rng, g) if rng.random() < 0.7 else g,
                       rng.choice(((-1, 1), (-2, 0), (0, 1)))))
     check_rng = random.Random(7103)
+    for src, count in FOUNDED_BY_HAND:
+        assert len(_check_against_naive(gprog(src), "founded", (0, 2), check_rng)) == count, src
     several = partial = mixed = 0
     shapes = Counter()
     for g, bounds in cases:
@@ -821,12 +833,14 @@ def test_atoms_built_on_read_are_one_object_per_atom(first):
 
 
 def test_answers_pickle_with_their_program():
-    # Answers hold the numbered program; its theory evaluators are rebuilt
+    # Answers hold the numbered program; its theory evaluators are rebuilt,
+    # and a founded solve's links pickle with it
     g = ground(parse_program(_ON_READ))
-    for engine in ("oracle", "search"):
-        answers = solve(g, "casp", (0, 1), engine)
+    for engine, mode in (("oracle", "casp"), ("search", "casp"), ("oracle", "founded")):
+        answers = solve(g, mode, (0, 1), engine)
         copy = pickle.loads(pickle.dumps(answers))
         assert copy == answers
         assert [(a, list(v)) for a, v in copy.groups] == [(a, list(v)) for a, v in answers.groups]
+    assert answers.prog.links is not None and copy.prog.links == answers.prog.links
     again = pickle.loads(pickle.dumps(g))
-    assert str(again) == str(g) and solve(again, "casp", (0, 1)) == answers
+    assert str(again) == str(g) and solve(again, "casp", (0, 1)) == solve(g, "casp", (0, 1))
