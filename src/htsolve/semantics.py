@@ -467,7 +467,7 @@ class _Compiled:
         atoms true at tau and whose negative literals are false at there,
         and over static links, with variable p as node n + p: a constraint
         atom holds once its variables are defined and defines them when it
-        holds, and an &in atom that holds defines its target once its
+        holds, and an &in atom that holds defines a variable target once its
         non-constant bounds are defined.  The model is founded iff the pass
         derives all of key and defines exactly the variables vals defines.
         """
@@ -475,12 +475,12 @@ class _Compiled:
             node = {v: p for p, v in enumerate(self.variables, self.n)}
             links = []
             for k, e in enumerate(self.theory):
-                if isinstance(e, AssignmentAtom):
-                    bounds = {node[b] for b in (e.lo, e.hi) if not isinstance(b, IntConst)}
-                    links.append((node[e.target], (k, *bounds)))
-                else:
+                if not isinstance(e, AssignmentAtom):
                     named = tuple({node[v]: None for v in variable_names(e)})
                     links += [(k, named)] + [(x, (k,)) for x in named]
+                elif e.target in node:  # an integer target, ground from a rule, defines nothing
+                    bounds = {node[b] for b in (e.lo, e.hi) if b in node}
+                    links.append((node[e.target], (k, *bounds)))
             occ = [rules[:] for rules in self.pos_occ] + [[] for _ in node]
             for j, (_, body) in enumerate(links, len(self.head)):
                 for b in body:
