@@ -14,8 +14,10 @@ table into the Boolean core's arrays (_Compiled), and walks every valuation
 within bounds.  A valuation matters to the Boolean part only through its
 truth vector, the truth of each distinct theory atom, so the core solves
 once per distinct truth vector, with the theory atoms assumed to their
-truth.  Founded mode keeps a model iff one Horn pass, over the core's
-rules and static links, finds it to be its own least here world.
+truth.  Founded mode walks each variable's static window, not all of
+bounds, and keeps a model iff one Horn pass per (truth vector, model),
+over the core's rules and static links, finds it to be its own least here
+world at a grid point's defined variables.
 
 The Boolean core (_Compiled.models; the search engine runs it too) runs
 Smodels' expand (Simons, Niemela, Soininen 2002) to a fixpoint after every
@@ -393,6 +395,7 @@ class _Compiled:
         # attribute layout, whichever of these methods runs first.
         self.evaluators = None  # by truth()
         self.links = None  # by founded()
+        self.ranges = None  # by windows()
         self.val = self.trail = self.need = self.false_lits = self.support = None  # by models()
         self.qhead = 0
 
@@ -456,20 +459,22 @@ class _Compiled:
         """The atoms with the given ids, all past the theory atoms."""
         return frozenset(self.table.elements(map(self.elems.__getitem__, ids)))
 
-    def founded(self, key: tuple, vals: tuple, tau: tuple) -> bool:
-        """Is the model of the atom ids key and the value tuple vals (truth
-        vector tau) its own least here world?  The here worlds below it are
-        closed under meets: positive bodies, atom heads and &sum/&diff heads
-        are monotone, and an &in head (never in a body) that holds at two
-        here worlds holds at their meet, whose defined bounds both define.
-        One counter-based Horn pass (Dowling and Gallier 1984) finds the
-        least, over the rules whose positive atoms are in key and theory
-        atoms true at tau and whose negative literals are false at there,
-        and over static links, with variable p as node n + p: a constraint
-        atom holds once its variables are defined and defines them when it
-        holds, and an &in atom that holds defines a variable target once its
-        non-constant bounds are defined.  The model is founded iff the pass
-        derives all of key and defines exactly the variables vals defines.
+    def founded(self, key: tuple, tau: tuple) -> bytes | None:
+        """The least here world below the model of the atom ids key and
+        truth vector tau: None if it misses an atom of key, else the mask of
+        the variables it defines (1: defined).  A valuation of tau is founded
+        with key iff the mask is its defined set, as a here world defines a
+        variable at the model's value or not at all.  The here worlds below
+        a model are closed under meets: positive bodies, atom heads and
+        &sum/&diff heads are monotone, and an &in head (never in a body)
+        that holds at two here worlds holds at their meet, whose defined
+        bounds both define.  One counter-based Horn pass (Dowling and
+        Gallier 1984) finds the least, over the rules whose positive atoms
+        are in key and theory atoms true at tau and whose negative literals
+        are false at there, and over static links, with variable p as node
+        n + p: a constraint atom holds once its variables are defined and
+        defines them when it holds, and an &in atom that holds defines a
+        variable target once its non-constant bounds are defined.
         """
         if self.links is None:
             node = {v: p for p, v in enumerate(self.variables, self.n)}
@@ -510,7 +515,7 @@ class _Compiled:
         # No tau gate on the links: a theory atom false at tau that its variables
         # derive defines nothing new, and no rule with it in its body takes part.
         need += link_need
-        here = bytearray(len(occ))  # no #false is reached: key and vals are a model
+        here = bytearray(len(occ))  # no #false is reached: key and tau are a model
         while queue:
             a = queue.pop()
             if not here[a]:
@@ -519,7 +524,29 @@ class _Compiled:
                     need[r] -= 1
                     if not need[r]:
                         queue.append(heads[r])
-        return all(here[a] for a in key) and here[self.n:] == bytes(v is not None for v in vals)
+        return bytes(here[self.n:]) if all(here[a] for a in key) else None
+
+    def windows(self, lo: int, hi: int) -> list:
+        """Each variable's founded window, in grid order: undefined, then the
+        values in lo..hi its heads can give it.  founded() defines variables
+        only through heads, so one that no &sum/&diff head names, and whose
+        &in heads all have integer bounds, takes values in their ranges
+        only; any other takes lo..hi.  The ranges are found once."""
+        if self.ranges is None:
+            ranges = {v: [] for v in self.variables}
+            for e in map(self.theory.__getitem__, {h for h in self.head if 0 <= h < self.t}):
+                if not isinstance(e, AssignmentAtom):
+                    ranges.update(dict.fromkeys(variable_names(e)))
+                elif ranges.get(e.target) is not None:  # an integer target defines nothing
+                    if isinstance(e.lo, IntConst) and isinstance(e.hi, IntConst):
+                        ranges[e.target].append((e.lo.value, e.hi.value))
+                    else:
+                        ranges[e.target] = None
+            self.ranges = list(ranges.values())
+        full = (None, *range(lo, hi + 1)) if None in self.ranges else ()
+        return [full if rs is None else
+                (None, *sorted({x for l, u in rs for x in range(max(l, lo), min(u, hi) + 1)}))
+                for rs in self.ranges]
 
     def _set(self, a: int, value: bool) -> None:
         self.val[a] = value
@@ -771,7 +798,7 @@ def is_equilibrium(m: AnswerSet, g: GroundProgram, mode: str, bounds) -> bool:
     if not prog.models(tau + tuple(a in m.atoms for a in atoms)):
         return False
     key = tuple(i for i, a in enumerate(atoms, len(tau)) if a in m.atoms)
-    return mode == "casp" or prog.founded(key, vals, tau)
+    return mode == "casp" or prog.founded(key, tau) == bytes(v is not None for v in vals)
 
 
 def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> Answers:
@@ -780,9 +807,10 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> Answers:
     The program is numbered once, with its Boolean core.  Each grid point (a
     total valuation in casp mode, a partial one in founded mode) gives a
     truth vector tau, and the core solves each distinct tau once, with the
-    theory atoms assumed to their truth in tau.  Founded mode keeps a
-    stable model iff it is its own least here world, one Horn pass per
-    candidate (_Compiled.founded).
+    theory atoms assumed to their truth in tau.  Founded mode walks each
+    variable's window (_Compiled.windows), runs one Horn pass per stable
+    model of a tau (_Compiled.founded), and keeps the model at each grid
+    point of that tau whose defined variables its least here world defines.
 
     Atom sets come in the order of their sorted atom texts (atom ids are in
     text order), and each set's valuations, as value tuples, in grid order:
@@ -792,18 +820,22 @@ def enumerate_equilibrium(g: GroundProgram, mode: str, bounds) -> Answers:
     lo, hi = _bounds_ok(bounds)
     founded = mode == "founded"
     prog = numbered(g)
-    # with no variables the grid is one empty valuation: build no options
-    values = tuple(range(lo, hi + 1)) if prog.variables else ()
-    options = (None,) + values if founded else values
-    solved: dict = {}  # tau -> each stable model's ids past its sum(tau) theory ids
+    # with no variables the grid is one empty valuation: build no values
+    windows = prog.windows(lo, hi) if founded else [range(lo, hi + 1)] * len(prog.variables)
+    nones = (None,) * len(prog.variables)
+    solved: dict = {}  # tau -> its stable models' ids past the theory ids (founded: with masks)
     found: dict = {}  # visible atom ids -> value tuples, in grid order
-    for vals in product(options, repeat=len(prog.variables)):
+    for vals in product(*windows):
         tau = prog.truth(vals)
         keys = solved.get(tau)
         if keys is None:
-            keys = solved[tau] = [m[sum(tau):] for m in prog.models(tau)]
-        if founded:
-            keys = [key for key in keys if prog.founded(key, vals, tau)]
+            keys = [m[sum(tau):] for m in prog.models(tau)]
+            if founded:
+                keys = [(key, prog.founded(key, tau)) for key in keys]
+            solved[tau] = keys
+        if founded and keys:
+            defined = bytes(map(operator.is_not, vals, nones))
+            keys = [key for key, mask in keys if mask == defined]
         for key in keys:
             found.setdefault(key, []).append(vals)
     return Answers(prog, [(key, found[key]) for key in sorted(found)])

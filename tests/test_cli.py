@@ -394,6 +394,29 @@ def test_solve_program_without_variables_over_a_huge_domain_in_a_subprocess(lp, 
     assert (done.returncode, done.stdout, done.stderr) == (EXIT_SAT, "Answer: 1\na b\nSATISFIABLE\n", "")
 
 
+def test_solve_founded_over_a_huge_domain_in_a_subprocess(lp):
+    # every variable has a founded window of its own: the domain is never built
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    gib = 1 << 30
+
+    def solved(path, domain):
+        done = subprocess.run(
+            [sys.executable, "-m", "htsolve", "solve", path, "--semantics", "founded",
+             "--domain", domain],
+            env=env, capture_output=True, text=True, timeout=20,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)),
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    huge = "0..1000000000000"
+    assert solved(lp("a :- &sum{1*x} >= 0."), huge) == (EXIT_SAT, "Answer: 1\n\nSATISFIABLE\n", "")
+    path = lp("&in{3..4} =: x. b :- &sum{1*x} >= 4.")
+    small = solved(path, "0..1000")
+    assert small[0] == EXIT_SAT and small[1].count("Answer:") == 2
+    assert solved(path, huge) == small
+
+
 def test_solve_rule_with_three_thousand_body_atoms(lp, capsys):
     facts = [f"p{k}(a)" for k in range(3000)]
     rule = "q(X) :- " + ", ".join(f"p{k}(X)" for k in range(3000)) + "."

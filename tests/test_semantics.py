@@ -513,6 +513,18 @@ FOUNDED_BY_HAND = (
     ("&in{0..2} =: X :- p(X). p(1).", 1),
     ("&in{0..2} =: X :- p(X). p(5).", 0),
     ("&in{y..2} =: X :- p(X). p(1). &in{0..1} =: y.", 2),
+    # founded windows: x has no defining head, so it is only undefined
+    ("a :- &sum{1*x} >= 1. b :- not a. &in{0..1} =: y.", 2),
+    # an &sum head defines x: x keeps the whole window
+    ("&sum{2*x} != 5 :- not c.", 3),
+    # a variable bound: x keeps the whole window, y its own
+    ("&in{y..2} =: x. &in{1..1} =: y.", 2),
+    # the integer target 1 defines nothing, the target y gets 0..1
+    ("&in{0..1} =: X :- p(X). p(1). p(y).", 2),
+    # two disjoint ranges: 1 is in neither
+    ("&in{0..0} =: x :- a. &in{2..2} =: x :- b. a :- not b. b :- not a.", 2),
+    # ranges sticking out of the domain at both ends
+    ("&in{-1..1} =: x. &in{2..5} =: y :- a. a :- not b. b :- not a.", 4),
 )
 
 
@@ -654,6 +666,36 @@ def test_founded_here_check_fires_a_rule_on_its_whole_body_only():
     assert enumerate_equilibrium(g, "founded", (0, 1)) == want
     assert naive_equilibrium(g, "founded", (0, 1)) == want
     assert not is_equilibrium(AnswerSet(frozenset({a, b}), Valuation.of({x: 0})), g, "founded", (0, 1))
+
+
+def test_founded_mask_is_compared_at_each_grid_point_of_a_truth_vector():
+    """y has no head, so &in{y..2} =: x holds at every grid point and all
+    four values of x give one truth vector; the head defines x only once
+    its bound y is defined, so each model is founded only where x is
+    undefined."""
+    g = gprog("&in{y..2} =: x :- a. a :- not b. b :- not a.")
+    prog = numbered(g)
+    assert prog.windows(0, 2) == [(None, 0, 1, 2), (None,)]
+    assert len({prog.truth((v, None)) for v in (None, 0, 1, 2)}) == 1
+    want = [AnswerSet(frozenset({a})), AnswerSet(frozenset({b}))]
+    assert enumerate_equilibrium(g, "founded", (0, 2)) == want
+    assert naive_equilibrium(g, "founded", (0, 2)) == want
+    assert not is_equilibrium(AnswerSet(frozenset({a}), Valuation.of({x: 1})), g, "founded", (0, 2))
+
+
+def test_founded_mixed_range_bike_on_the_oracle_equals_casp_search():
+    """Wheels over 16..29 and a frame over 1000..1200, solved over the union
+    16..1200: the founded windows keep each attribute to its own range."""
+    m = load_model(parse_program(
+        "ptype(bike). root(bike). ptype(wheel). subpart(bike,wheel,2,2). "
+        "attrdom(wheel,diam,16,29). ptype(frame). subpart(bike,frame,1,1). "
+        "attrdom(frame,weight,1000,1200)."
+    ))
+    bounds = value_bounds(m)
+    founded = solve(ground(translate(m, EMPTY_INSTANCE, "founded")), "founded", bounds)
+    casp = solve(ground(translate(m, EMPTY_INSTANCE, "casp")), "casp", bounds, "search")
+    assert bounds == (16, 1200) and len(casp) == 39396
+    assert list(founded) == list(casp)
 
 
 def test_cancelled_variable_must_still_be_defined_founded():
