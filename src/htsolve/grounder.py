@@ -214,13 +214,13 @@ def _getter(positions) -> itemgetter:
 
 
 class _Terms:
-    """Term ids: the universe's terms are 0..size-1 in universe order; derived
-    function terms follow, interned on (name, argument ids)."""
+    """Term ids and texts: the universe's terms (texts given) are 0..size-1 in
+    universe order; derived function terms follow, interned on (name, argument ids)."""
 
-    def __init__(self, universe: tuple) -> None:
+    def __init__(self, universe: tuple, texts: list) -> None:
         self.size = len(universe)
         self.objs = list(universe)
-        self.texts = [str(t) for t in universe]
+        self.texts = texts
         self.ids = {t: i for i, t in enumerate(universe)}
         self.func_id: dict = {}
         self.func_of: dict = {}
@@ -677,8 +677,9 @@ def ground(p) -> GroundProgram:
     diags = _unsafe(codes)
     if diags:
         raise ValueError("unsafe program: " + "; ".join(str(d) for d in diags))
-    universe = tuple(sorted(found, key=str))
-    terms = _Terms(universe)
+    text = {t: str(t) for t in found}  # each term formatted once
+    universe = tuple(sorted(found, key=text.__getitem__))
+    terms = _Terms(universe, [text[t] for t in universe])
     plain = []  # (head's predicate key, positive body atoms' predicate keys, code or row)
     rest = []  # the codes and rows whose head is not an ordinary atom
     for c in codes:

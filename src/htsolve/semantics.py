@@ -32,9 +32,9 @@ true, only on atoms expand leaves open, in id order, and backtracks
 chronologically; a leaf without a conflict is a stable model, and facts,
 Horn and stratified programs need no decision.
 
-Theory atoms are evaluated by ht's rules: a constraint atom referring to
-an undefined variable is false, and an &in assignment whose bounds
-reference an undefined variable is true.
+Each theory atom is read once, into the oracle's theory table, and is
+true by ht's rules: a constraint atom referring to an undefined variable
+is false, and an &in atom with an undefined bound is true.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .core import (
     AssignmentAtom,
     DiffConstraintAtom,
     IntConst,
-    LinearConstraintAtom,
     _set,
     atoms_of,  # noqa: F401  looked up here by the benchmark's tracer
     variable_names,
@@ -266,45 +265,6 @@ def _row(atom, sign: bool, position: dict) -> tuple:
     return sorted((p, k) for p, k in coef.items() if k), cmp, rhs
 
 
-def _operand(t, position: dict):
-    """Getter of a term's value from a value tuple; None when undefined."""
-    if isinstance(t, IntConst):
-        return lambda vals, c=t.value: c
-    return operator.itemgetter(position[t])
-
-
-def _evaluator(e, position: dict):
-    """Truth of theory atom e over a value tuple, by ht._elem_true's rules."""
-    if isinstance(e, AssignmentAtom):
-        lo, hi, target = (_operand(t, position) for t in (e.lo, e.hi, e.target))
-
-        def assign(vals):
-            vlo, vhi = lo(vals), hi(vals)
-            if vlo is None or vhi is None:
-                return True
-            v = target(vals)
-            return v is not None and vlo <= v <= vhi
-
-        return assign
-    if not isinstance(e, (LinearConstraintAtom, DiffConstraintAtom)):
-        raise ValueError(f"cannot evaluate {e!r}")
-    # every variable named must be defined, also one whose coefficients cancel
-    named = tuple({position[t]: None for t in variable_names(e)})
-    terms, cmp, rhs = _row(e, True, position)
-    holds = _CMP[cmp]
-
-    def constraint(vals):
-        for p in named:
-            if vals[p] is None:
-                return False
-        tally = 0
-        for p, c in terms:
-            tally += c * vals[p]
-        return holds(tally, rhs)
-
-    return constraint
-
-
 class _Compiled:
     """A ground program numbered once, and the Boolean core over it.
 
@@ -328,9 +288,9 @@ class _Compiled:
     off by counters first, so an acyclic program is never split into
     strongly connected components.
     The oracle reads a valuation as a value tuple (None: undefined) and each
-    theory atom as an evaluator over such tuples; a truth vector tau holds
-    every theory atom's truth at one valuation, and the stable models a
-    valuation allows depend only on its tau.
+    theory atom as a row of the theory table (_tabulate); a truth vector tau
+    holds every theory atom's truth at one valuation, and the stable models
+    a valuation allows depend only on its tau.
 
     The core's search (models) keeps values in val (None while open) and,
     in assignment order, on the trail; the entries before qhead have been
@@ -393,9 +353,8 @@ class _Compiled:
                 raise ValueError(f"non-ground element: variable {v}")
         # Set on first use, but declared here: every instance then has one
         # attribute layout, whichever of these methods runs first.
-        self.evaluators = None  # by truth()
+        self.theory_table = None  # by _tabulate()
         self.links = None  # by founded()
-        self.ranges = None  # by windows()
         self.val = self.trail = self.need = self.false_lits = self.support = None  # by models()
         self.qhead = 0
 
@@ -432,18 +391,53 @@ class _Compiled:
             for a in inner:
                 self.loop_occ[a].append(j)
 
-    def __getstate__(self) -> dict:
-        # Answers hold their program, so they pickle with it; the evaluators
-        # are closures, which truth() builds again
-        return {**self.__dict__, "evaluators": None}
+    def _tabulate(self) -> list:
+        """The theory table: each theory atom, in id order, as a plain tuple
+        over variable positions, built on the first call and kept; truth,
+        founded's links and windows read theory atoms only from it.
+
+        A constraint atom is (named, terms, holds, rhs): the positions of
+        every variable it names, one whose coefficients cancel too, then its
+        _row(e, True, ...) with the comparator as its function.  An &in atom
+        is (None, lo, hi, target), each a position or, for an integer
+        constant c, the box (c,), so that no constant is read as a position.
+        """
+        if self.theory_table is None:
+            position = {v: p for p, v in enumerate(self.variables)}
+            table = []
+            for e in self.theory:
+                if isinstance(e, AssignmentAtom):
+                    table.append((None, *[(t.value,) if isinstance(t, IntConst) else position[t]
+                                          for t in (e.lo, e.hi, e.target)]))
+                else:
+                    named = tuple({position[v]: None for v in variable_names(e)})
+                    terms, cmp, rhs = _row(e, True, position)
+                    table.append((named, tuple(terms), _CMP[cmp], rhs))
+            self.theory_table = table
+        return self.theory_table
 
     def truth(self, vals: tuple) -> tuple:
-        """tau: the truth of every theory atom under a value tuple."""
-        evaluators = self.evaluators
-        if evaluators is None:
-            position = {v: p for p, v in enumerate(self.variables)}
-            evaluators = self.evaluators = [_evaluator(e, position) for e in self.theory]
-        return tuple([ev(vals) for ev in evaluators])
+        """tau: each theory atom's truth under a value tuple, by ht._elem_true's rules."""
+        tau = []
+        for row in self._tabulate():
+            if row[0] is None:  # an &in atom holds if a bound is undefined
+                _, lo, hi, v = row
+                lo = lo[0] if type(lo) is tuple else vals[lo]
+                hi = hi[0] if type(hi) is tuple else vals[hi]
+                v = v[0] if type(v) is tuple else vals[v]
+                tau.append(lo is None or hi is None or v is not None and lo <= v <= hi)
+                continue
+            named, terms, holds, rhs = row
+            for p in named:
+                if vals[p] is None:
+                    tau.append(False)
+                    break
+            else:
+                tally = 0
+                for p, k in terms:
+                    tally += k * vals[p]
+                tau.append(holds(tally, rhs))
+        return tuple(tau)
 
     @property
     def texts(self) -> list:
@@ -477,16 +471,17 @@ class _Compiled:
         variable target once its non-constant bounds are defined.
         """
         if self.links is None:
-            node = {v: p for p, v in enumerate(self.variables, self.n)}
+            n = self.n  # variable p is node n + p
             links = []
-            for k, e in enumerate(self.theory):
-                if not isinstance(e, AssignmentAtom):
-                    named = tuple({node[v]: None for v in variable_names(e)})
+            for k, row in enumerate(self._tabulate()):
+                if row[0] is not None:  # a constraint atom
+                    named = tuple(n + p for p in row[0])
                     links += [(k, named)] + [(x, (k,)) for x in named]
-                elif e.target in node:  # an integer target, ground from a rule, defines nothing
-                    bounds = {node[b] for b in (e.lo, e.hi) if b in node}
-                    links.append((node[e.target], (k, *bounds)))
-            occ = [rules[:] for rules in self.pos_occ] + [[] for _ in node]
+                elif type(row[3]) is int:  # an integer target, ground from a rule, defines nothing
+                    _, lo, hi, target = row
+                    bounds = {n + p for p in (lo, hi) if type(p) is int}
+                    links.append((n + target, (k, *bounds)))
+            occ = [rules[:] for rules in self.pos_occ] + [[] for _ in self.variables]
             for j, (_, body) in enumerate(links, len(self.head)):
                 for b in body:
                     occ[b].append(j)
@@ -531,22 +526,25 @@ class _Compiled:
         values in lo..hi its heads can give it.  founded() defines variables
         only through heads, so one that no &sum/&diff head names, and whose
         &in heads all have integer bounds, takes values in their ranges
-        only; any other takes lo..hi.  The ranges are found once."""
-        if self.ranges is None:
-            ranges = {v: [] for v in self.variables}
-            for e in map(self.theory.__getitem__, {h for h in self.head if 0 <= h < self.t}):
-                if not isinstance(e, AssignmentAtom):
-                    ranges.update(dict.fromkeys(variable_names(e)))
-                elif ranges.get(e.target) is not None:  # an integer target defines nothing
-                    if isinstance(e.lo, IntConst) and isinstance(e.hi, IntConst):
-                        ranges[e.target].append((e.lo.value, e.hi.value))
-                    else:
-                        ranges[e.target] = None
-            self.ranges = list(ranges.values())
-        full = (None, *range(lo, hi + 1)) if None in self.ranges else ()
+        only; any other takes lo..hi.  The ranges are read from the theory
+        table's rows of the rule heads."""
+        table = self._tabulate()
+        ranges = [[] for _ in self.variables]  # per variable, its heads' ranges; None: lo..hi
+        for row in map(table.__getitem__, {h for h in self.head if 0 <= h < self.t}):
+            if row[0] is not None:  # a constraint head
+                for p in row[0]:
+                    ranges[p] = None
+                continue
+            _, l, u, target = row  # an integer target, a box, defines nothing
+            if type(target) is int and ranges[target] is not None:
+                if type(l) is tuple and type(u) is tuple:
+                    ranges[target].append((l[0], u[0]))
+                else:
+                    ranges[target] = None
+        full = (None, *range(lo, hi + 1)) if None in ranges else ()
         return [full if rs is None else
                 (None, *sorted({x for l, u in rs for x in range(max(l, lo), min(u, hi) + 1)}))
-                for rs in self.ranges]
+                for rs in ranges]
 
     def _set(self, a: int, value: bool) -> None:
         self.val[a] = value

@@ -41,7 +41,7 @@ from htsolve import (
 from htsolve.configkit import EMPTY_INSTANCE
 from htsolve.core import atoms_of
 from htsolve.grounder import GroundProgram, check_safety
-from htsolve.ht import sat_elem
+from htsolve.ht import _elem_true, sat_elem
 from htsolve.semantics import EMPTY_VALUATION, MODES, _Compiled, numbered
 
 from oracles import (
@@ -714,6 +714,38 @@ def test_cancelled_variable_must_still_be_defined_founded():
     assert not is_equilibrium(AnswerSet(frozenset({a, c})), g, "founded", (0, 1))
 
 
+_TRUTH_BY_HAND = [
+    # &in bounds that are negative constants, variables, or undefined
+    "&in{-2..-1} =: x. &in{y..-1} =: x. &in{-1..y} =: z. &in{y..z} =: x.",
+    # an integer &in target, next to a variable bound
+    "&in{0..2} =: X :- p(X). &in{y..2} =: X :- q(X). p(1). q(-1). q(3).",
+    # cancelling coefficients and strict comparators
+    "a :- &sum{1*x;-1*x} >= 0. b :- &sum{2*x;-1*y;-2*x} < 0. c :- &sum{1*x;1*y} > 1. "
+    "d :- &sum{3*x} != 3. e :- &sum{1*x;-1*y} = 0. f :- &sum{1*x} <= -1.",
+    # a constant operand of a difference
+    "a :- &diff{2-x} <= 0. b :- &diff{x-2} <= -1. c :- &diff{x-y} <= 0.",
+]
+
+
+def _truth_cases():
+    for src in _TRUTH_BY_HAND:
+        yield gprog(src)
+    rng = random.Random(3636)
+    for _ in range(80):
+        yield random_hybrid_program(rng, assignments=True)
+
+
+def test_truth_vector_equals_each_theory_atom_by_ht():
+    """At every partial valuation over -2..2, the oracle's truth vector is
+    each theory atom's truth by ht's rules."""
+    for g in _truth_cases():
+        prog = numbered(g)
+        for vals in product((None, -2, -1, 0, 1, 2), repeat=len(prog.variables)):
+            vd = {v: x for v, x in zip(prog.variables, vals) if x is not None}
+            want = [_elem_true((), vd, e) for e in prog.theory]
+            assert list(prog.truth(vals)) == want, f"{vals} on:\n{g}"
+
+
 def test_numbering_is_kept_with_the_program_and_ignored_by_its_value():
     g = ground(parse_program("a :- &sum{1*x} >= 1. b :- not a."))
     twin = ground(parse_program("a :- &sum{1*x} >= 1. b :- not a."))
@@ -764,9 +796,9 @@ def test_a_search_that_raised_leaves_nothing_for_the_next(engine, monkeypatch):
 def test_search_solve_builds_no_evaluators():
     g = ground(parse_program("a :- &sum{1*x} >= 1. b :- not a."))
     assert len(solve(g, "casp", (0, 2), engine="search")) == 3
-    assert numbered(g).evaluators is None
-    assert len(solve(g, "casp", (0, 2))) == 3  # the oracle reads them
-    assert numbered(g).evaluators is not None
+    assert numbered(g).theory_table is None
+    assert len(solve(g, "casp", (0, 2))) == 3  # the oracle reads it
+    assert numbered(g).theory_table is not None
 
 
 def test_modes_agree_on_boolean_programs():
@@ -879,14 +911,15 @@ def test_atoms_built_on_read_are_one_object_per_atom(first):
 
 
 def test_answers_pickle_with_their_program():
-    # Answers hold the numbered program; its theory evaluators are rebuilt,
-    # and a founded solve's links pickle with it
+    # Answers hold the numbered program; its theory table and a founded
+    # solve's links pickle with it
     g = ground(parse_program(_ON_READ))
     for engine, mode in (("oracle", "founded"), ("oracle", "casp"), ("search", "casp")):
         answers = solve(g, mode, (0, 1), engine)
         copy = pickle.loads(pickle.dumps(answers))
         assert copy == answers
         assert [(a, list(v)) for a, v in copy.groups] == [(a, list(v)) for a, v in answers.groups]
+        assert copy.prog.theory_table == answers.prog.theory_table is not None
         if mode == "founded":
             assert answers.prog.links is not None and copy.prog.links == answers.prog.links
     again = pickle.loads(pickle.dumps(g))
