@@ -11,17 +11,19 @@ like any atom but needs no supporting rule, and a rule with one as head
 still forbids "body true, head false".  The oracle assumes each one's
 truth instead.  abstract() alone names them __t1, __t2, ...
 
-_grid_walk() is the single place that decides valuations: a
-difference-logic graph refutes inconsistent &diff signs outright, each
-atom becomes one linear row over the variables, and one backtracking pass
-over the bounded grid, pruned by the interval each row's unbound terms can
-still add (bounds propagation as in clingcon, Ostrowski and Schaub 2012),
-generates, in grid order, every valuation under which each atom has its
-sign, so the result set matches the exhaustive oracle.  It generates them
-as runs: per binding of the variables before the last, the last one's
-allowed values, split where a != row bans one.  theory_certify() checks
-its inputs and returns that generator unread, so the grid is walked only
-as far as its runs are read.
+_grid_walk() is the single place that decides valuations: each signed
+theory atom is its row of the program's theory table, one linear row over
+the variables compiled once per program (a false atom takes the row's
+complement), a difference-logic graph refutes inconsistent rows of
+difference shape outright, and one backtracking pass over the bounded
+grid, pruned by the interval each row's unbound terms can still add
+(bounds propagation as in clingcon, Ostrowski and Schaub 2012), generates,
+in grid order, every valuation under which each atom has its sign, so the
+result set matches the exhaustive oracle.  It generates them as runs: per
+binding of the variables before the last, the last one's allowed values,
+split where a != row bans one.  theory_certify() numbers its atoms as a
+program of constraints and returns that program's walk unread, so the
+grid is walked only as far as its runs are read.
 
 solve() groups the Boolean models by their ids past t, the visible atoms,
 and takes the groups in the order answers are printed.  It splits each
@@ -47,15 +49,14 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .core import (
+    FALSITY,
     AssignmentAtom,
     Atom,
-    DiffConstraintAtom,
     Literal,
     Rule,
     atoms_of,  # noqa: F401  looked up here by the benchmark's tracer
-    variables_of,
 )
-from .dl import Conflict, DiffGraph, negate_diff
+from .dl import Conflict, DiffGraph
 from .grounder import GroundProgram
 from .semantics import (
     _CMP,
@@ -63,7 +64,6 @@ from .semantics import (
     _bounds_ok,
     _Compiled,
     _mode_ok,
-    _row,
     enumerate_equilibrium,
     numbered,
 )
@@ -122,9 +122,10 @@ def stable_models_bool(b: GroundProgram) -> list:
 def _schedule(rows: list, n: int, lo: int, hi: int) -> tuple:
     """Per grid position 0..n-1, what binding its variable x checks and sums.
 
-    rows are _row results with at least one term.  A row keeps the running
-    sum of its bound terms in sums[slot], slot 0 holding 0.  The result is
-    (windows, forbid, carry, slots), the first three one list per position:
+    rows are signed theory-table rows with at least one term.  A row keeps
+    the running sum of its bound terms in sums[slot], slot 0 holding 0.
+    The result is (windows, forbid, carry, slots), the first three one
+    list per position:
 
     - windows (src, c, lb, ub): lb <= sums[src] + c*x <= ub, the row's
       bounds less what its unbound terms can still add (c*lo or c*hi each);
@@ -211,60 +212,67 @@ def theory_certify(signs: dict, bounds):
     nothing, but its variables still join the grid, so the result is the
     union, in grid order, of the results for each of its two signs.  Empty
     bounds and &in atoms, signed or not, are rejected at the call; the grid
-    is walked only as the runs are read.
+    is walked only as the runs are read.  The atoms are numbered as the
+    program of one constraint :- e. per atom e.
     """
     _bounds_ok(bounds)
     _reject_assignments(signs)
-    return _grid_walk(signs, bounds, variables_of(signs))
+    prog = numbered(GroundProgram([Rule(FALSITY, (Literal(True, e),)) for e in signs]))
+    return _grid_walk(prog, [signs[e] for e in prog.theory], bounds)
 
 
-def _grid_walk(signs: dict, bounds, variables: tuple):
+# a false row's comparator and the shift of its rhs, over the integers
+_COMPLEMENT = {"<=": (">=", 1), ">=": ("<=", -1), "=": ("!=", 0), "!=": ("=", 0)}
+
+
+def _grid_walk(prog: _Compiled, signs: list, bounds):
     """Generate, in grid order, the runs (see _Grid) of the value tuples over
-    variables (in text order, a superset of the signed atoms' variables)
-    within bounds under which each atom has its sign.  Grid order is
+    prog's variables within bounds under which each theory atom has its
+    sign, signs[k] for theory id k (None: either).  Grid order is
     variables by text, values ascending, which is the tuples' own order.
 
-    The signed &diff atoms, negated ones via negate_diff, are first
-    asserted into a DiffGraph; a negative cycle means no valuation exists.
-    Each signed atom is then compiled into one linear row over the
-    variables' grid positions, and a row without variables is checked once.
-    One backtracking pass binds the variables before the last in grid
-    order.  A row keeps a running sum of its bound terms, and the interval
-    its unbound terms can still add (c * lo or c * hi each) bounds that sum
-    at every position of the row; variable i then takes only the values
-    that keep each of its rows satisfiable, so a subtree with no valuation
-    is never entered, and a row is exact at its last position.  A != row
-    bans at most one value, so a variable's allowed values are a few
-    ranges, never listed.  Each binding of the variables before the last
-    gives one run per range of the last variable's allowed values.
+    Each signed atom is its row of prog's theory table, a false one the
+    row's complement, and a row without variables is checked once.  A row
+    of difference shape, two terms with coefficients 1 and -1 and the
+    comparator <= or >=, is also asserted into a DiffGraph over variable
+    positions; a negative cycle means no valuation exists.  One
+    backtracking pass binds the variables before the last in grid order.
+    A row keeps a running sum of its bound terms, and the interval its
+    unbound terms can still add (c * lo or c * hi each) bounds that sum at
+    every position of the row; variable i then takes only the values that
+    keep each of its rows satisfiable, so a subtree with no valuation is
+    never entered, and a row is exact at its last position.  A != row bans
+    at most one value, so a variable's allowed values are a few ranges,
+    never listed.  Each binding of the variables before the last gives one
+    run per range of the last variable's allowed values.
     """
     lo, hi = bounds
     graph = DiffGraph()
-    cid = 0
-    for atom, sign in signs.items():
-        if sign is None or not isinstance(atom, DiffConstraintAtom):
-            continue
-        x, y, k = atom.lhs_var, atom.rhs_var, atom.bound
-        if not sign:
-            x, y, k = negate_diff(x, y, k)
-        cid += 1
-        if isinstance(graph.assert_diff(x, y, k, cid), Conflict):
-            return
-
-    position = {v: i for i, v in enumerate(variables)}
     rows = []
-    for atom, sign in signs.items():
+    for cid, (sign, (_, terms, cmp, rhs)) in enumerate(zip(signs, prog.theory_table)):
         if sign is None:
             continue
-        terms, cmp, rhs = _row(atom, sign, position)
-        if terms:
-            rows.append((terms, cmp, rhs))
-        elif not _CMP[cmp](0, rhs):
-            return
-    if not variables:
+        if not sign:
+            cmp, shift = _COMPLEMENT[cmp]
+            rhs += shift
+        if not terms:
+            if not _CMP[cmp](0, rhs):
+                return
+            continue
+        rows.append((terms, cmp, rhs))
+        if len(terms) == 2 and terms[0][1] * terms[1][1] == -1 and cmp in ("<=", ">="):
+            (p, c), (q, _) = terms
+            k = rhs
+            if cmp == ">=":  # c * (x[p] - x[q]) >= rhs as -c * (x[p] - x[q]) <= -rhs
+                c, k = -c, -rhs
+            x, y = (p, q) if c == 1 else (q, p)
+            if isinstance(graph.assert_diff(x, y, k, cid), Conflict):
+                return
+    n = len(prog.variables)
+    if not n:
         yield (), None
         return
-    windows, forbid, carry, slots = _schedule(rows, len(variables), lo, hi)
+    windows, forbid, carry, slots = _schedule(rows, n, lo, hi)
     sums = [0] * slots
 
     def allowed(i: int) -> list:
@@ -286,7 +294,7 @@ def _grid_walk(signs: dict, bounds, variables: tuple):
                     break
         return runs
 
-    last = len(variables) - 1
+    last = n - 1
     values = [lo] * last  # of the variables before the last
     pending: list = []  # per bound variable before the last: its values left
     while True:
@@ -333,10 +341,9 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
     search engine walks no valuation past them.  It groups the Boolean
     models by visible atoms and takes the groups in text order.  The
     models of one group differ only in the signs of theory atoms; one
-    theory_certify call per cube of the group, its free atoms unsigned,
-    gives the lazy walk of the union of its models' valuations in grid
-    order, so every walk is pruned by each atom the cube's models agree
-    on.  The cubes hold disjoint sign patterns, so their runs never
+    _grid_walk call per cube of the group, its free atoms unsigned, gives
+    the lazy walk of the union of its models' valuations in grid order, so
+    every walk is pruned by each atom the cube's models agree on.  The cubes hold disjoint sign patterns, so their runs never
     overlap, and one heapq.merge of the walks by prefix, then first
     value, read into one _Grid cut at the answers still wanted, gives
     the group's values.  Without variables every atom's truth is fixed,
@@ -353,7 +360,7 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
         return answers.head(models) if models else answers
     if mode != "casp":
         raise ValueError("engine 'search' supports casp mode only")
-    _bounds_ok(bounds)  # also when no Boolean model reaches theory_certify
+    _bounds_ok(bounds)  # also when no Boolean model reaches _grid_walk
     prog = _compile(g)
     t = len(prog.theory)  # the theory atoms' Boolean ids come first
     groups: dict = {}  # visible atom ids -> true theory ids of each model
@@ -365,8 +372,8 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
     for key in sorted(groups):
         walks = []
         for true, free in _cubes(groups[key]):
-            signs = {e: None if i in free else i in true for i, e in enumerate(prog.theory)}
-            walks.append(theory_certify(signs, bounds))
+            signs = [None if i in free else i in true for i in range(t)]
+            walks.append(_grid_walk(prog, signs, bounds))
         values = _Grid(heapq.merge(*walks, key=lambda run: (run[0], run[1] and run[1][0])), left)
         if values:
             answers.append((key, values))

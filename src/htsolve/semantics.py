@@ -32,9 +32,10 @@ true, only on atoms expand leaves open, in id order, and backtracks
 chronologically; a leaf without a conflict is a stable model, and facts,
 Horn and stratified programs need no decision.
 
-Each theory atom is read once, into the oracle's theory table, and is
-true by ht's rules: a constraint atom referring to an undefined variable
-is false, and an &in atom with an undefined bound is true.
+Each theory atom is read once per program, into the theory table that
+both engines read (_Compiled.theory_table), and is true by ht's rules: a
+constraint atom referring to an undefined variable is false, and an &in
+atom with an undefined bound is true.
 """
 
 from __future__ import annotations
@@ -233,15 +234,13 @@ class Answers(Sequence):
         return Answers(self.prog, groups)
 
 
-# --- compiled fast paths ---------------------------------------------------
+# --- the theory table: each constraint atom as one linear row ------------
 
-# comparator of a false atom; over the integers, < and > become <= and >=
-_NEGATED = {"<=": ">", "=": "!=", "!=": "=", "<": ">=", ">": "<=", ">=": "<"}
-_STRICT = {"<": ("<=", -1), ">": (">=", 1)}
+_STRICT = {"<": ("<=", -1), ">": (">=", 1)}  # over the integers
 
 
-def _row(atom, sign: bool, position: dict) -> tuple:
-    """atom under its sign as (terms, cmp, rhs), meaning sum c * x[p] cmp rhs.
+def _row(atom, position: dict) -> tuple:
+    """atom as (terms, cmp, rhs), meaning sum c * x[p] cmp rhs.
 
     terms are the (position, coefficient) pairs with a nonzero merged
     coefficient, in position order; integer constants are folded into rhs,
@@ -257,8 +256,6 @@ def _row(atom, sign: bool, position: dict) -> tuple:
             rhs -= k * t.value
         else:
             coef[position[t]] = coef.get(position[t], 0) + k
-    if not sign:
-        cmp = _NEGATED[cmp]
     if cmp in _STRICT:
         cmp, shift = _STRICT[cmp]
         rhs += shift
@@ -266,7 +263,8 @@ def _row(atom, sign: bool, position: dict) -> tuple:
 
 
 class _Compiled:
-    """A ground program numbered once, and the Boolean core over it.
+    """A ground program numbered once, its theory table, and the Boolean
+    core over it.
 
     It is made from the program's numbered rule table (grounder._Table),
     by ranking its elements by their texts and remapping the rows; no Rule
@@ -287,10 +285,16 @@ class _Compiled:
     positive cycle; those whose positive bodies reach no cycle are peeled
     off by counters first, so an acyclic program is never split into
     strongly connected components.
-    The oracle reads a valuation as a value tuple (None: undefined) and each
-    theory atom as a row of the theory table (_tabulate); a truth vector tau
-    holds every theory atom's truth at one valuation, and the stable models
-    a valuation allows depend only on its tau.
+    theory_table holds each theory atom, in id order, as a plain tuple over
+    variable positions (the variables' indexes), built here; both engines
+    read each theory atom's terms from it alone.  A constraint atom is
+    (named, terms, cmp, rhs): the positions of every variable it names,
+    one whose coefficients cancel too, then its _row.  An &in atom is
+    (None, lo, hi, target), each a position or, for an integer constant c,
+    the box (c,), so that no constant is read as a position.  The oracle
+    reads a valuation as a value tuple (None: undefined); a truth vector
+    tau holds every theory atom's truth at one valuation, and the stable
+    models a valuation allows depend only on its tau.
 
     The core's search (models) keeps values in val (None while open) and,
     in assignment order, on the trail; the entries before qhead have been
@@ -351,9 +355,18 @@ class _Compiled:
         for v in self.variables:
             if isinstance(v, AspVar):
                 raise ValueError(f"non-ground element: variable {v}")
+        position = {v: p for p, v in enumerate(self.variables)}
+        self.theory_table = table = []
+        for e in self.theory:
+            if isinstance(e, AssignmentAtom):
+                table.append((None, *[(t.value,) if isinstance(t, IntConst) else position[t]
+                                      for t in (e.lo, e.hi, e.target)]))
+            else:
+                named = tuple({position[v]: None for v in variable_names(e)})
+                terms, cmp, rhs = _row(e, position)
+                table.append((named, tuple(terms), cmp, rhs))
         # Set on first use, but declared here: every instance then has one
         # attribute layout, whichever of these methods runs first.
-        self.theory_table = None  # by _tabulate()
         self.links = None  # by founded()
         self.val = self.trail = self.need = self.false_lits = self.support = None  # by models()
         self.qhead = 0
@@ -391,35 +404,10 @@ class _Compiled:
             for a in inner:
                 self.loop_occ[a].append(j)
 
-    def _tabulate(self) -> list:
-        """The theory table: each theory atom, in id order, as a plain tuple
-        over variable positions, built on the first call and kept; truth,
-        founded's links and windows read theory atoms only from it.
-
-        A constraint atom is (named, terms, holds, rhs): the positions of
-        every variable it names, one whose coefficients cancel too, then its
-        _row(e, True, ...) with the comparator as its function.  An &in atom
-        is (None, lo, hi, target), each a position or, for an integer
-        constant c, the box (c,), so that no constant is read as a position.
-        """
-        if self.theory_table is None:
-            position = {v: p for p, v in enumerate(self.variables)}
-            table = []
-            for e in self.theory:
-                if isinstance(e, AssignmentAtom):
-                    table.append((None, *[(t.value,) if isinstance(t, IntConst) else position[t]
-                                          for t in (e.lo, e.hi, e.target)]))
-                else:
-                    named = tuple({position[v]: None for v in variable_names(e)})
-                    terms, cmp, rhs = _row(e, True, position)
-                    table.append((named, tuple(terms), _CMP[cmp], rhs))
-            self.theory_table = table
-        return self.theory_table
-
     def truth(self, vals: tuple) -> tuple:
         """tau: each theory atom's truth under a value tuple, by ht._elem_true's rules."""
         tau = []
-        for row in self._tabulate():
+        for row in self.theory_table:
             if row[0] is None:  # an &in atom holds if a bound is undefined
                 _, lo, hi, v = row
                 lo = lo[0] if type(lo) is tuple else vals[lo]
@@ -427,7 +415,7 @@ class _Compiled:
                 v = v[0] if type(v) is tuple else vals[v]
                 tau.append(lo is None or hi is None or v is not None and lo <= v <= hi)
                 continue
-            named, terms, holds, rhs = row
+            named, terms, cmp, rhs = row
             for p in named:
                 if vals[p] is None:
                     tau.append(False)
@@ -436,7 +424,7 @@ class _Compiled:
                 tally = 0
                 for p, k in terms:
                     tally += k * vals[p]
-                tau.append(holds(tally, rhs))
+                tau.append(_CMP[cmp](tally, rhs))
         return tuple(tau)
 
     @property
@@ -473,7 +461,7 @@ class _Compiled:
         if self.links is None:
             n = self.n  # variable p is node n + p
             links = []
-            for k, row in enumerate(self._tabulate()):
+            for k, row in enumerate(self.theory_table):
                 if row[0] is not None:  # a constraint atom
                     named = tuple(n + p for p in row[0])
                     links += [(k, named)] + [(x, (k,)) for x in named]
@@ -528,7 +516,7 @@ class _Compiled:
         &in heads all have integer bounds, takes values in their ranges
         only; any other takes lo..hi.  The ranges are read from the theory
         table's rows of the rule heads."""
-        table = self._tabulate()
+        table = self.theory_table
         ranges = [[] for _ in self.variables]  # per variable, its heads' ranges; None: lo..hi
         for row in map(table.__getitem__, {h for h in self.head if 0 <= h < self.t}):
             if row[0] is not None:  # a constraint head

@@ -407,27 +407,45 @@ def test_certify_returns_the_first_run_of_a_huge_grid_at_once():
     assert done.stdout == f"((0, 0), range({10**12 - 2}, {10**12 + 1}))\n"
 
 
+@pytest.mark.parametrize(
+    "middle",
+    ["DiffConstraintAtom(y, z, -1)", "LinearConstraintAtom(((1, y), (-1, z)), '<=', -1)"],
+    ids=["diff", "sum"],
+)
+def test_certify_refutes_a_difference_cycle_before_walking(middle):
+    # x < y < z, from &diff{x-y} <= -1 and y - z <= -1 (a &diff or a &sum),
+    # and not &diff{x-z} <= -2 over 10^9 values: every binding of x and y
+    # leaves z no value, so a walk would visit about 5 * 10^17 prefixes; the
+    # difference-logic graph refutes the signed cycle first
+    script = "\n".join([
+        "from htsolve import DiffConstraintAtom, LinearConstraintAtom, SymConst, theory_certify",
+        "x, y, z = map(SymConst, 'xyz')",
+        f"signs = {{DiffConstraintAtom(x, y, -1): True, {middle}: True,",
+        "         DiffConstraintAtom(x, z, -2): False}",
+        "print(list(theory_certify(signs, (0, 10**9))))",
+    ])
+    done = _run_in_1_gib(script)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
 def _brute_certify(signs: dict, bounds) -> list:
-    """Reference: filter the whole domain^vars grid, in product order."""
+    """Reference: filter the whole domain^vars grid, in product order; an
+    atom signed None constrains nothing."""
     lo, hi = bounds
     variables = sorted({v for atom in signs for v in variable_names(atom)}, key=str)
     out = []
     for combo in product(range(lo, hi + 1), repeat=len(variables)):
         vd = dict(zip(variables, combo))
-        if all(_elem_true((), vd, atom) == sign for atom, sign in signs.items()):
+        if all(sign is None or _elem_true((), vd, atom) == sign for atom, sign in signs.items()):
             out.append(Valuation.of(vd))
     return out
 
 
-def _has_diff_cycle(signs: dict) -> bool:
-    """Do the sign-adjusted &diff edges y -> x close a directed cycle?"""
+def _has_cycle(edges) -> bool:
+    """Do the directed edges, (src, dst) pairs, close a cycle?"""
     out: dict = {}
-    for atom, sign in signs.items():
-        if isinstance(atom, DiffConstraintAtom):
-            x_, y_ = atom.lhs_var, atom.rhs_var
-            if not sign:
-                x_, y_ = y_, x_
-            out.setdefault(y_, set()).add(x_)
+    for src, dst in edges:
+        out.setdefault(src, set()).add(dst)
 
     def reaches(src, dst, seen) -> bool:
         for nxt in out.get(src, ()):
@@ -436,6 +454,16 @@ def _has_diff_cycle(signs: dict) -> bool:
         return False
 
     return any(reaches(v, v, {v}) for v in out)
+
+
+def _has_diff_cycle(signs: dict) -> bool:
+    """Do the sign-adjusted &diff edges y -> x close a directed cycle?"""
+    edges = []
+    for atom, sign in signs.items():
+        if isinstance(atom, DiffConstraintAtom):
+            x_, y_ = atom.lhs_var, atom.rhs_var
+            edges.append((y_, x_) if sign else (x_, y_))
+    return _has_cycle(edges)
 
 
 def test_certify_matches_brute_force_grid():
@@ -512,6 +540,74 @@ def test_certify_compiled_rows_match_brute_force_wide():
         seen["empty"] += not want
         seen["some"] += bool(want)
     assert min(seen.values()) >= 30, seen
+
+
+def _mixed_atom(rng: random.Random, names: list):
+    """A &diff (its operands integers now and then), a &sum over 1*u;-1*v or
+    -1*u;1*v with any comparator, or another &sum."""
+    u, v = rng.sample(names, 2)
+    kind = rng.random()
+    if kind < 0.4:
+        def operand(name):
+            return IntConst(rng.randint(-2, 3)) if rng.random() < 0.15 else name
+        return DiffConstraintAtom(operand(u), operand(v), rng.randint(-3, 3))
+    cmp, rhs = rng.choice(COMPARATORS), rng.randint(-3, 3)
+    if kind < 0.8:
+        c = rng.choice((1, -1))
+        return LinearConstraintAtom(((c, u), (-c, v)), cmp, rhs)
+    terms = [(rng.choice((-2, -1, 1, 2)), rng.choice(names)) for _ in range(rng.randint(1, 3))]
+    return LinearConstraintAtom(tuple(terms), cmp, rhs)
+
+
+def _difference_edges(signs: dict) -> list:
+    """(y, x, syntax, upper) per signed atom that bounds x - y, for distinct
+    variables x and y: a &diff, or a &sum of 1*x and -1*y under <, <=, >
+    or >=; the edge is y -> x where the bound is from above (upper), else
+    x -> y."""
+    edges = []
+    for atom, sign in signs.items():
+        if sign is None:
+            continue
+        if isinstance(atom, DiffConstraintAtom):
+            x_, y_ = atom.lhs_var, atom.rhs_var
+            if not isinstance(x_, IntConst) and not isinstance(y_, IntConst) and x_ != y_:
+                edges.append((y_, x_, "diff", True) if sign else (x_, y_, "diff", False))
+            continue
+        if len(atom.terms) != 2 or atom.cmp in ("=", "!="):
+            continue
+        (c, u), (d, v) = atom.terms
+        if c * d != -1 or u == v:
+            continue
+        x_, y_ = (u, v) if c == 1 else (v, u)
+        upper = (atom.cmp in ("<=", "<")) == sign
+        edges.append((y_, x_, "sum", True) if upper else (x_, y_, "sum", False))
+    return edges
+
+
+def test_certify_mixed_difference_rows_match_brute_force():
+    """&diff atoms and difference-shaped &sum rows, each of which the
+    difference-logic graph takes as an edge, signed True, False or None, as
+    the brute-force grid filter gives them."""
+    rng = random.Random(3737)
+    names = [x, y, SymConst("z")]
+    seen = dict.fromkeys(("mixed cycle", ">= edge", "integer operand", "empty", "some"), 0)
+    for _ in range(1500):
+        atoms = {_mixed_atom(rng, names) for _ in range(rng.randint(2, 4))}
+        signs = {atom: rng.choice((True, False, None)) for atom in sorted(atoms, key=str)}
+        lo = rng.randint(-2, 0)
+        bounds = (lo, lo + rng.randint(0, 4))
+        want = _brute_certify(signs, bounds)
+        assert certified(signs, bounds) == want, f"differs on {signs} {bounds}"
+        edges = _difference_edges(signs)
+        seen["mixed cycle"] += _has_cycle(e[:2] for e in edges) and not any(
+            _has_cycle(e[:2] for e in edges if e[2] == syntax) for syntax in ("diff", "sum"))
+        seen[">= edge"] += any(not e[3] for e in edges)
+        seen["integer operand"] += any(
+            isinstance(t, IntConst) for atom in signs if isinstance(atom, DiffConstraintAtom)
+            for t in (atom.lhs_var, atom.rhs_var))
+        seen["empty"] += not want
+        seen["some"] += bool(want)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_certify_either_sign_is_union_of_both_signs():
@@ -635,9 +731,9 @@ def test_solve_certifies_each_cube_once(monkeypatch, src, bounds, calls):
 
     walk = htsolve.search._grid_walk
 
-    def certify(signs, bounds, variables):
+    def certify(prog, signs, bounds):
         seen.append(signs)
-        return walk(signs, bounds, variables)
+        return walk(prog, signs, bounds)
 
     monkeypatch.setattr(htsolve.search, "_grid_walk", certify)
     want = naive_equilibrium(g, "casp", bounds)
@@ -713,8 +809,8 @@ def test_solve_prunes_a_group_missing_a_sign_pattern(monkeypatch):
     built = []
     walk = htsolve.search._grid_walk
 
-    def counted(signs, bounds, variables):
-        for prefix, lasts in walk(signs, bounds, variables):
+    def counted(prog, signs, bounds):
+        for prefix, lasts in walk(prog, signs, bounds):
             built.extend((*prefix, v) for v in lasts)
             assert len(built) <= 10, "certification walks the grid"
             yield prefix, lasts

@@ -8,6 +8,8 @@ from itertools import product
 
 import pytest
 
+import htsolve.search
+import htsolve.semantics
 from htsolve import (
     AnswerSet,
     AspVar,
@@ -793,12 +795,28 @@ def test_a_search_that_raised_leaves_nothing_for_the_next(engine, monkeypatch):
         assert solve(g, "casp", (0, 3), engine) == want, k
 
 
-def test_search_solve_builds_no_evaluators():
-    g = ground(parse_program("a :- &sum{1*x} >= 1. b :- not a."))
-    assert len(solve(g, "casp", (0, 2), engine="search")) == 3
-    assert numbered(g).theory_table is None
-    assert len(solve(g, "casp", (0, 2))) == 3  # the oracle reads it
-    assert numbered(g).theory_table is not None
+def test_search_solve_compiles_each_constraint_atom_once(monkeypatch):
+    """Both engines read one theory table, built with the numbered program:
+    a search solve that walks 5 cubes compiles each of its 3 constraint
+    atoms into a row once, and the oracle compiles none again."""
+    g = ground(parse_program("a :- &sum{1*x} != 3, &sum{1*x} != 4. a :- &sum{1*x} = 3."))
+    compiled, walks = [], []
+    row, walk = htsolve.semantics._row, htsolve.search._grid_walk
+
+    def counted_row(atom, position):
+        compiled.append(str(atom))
+        return row(atom, position)
+
+    def counted_walk(prog, signs, bounds):
+        walks.append(signs)
+        return walk(prog, signs, bounds)
+
+    monkeypatch.setattr(htsolve.semantics, "_row", counted_row)
+    monkeypatch.setattr(htsolve.search, "_grid_walk", counted_walk)
+    answers = solve(g, "casp", (0, 7), engine="search")
+    assert len(walks) == 5
+    assert sorted(compiled) == ["&sum{1*x} != 3", "&sum{1*x} != 4", "&sum{1*x} = 3"]
+    assert solve(g, "casp", (0, 7)) == answers and len(compiled) == 3
 
 
 def test_modes_agree_on_boolean_programs():
