@@ -21,9 +21,8 @@ grid, pruned by the interval each row's unbound terms can still add
 in grid order, every valuation under which each atom has its sign, so the
 result set matches the exhaustive oracle.  It generates them as runs: per
 binding of the variables before the last, the last one's allowed values,
-split where a != row bans one.  theory_certify() numbers its atoms as a
-program of constraints and returns that program's walk unread, so the
-grid is walked only as far as its runs are read.
+split where a != row bans one.  theory_certify() returns that walk
+unread, so the grid is walked only as far as its runs are read.
 
 solve() groups the Boolean models by their ids past t, the visible atoms,
 and takes the groups in the order answers are printed.  It splits each
@@ -204,6 +203,15 @@ class _Grid:
                 yield from zip(*map(repeat, prefix), lasts)
 
 
+class _Cube(dict):
+    """One cube's signs from solve(), by atom and by theory id, with their
+    program, whose table theory_certify (which the tracer counts) walks."""
+
+    def __init__(self, prog: _Compiled, by_id: list):
+        super().__init__(zip(prog.theory, by_id))
+        self.prog, self.by_id = prog, by_id
+
+
 def theory_certify(signs: dict, bounds):
     """Every total valuation within bounds under which each atom has its sign,
     as _grid_walk's runs over variables_of(signs), generated in grid order.
@@ -213,9 +221,11 @@ def theory_certify(signs: dict, bounds):
     union, in grid order, of the results for each of its two signs.  Empty
     bounds and &in atoms, signed or not, are rejected at the call; the grid
     is walked only as the runs are read.  The atoms are numbered as the
-    program of one constraint :- e. per atom e.
+    program of one constraint :- e. per atom e (a _Cube brings its own).
     """
     _bounds_ok(bounds)
+    if isinstance(signs, _Cube):
+        return _grid_walk(signs.prog, signs.by_id, bounds)
     _reject_assignments(signs)
     prog = numbered(GroundProgram([Rule(FALSITY, (Literal(True, e),)) for e in signs]))
     return _grid_walk(prog, [signs[e] for e in prog.theory], bounds)
@@ -338,17 +348,11 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
 
     Answers are sorted by their atoms' text, then by value in grid order;
     with models > 0 only the first models answers are returned, and the
-    search engine walks no valuation past them.  It groups the Boolean
-    models by visible atoms and takes the groups in text order.  The
-    models of one group differ only in the signs of theory atoms; one
-    _grid_walk call per cube of the group, its free atoms unsigned, gives
-    the lazy walk of the union of its models' valuations in grid order, so
-    every walk is pruned by each atom the cube's models agree on.  The cubes hold disjoint sign patterns, so their runs never
-    overlap, and one heapq.merge of the walks by prefix, then first
-    value, read into one _Grid cut at the answers still wanted, gives
-    the group's values.  Without variables every atom's truth is fixed,
-    so of cubes that differ on a signed atom only one yields the run
-    ((), None).
+    search engine walks no valuation past them.  It certifies each cube of
+    Boolean models (see the module docstring) with one theory_certify call
+    over g's own theory table.  Without variables every atom's truth is
+    fixed, so of cubes that differ on a signed atom only one yields the
+    run ((), None).
     """
     if engine not in ("oracle", "search"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -360,7 +364,7 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
         return answers.head(models) if models else answers
     if mode != "casp":
         raise ValueError("engine 'search' supports casp mode only")
-    _bounds_ok(bounds)  # also when no Boolean model reaches _grid_walk
+    _bounds_ok(bounds)  # also when no Boolean model reaches theory_certify
     prog = _compile(g)
     t = len(prog.theory)  # the theory atoms' Boolean ids come first
     groups: dict = {}  # visible atom ids -> true theory ids of each model
@@ -373,7 +377,7 @@ def solve(g: GroundProgram, mode: str, bounds, engine: str = "oracle", models: i
         walks = []
         for true, free in _cubes(groups[key]):
             signs = [None if i in free else i in true for i in range(t)]
-            walks.append(_grid_walk(prog, signs, bounds))
+            walks.append(theory_certify(_Cube(prog, signs), bounds))
         values = _Grid(heapq.merge(*walks, key=lambda run: (run[0], run[1] and run[1][0])), left)
         if values:
             answers.append((key, values))

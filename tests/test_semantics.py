@@ -797,22 +797,23 @@ def test_a_search_that_raised_leaves_nothing_for_the_next(engine, monkeypatch):
 
 def test_search_solve_compiles_each_constraint_atom_once(monkeypatch):
     """Both engines read one theory table, built with the numbered program:
-    a search solve that walks 5 cubes compiles each of its 3 constraint
+    a search solve that certifies 5 cubes, each through theory_certify (the
+    name the benchmark's tracer counts), compiles each of its 3 constraint
     atoms into a row once, and the oracle compiles none again."""
     g = ground(parse_program("a :- &sum{1*x} != 3, &sum{1*x} != 4. a :- &sum{1*x} = 3."))
     compiled, walks = [], []
-    row, walk = htsolve.semantics._row, htsolve.search._grid_walk
+    row, certify = htsolve.semantics._row, htsolve.search.theory_certify
 
     def counted_row(atom, position):
         compiled.append(str(atom))
         return row(atom, position)
 
-    def counted_walk(prog, signs, bounds):
+    def counted_certify(signs, bounds):
         walks.append(signs)
-        return walk(prog, signs, bounds)
+        return certify(signs, bounds)
 
     monkeypatch.setattr(htsolve.semantics, "_row", counted_row)
-    monkeypatch.setattr(htsolve.search, "_grid_walk", counted_walk)
+    monkeypatch.setattr(htsolve.search, "theory_certify", counted_certify)
     answers = solve(g, "casp", (0, 7), engine="search")
     assert len(walks) == 5
     assert sorted(compiled) == ["&sum{1*x} != 3", "&sum{1*x} != 4", "&sum{1*x} = 3"]
